@@ -15,7 +15,6 @@ from .engine import (
     EngineConfig,
     RefinementMove,
     TraceEntry,
-    best_cut,
     bisect_community,
     refine,
     run_ccr,
@@ -87,7 +86,6 @@ __all__ = [
     "TraceEntry",
     "WorkingGraph",
     "apply_move",
-    "best_cut",
     "betweenness_naive",
     "bisect_community",
     "compute_scores",

@@ -17,7 +17,8 @@ from .graph import GraphLoadError, load_gml
 
 CCR = "ccr"
 CCR_EBR = "ccr-ebr"
-ALGORITHMS = (CCR, CCR_EBR)
+RUNNERS = {CCR: run_ccr, CCR_EBR: run_ccr_ebr}
+ALGORITHMS = tuple(RUNNERS)
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,6 @@ class BenchRow:
         }
 
 
-_RUNNERS = {CCR: run_ccr, CCR_EBR: run_ccr_ebr}
-
-
 def run_bench(
     data_dir,
     algorithms=ALGORITHMS,
@@ -116,7 +114,7 @@ def run_bench(
         DATASETS_BY_NAME[name] for name in sorted(set(datasets))
     ]
     for algo in algorithms:
-        if algo not in _RUNNERS:
+        if algo not in RUNNERS:
             raise ValueError(f"unknown algorithm {algo!r}")
 
     rows: list[BenchRow] = []
@@ -138,7 +136,7 @@ def run_bench(
             )
         for algo in algorithms:
             start = time.perf_counter()
-            result = _RUNNERS[algo](g, cfg)
+            result = RUNNERS[algo](g, cfg)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             floor = spec.floors.get(algo)
             rows.append(

@@ -18,18 +18,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .bench import ALGORITHMS, rows_to_json_obj, rows_to_tsv, run_bench
-from .engine import (
-    ConfigError,
-    EngineConfig,
-    history_to_jsonl,
-    run_ccr,
-    run_ccr_ebr,
-)
+# `_RUNNERS` is the one pipeline table, shared with `bench`; perfbench's
+# tracer wraps the pipelines by patching it in place under this name.
+from .bench import ALGORITHMS, RUNNERS as _RUNNERS, rows_to_json_obj, rows_to_tsv, run_bench
+from .engine import ConfigError, EngineConfig, history_to_jsonl
 from .graph import GraphLoadError, WorkingGraph, load_edge_list, load_gml
 from .measures import BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4, compute_scores
 from .modularity import partition_to_json_obj, partition_to_tsv
@@ -46,30 +41,6 @@ MEASURE_FLAGS = {
     "g4": CLUSTERING_G4,
     "betweenness": BETWEENNESS,
 }
-_RUNNERS = {"ccr": run_ccr, "ccr-ebr": run_ccr_ebr}
-
-
-@dataclass
-class RunManifest:
-    """Everything one detect run depends on, resolved from flags."""
-
-    input: str
-    format: str | None
-    algorithm: str
-    config: EngineConfig
-    out_dir: str
-    no_timestamps: bool = False
-    seed: int | None = None  # reserved; the engine is deterministic
-
-    def validate(self) -> None:
-        if self.algorithm not in _RUNNERS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.config.measure == BETWEENNESS:
-            raise ConfigError(
-                "betweenness cannot drive the first divisive phase;"
-                " pick a clustering measure (g3 or g4)"
-            )
-        self.config.validate()
 
 
 def _load_graph(path_str: str, fmt: str | None):
@@ -94,30 +65,28 @@ def _write_json(path: Path, obj: dict, stamped: bool) -> None:
 
 
 def cmd_detect(args) -> int:
-    manifest = RunManifest(
-        input=args.input,
-        format=args.format,
-        algorithm=args.algo,
-        config=EngineConfig(
-            measure=MEASURE_FLAGS[args.measure],
-            refine_max_passes=args.refine_max_passes,
-        ),
-        out_dir=args.out_dir,
-        no_timestamps=args.no_timestamps,
+    cfg = EngineConfig(
+        measure=MEASURE_FLAGS[args.measure],
+        refine_max_passes=args.refine_max_passes,
     )
-    manifest.validate()
-    g = _load_graph(manifest.input, manifest.format)
+    if cfg.measure == BETWEENNESS:
+        raise ConfigError(
+            "betweenness cannot drive the first divisive phase;"
+            " pick a clustering measure (g3 or g4)"
+        )
+    cfg.validate()
+    g = _load_graph(args.input, args.format)
     if g.warnings.any():
         print(
             f"warning: input cleanup: {g.warnings.duplicates} duplicate edges,"
             f" {g.warnings.self_loops} self-loops dropped",
             file=sys.stderr,
         )
-    result = _RUNNERS[manifest.algorithm](g, manifest.config)
+    result = _RUNNERS[args.algo](g, cfg)
 
-    out_dir = Path(manifest.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stamped = not manifest.no_timestamps
+    stamped = not args.no_timestamps
 
     tsv = partition_to_tsv(result.best_partition)
     if stamped:

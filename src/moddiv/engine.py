@@ -41,6 +41,10 @@ from .modularity import (
     move_q,
 )
 
+# A split is kept, and a refinement move applied, only when Q rises by more
+# than this; it absorbs float noise in the incremental gain formula.
+Q_IMPROVEMENT_EPS = 1e-12
+
 
 class ConfigError(Exception):
     """Engine configuration is inconsistent or out of range."""
@@ -53,8 +57,6 @@ class EngineConfig:
     measure: str = CLUSTERING_G3
     refine_max_passes: int = 100
     min_community_size: int = 1
-    tie_break: str = "min-edge-id"
-    q_improvement_eps: float = 1e-12
 
     def validate(self) -> None:
         if self.measure not in MEASURE_KINDS:
@@ -63,10 +65,6 @@ class EngineConfig:
             raise ConfigError("refine_max_passes must be >= 1")
         if self.min_community_size < 1:
             raise ConfigError("min_community_size must be >= 1")
-        if self.tie_break != "min-edge-id":
-            raise ConfigError("only the 'min-edge-id' tie-break is supported")
-        if self.q_improvement_eps < 0:
-            raise ConfigError("q_improvement_eps must be >= 0")
 
 
 class BorderlineSets:
@@ -129,129 +127,106 @@ class Bisection:
 @dataclass
 class DendrogramNode:
     node_id: int
-    members: set[int]
     parent: int | None = None
-    children: tuple[int, ...] = ()
+    children: list[int] = field(default_factory=list)
     split_q: float | None = None
-    split_moves: tuple[RefinementMove, ...] = ()
+    moves: tuple[dict, ...] = ()  # the `move` events of the accepted split
+    members: list[int] = field(default_factory=list)  # leaves only
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One accepted state of the run: its modularity and full assignment."""
+    """One accepted state of the run."""
 
     step: str
     q: float
     n_communities: int
-    assignment: tuple[int, ...]
+
+
+def _move_obj(event: dict) -> dict:
+    return {key: event[key] for key in ("vertex", "source", "target", "gain")}
 
 
 class Dendrogram:
-    """Split tree of the run, plus the modularity trace of accepted states.
+    """Split tree of a finished run, derived from its event log.
 
-    A node's member set stays live while its community exists: refinement
-    moves that touch the community keep it current, and it freezes when the
-    community splits (becoming an internal node) or the run ends.  So every
-    internal node's children partition its members exactly, and the leaves
-    partition the vertex set.
+    Node 0 is the root; a disconnected input gives it one child per
+    component.  Every `accept` event turns its community's node into an
+    internal node with two children, and takes the `move` events since the
+    previous accept or reject as its refinement moves (those before a
+    reject were undone with the split).  Leaves hold the members their
+    community has in the final partition, empty when refinement retired it,
+    and an internal node's members are the union of its children's: the
+    leaves partition the vertex set.
     """
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.nodes: list[DendrogramNode] = [
-            DendrogramNode(0, set(range(graph.n)))
-        ]
-        self.root_id = 0
-        self.node_for_community: dict[int, int] = {}
-        self.trace: list[TraceEntry] = []
-        self.final_moves: tuple[RefinementMove, ...] = ()
-
-    def add_child(self, parent_id: int, community: int, members) -> int:
-        node = DendrogramNode(len(self.nodes), set(members), parent=parent_id)
-        self.nodes.append(node)
-        parent = self.nodes[parent_id]
-        parent.children = parent.children + (node.node_id,)
-        self.node_for_community[community] = node.node_id
-        return node.node_id
-
-    def record_split(
+    def __init__(
         self,
-        community: int,
-        new_a: int,
-        new_b: int,
-        members_a,
-        members_b,
-        q_after: float,
-        moves,
-    ) -> None:
-        parent_id = self.node_for_community.pop(community)
-        self.add_child(parent_id, new_a, members_a)
-        self.add_child(parent_id, new_b, members_b)
-        parent = self.nodes[parent_id]
-        parent.split_q = q_after
-        parent.split_moves = tuple(moves)
+        graph: Graph,
+        history: list[dict],
+        final: Partition,
+        trace: list[TraceEntry],
+    ):
+        self.graph = graph
+        self.trace = trace
+        self.nodes: list[DendrogramNode] = [DendrogramNode(0)]
+        self.final_moves: list[dict] = []
+        initial = trace[0].n_communities
+        if initial == 1:
+            node_of = {0: 0}
+        else:
+            self.nodes[0].split_q = trace[0].q
+            node_of = {c: self._add_node(0) for c in range(initial)}
+        pending: list[dict] = []
+        for event in history:
+            kind = event["type"]
+            if kind == "move":
+                if event.get("stage") == "final-refine":
+                    self.final_moves.append(event)
+                else:
+                    pending.append(event)
+            elif kind == "reject":
+                pending = []
+            elif kind == "accept":
+                parent = self.nodes[node_of.pop(event["community"])]
+                parent.split_q = event["q_after"]
+                parent.moves = tuple(pending)
+                pending = []
+                for child in event["children"]:
+                    node_of[child] = self._add_node(parent.node_id)
+        for cid, nid in node_of.items():
+            if cid in final.communities:
+                self.nodes[nid].members = final.members(cid)
 
-    def apply_move(self, vertex: int, source: int, target: int) -> None:
-        """Mirror a refinement move onto the tree.
-
-        The vertex is discarded from the source community's node and every
-        ancestor, then added to the target's node and every ancestor; the
-        shared ancestors get it straight back, so exactly the nodes between
-        the two communities change and partitioning is preserved.
-        """
-        src = self.node_for_community.get(source)
-        if src is not None:
-            nid = src
-            while nid is not None:
-                self.nodes[nid].members.discard(vertex)
-                nid = self.nodes[nid].parent
-        dst = self.node_for_community.get(target)
-        if dst is not None:
-            nid = dst
-            while nid is not None:
-                self.nodes[nid].members.add(vertex)
-                nid = self.nodes[nid].parent
-
-    def drop_community(self, community: int) -> None:
-        self.node_for_community.pop(community, None)
+    def _add_node(self, parent: int) -> int:
+        node = DendrogramNode(len(self.nodes), parent)
+        self.nodes.append(node)
+        self.nodes[parent].children.append(node.node_id)
+        return node.node_id
 
     def leaves(self) -> list[DendrogramNode]:
         return [n for n in self.nodes if not n.children]
 
     # -- export -------------------------------------------------------------
 
-    def _node_obj(self, node: DendrogramNode) -> dict:
-        labels = self.graph.labels
-        obj: dict = {
-            "members": [labels[v] for v in sorted(node.members)],
-            "split_q": node.split_q,
-            "moves": [
-                {
-                    "vertex": labels[mv.vertex],
-                    "source": mv.source,
-                    "target": mv.target,
-                    "gain": mv.gain,
-                }
-                for mv in node.split_moves
-            ],
-            "children": [self._node_obj(self.nodes[c]) for c in node.children],
-        }
-        return obj
-
     def to_json_obj(self) -> dict:
+        """Flat node list in id order; `members` (labels) on leaves only."""
         labels = self.graph.labels
+        nodes = []
+        for node in self.nodes:
+            obj: dict = {
+                "id": node.node_id,
+                "parent": node.parent,
+                "split_q": node.split_q,
+                "moves": [_move_obj(e) for e in node.moves],
+            }
+            if not node.children:
+                obj["members"] = [labels[v] for v in node.members]
+            nodes.append(obj)
         return {
             "n_vertices": self.graph.n,
-            "root": self._node_obj(self.nodes[self.root_id]),
-            "final_moves": [
-                {
-                    "vertex": labels[mv.vertex],
-                    "source": mv.source,
-                    "target": mv.target,
-                    "gain": mv.gain,
-                }
-                for mv in self.final_moves
-            ],
+            "nodes": nodes,
+            "final_moves": [_move_obj(e) for e in self.final_moves],
             "trace": [
                 {"step": t.step, "q": t.q, "n_communities": t.n_communities}
                 for t in self.trace
@@ -262,30 +237,48 @@ class Dendrogram:
         return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
     def to_newick(self) -> str:
+        """Newick text, built with an explicit stack so depth is unbounded.
+
+        Leaves emptied by refinement are left out; a leaf with one member
+        is that member's label.
+        """
         labels = self.graph.labels
 
         def clean(text: str) -> str:
             return "".join("_" if ch in " \t,():;[]'" else ch for ch in text)
 
-        def render(node: DendrogramNode) -> str:
-            if node.children:
-                parts = [
-                    render(self.nodes[c])
-                    for c in node.children
-                    if self.nodes[c].children or self.nodes[c].members
-                ]
-                return "(" + ",".join(parts) + ")"
-            members = sorted(node.members)
-            if len(members) == 1:
-                return clean(labels[members[0]])
-            return "(" + ",".join(clean(labels[v]) for v in members) + ")"
-
-        return render(self.nodes[self.root_id]) + ";\n"
+        out: list[str] = []
+        stack: list = [0]  # node ids still to render, and literal tokens
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            node = self.nodes[item]
+            if not node.children:
+                names = [clean(labels[v]) for v in node.members]
+                out.append(names[0] if len(names) == 1 else "(" + ",".join(names) + ")")
+                continue
+            shown = [
+                c for c in node.children
+                if self.nodes[c].children or self.nodes[c].members
+            ]
+            stack.append(")")
+            for i, c in enumerate(reversed(shown)):
+                if i:
+                    stack.append(",")
+                stack.append(c)
+            stack.append("(")
+        return "".join(out) + ";\n"
 
 
 @dataclass
 class DetectionResult:
-    """Best partition found along the run, with its full provenance."""
+    """Final partition of the run, with its full provenance.
+
+    Splits are kept only when Q strictly rises and refinement applies only
+    positive moves, so the final state is the best one along the trace.
+    """
 
     best_partition: Partition
     best_q: float
@@ -295,33 +288,6 @@ class DetectionResult:
     @property
     def trace(self) -> list[TraceEntry]:
         return self.dendrogram.trace
-
-
-def _best_trace_entry(trace: list[TraceEntry]) -> TraceEntry:
-    if not trace:
-        raise ValueError("empty trace")
-    best = trace[0]
-    for entry in trace[1:]:
-        if entry.q > best.q or (entry.q == best.q and entry.n_communities < best.n_communities):
-            best = entry
-    return best
-
-
-def _partition_from_assignment(g: Graph, assignment) -> Partition:
-    order: dict[int, int] = {}
-    for c in assignment:
-        if c not in order:
-            order[c] = len(order)
-    return Partition(g, [order[c] for c in assignment])
-
-
-def best_cut(d: Dendrogram) -> Partition:
-    """Partition along the recorded trace with maximal modularity.
-
-    Ties break toward fewer communities, then toward the earlier state.
-    """
-    entry = _best_trace_entry(d.trace)
-    return _partition_from_assignment(d.graph, entry.assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +347,6 @@ def refine(g: Graph, p: Partition, borderline: BorderlineSets, cfg: EngineConfig
     returns the partition, together with the applied moves.
     """
     moves: list[RefinementMove] = []
-    eps = cfg.q_improvement_eps
     m = g.m
     for _ in range(cfg.refine_max_passes):
         moved = False
@@ -404,7 +369,7 @@ def refine(g: Graph, p: Partition, borderline: BorderlineSets, cfg: EngineConfig
                 if gain > best_gain:
                     best_gain = gain
                     best_target = target
-            if best_target is not None and best_gain > eps:
+            if best_target is not None and best_gain > Q_IMPROVEMENT_EPS:
                 ctx = MoveContext(v, source, best_target, to_source, tally[best_target], degree)
                 apply_move(p, ctx)
                 borderline.after_move(g, p, ctx)
@@ -429,27 +394,14 @@ class _DivisiveRun:
         self.g = g
         self.cfg = cfg
         self.wg = WorkingGraph(g)
-        components = connected_components(self.wg)
-        self.partition = Partition(g, components.labels)
+        self.partition = Partition(g, connected_components(self.wg).labels)
         self.q = modularity_q(g, self.partition)
         self.history: list[dict] = []
-        self.dendrogram = Dendrogram(g)
-        if components.count == 1:
-            self.dendrogram.node_for_community[0] = self.dendrogram.root_id
-        else:
-            # Disconnected input: each component is an initial community.
-            for cid in self.partition.community_ids():
-                self.dendrogram.add_child(
-                    self.dendrogram.root_id, cid, self.partition.members(cid)
-                )
-            root = self.dendrogram.nodes[self.dendrogram.root_id]
-            root.split_q = self.q
+        self.trace: list[TraceEntry] = []
         self._trace("init")
 
     def _trace(self, step: str) -> None:
-        self.dendrogram.trace.append(
-            TraceEntry(step, self.q, self.partition.n_communities, tuple(self.partition.assignment))
-        )
+        self.trace.append(TraceEntry(step, self.q, self.partition.n_communities))
 
     def _event(self, kind: str, payload: dict, q_after: float) -> None:
         record = {"type": kind}
@@ -527,19 +479,9 @@ class _DivisiveRun:
                 for c in (new_a, new_b)
                 if c in tentative.communities
             )
-            if q_new > self.q + self.cfg.q_improvement_eps and sides_ok:
+            if q_new > self.q + Q_IMPROVEMENT_EPS and sides_ok:
                 self.partition = tentative
                 self.q = q_new
-                # children start as the raw bisection sides; replaying the
-                # refinement moves brings every touched node up to date
-                self.dendrogram.record_split(
-                    cid, new_a, new_b, bis.side_a, bis.side_b, q_new, mvs
-                )
-                for mv in mvs:
-                    self.dendrogram.apply_move(mv.vertex, mv.source, mv.target)
-                for touched in {mv.source for mv in mvs} | {mv.target for mv in mvs}:
-                    if touched not in tentative.communities:
-                        self.dendrogram.drop_community(touched)
                 members_a = tentative._members.get(new_a, set())
                 members_b = tentative._members.get(new_b, set())
                 self._event(
@@ -590,18 +532,13 @@ class _DivisiveRun:
                 },
                 q_running,
             )
-            self.dendrogram.apply_move(mv.vertex, mv.source, mv.target)
-        for touched in {mv.source for mv in mvs} | {mv.target for mv in mvs}:
-            if touched not in self.partition.communities:
-                self.dendrogram.drop_community(touched)
         self.q = modularity_q(self.g, self.partition)
-        self.dendrogram.final_moves = tuple(mvs)
         self._trace("final-refine")
 
     def result(self) -> DetectionResult:
-        entry = _best_trace_entry(self.dendrogram.trace)
-        best = _partition_from_assignment(self.g, entry.assignment)
-        return DetectionResult(best, modularity_q(self.g, best), self.dendrogram, self.history)
+        best = self.partition.renumbered()
+        dendrogram = Dendrogram(self.g, self.history, self.partition, self.trace)
+        return DetectionResult(best, modularity_q(self.g, best), dendrogram, self.history)
 
 
 def run_ccr(g: Graph, cfg: EngineConfig | None = None) -> DetectionResult:

@@ -91,12 +91,6 @@ class Graph:
         """(neighbor, edge id) pairs of v, sorted by neighbor id."""
         return self.adj[v]
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
-
     def edge_label_pair(self, eid: int) -> tuple[str, str]:
         u, v = self.edges[eid]
         return self.labels[u], self.labels[v]
@@ -143,10 +137,6 @@ class WorkingGraph:
         for w, eid in self.base.adj[v]:
             if eid not in removed:
                 yield w, eid
-
-    def degree(self, v: int) -> int:
-        removed = self.removed
-        return sum(1 for _, eid in self.base.adj[v] if eid not in removed)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,6 @@ from moddiv import (
     Graph,
     Partition,
     WorkingGraph,
-    best_cut,
     bisect_community,
     modularity_q,
     refine,
@@ -40,10 +40,6 @@ def test_config_validation():
         _cfg(refine_max_passes=0).validate()
     with pytest.raises(ConfigError):
         _cfg(min_community_size=0).validate()
-    with pytest.raises(ConfigError):
-        _cfg(tie_break="random").validate()
-    with pytest.raises(ConfigError):
-        _cfg(q_improvement_eps=-1.0).validate()
     _cfg().validate()
 
 
@@ -236,36 +232,77 @@ def test_dendrogram_nodes_partition_their_parents():
         r = run_ccr_ebr(g)
         d = r.dendrogram
         for node in d.nodes:
-            if node.children:
-                union: set = set()
-                for c in node.children:
-                    child = d.nodes[c].members
-                    assert not (union & child)
-                    union |= child
-                assert union == node.members
-        leaves: set = set()
+            for c in node.children:
+                assert d.nodes[c].parent == node.node_id
+        seen: list = []
+        communities = set()
         for leaf in d.leaves():
-            leaves |= leaf.members
-        assert leaves == set(range(g.n))
+            seen += leaf.members
+            if leaf.members:
+                communities.add(tuple(leaf.members))
+        assert sorted(seen) == list(range(g.n))
+        best = r.best_partition
+        assert communities == {tuple(best.members(c)) for c in best.community_ids()}
 
 
-def test_best_cut_takes_argmax_then_fewest_communities(path3):
-    d = Dendrogram(path3)
-    d.trace = [
-        TraceEntry("init", 0.0, 1, (0, 0, 0)),
-        TraceEntry("split", 0.31, 2, (0, 1, 1)),
-        TraceEntry("split", 0.42, 2, (0, 0, 1)),
-        TraceEntry("split", 0.40, 3, (0, 1, 2)),
+def test_best_partition_is_the_final_state():
+    rng = random.Random(59)
+    graphs = [gnp_connected(rng, rng.randint(6, 35), rng.choice((0.15, 0.35))) for _ in range(10)]
+    graphs.append(Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]))
+    for g in graphs:
+        for runner in (run_ccr, run_ccr_ebr):
+            r = runner(g)
+            last = r.trace[-1]
+            assert max(t.q for t in r.trace) == last.q
+            assert abs(r.best_q - last.q) < 1e-12
+            assert r.best_partition.n_communities == last.n_communities
+
+
+def _chain_run(depth: int):
+    """History, final partition and trace of a run that peels one vertex
+    off a path `depth` times, nesting every split in the previous one."""
+    g = Graph(depth + 1, [(v, v + 1) for v in range(depth)])
+    p = Partition.single_community(g)
+    history = []
+    cid = 0
+    for v in range(depth):
+        a, b = p.split_community(cid, [v], range(v + 1, depth + 1))
+        history.append({"type": "accept", "phase": 1, "community": cid,
+                        "children": [a, b], "sizes": [1, depth - v], "q_after": 0.0})
+        cid = b
+    return g, history, p, [TraceEntry("init", 0.0, 1)]
+
+
+def test_dendrogram_deeper_than_the_recursion_limit_exports():
+    depth = sys.getrecursionlimit() + 100
+    g, history, p, trace = _chain_run(depth)
+    d = Dendrogram(g, history, p, trace)
+    assert len(d.nodes) == 2 * depth + 1
+    assert d.nodes[-1].parent == d.nodes[-2].parent == 2 * depth - 2
+    obj = json.loads(json.dumps(d.to_json_obj(), indent=2))
+    assert [node["id"] for node in obj["nodes"]] == list(range(2 * depth + 1))
+    expected = "".join(f"({v}," for v in range(depth)) + str(depth) + ")" * depth
+    assert d.to_newick() == expected + ";\n"
+
+
+def test_dendrogram_drops_moves_of_rejected_splits(barbell):
+    p = Partition.single_community(barbell)
+    a, b = p.split_community(0, [0, 1, 2], [3, 4, 5])
+    move = {"type": "move", "phase": 1, "vertex": "3", "source": b, "target": a,
+            "gain": -0.1, "q_after": 0.2}
+    history = [
+        move,
+        {"type": "reject", "phase": 1, "community": 0, "q_tentative": 0.2, "q_after": 0.0},
+        {**move, "vertex": "2", "source": a, "target": b},
+        {"type": "accept", "phase": 1, "community": 0, "children": [a, b],
+         "sizes": [3, 3], "q_after": 5 / 14},
+        {**move, "phase": 2, "stage": "final-refine"},
     ]
-    assert best_cut(d).assignment == [0, 0, 1]
-    d.trace.append(TraceEntry("split", 0.42, 3, (0, 1, 2)))
-    assert best_cut(d).assignment == [0, 0, 1]  # tie goes to fewer communities
-
-
-def test_best_cut_on_run_matches_reported_best(barbell):
-    r = run_ccr_ebr(barbell)
-    cut = best_cut(r.dendrogram)
-    assert cut.assignment == r.best_partition.assignment
+    d = Dendrogram(barbell, history, p, [TraceEntry("init", 0.0, 1)])
+    assert [n.parent for n in d.nodes] == [None, 0, 0]
+    assert [e["vertex"] for e in d.nodes[0].moves] == ["2"]
+    assert [e["vertex"] for e in d.final_moves] == ["3"]
+    assert [n.members for n in d.leaves()] == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_history_serializes_as_json_lines(barbell):

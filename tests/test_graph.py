@@ -136,10 +136,10 @@ def test_gml_empty_file_is_an_error(tmp_path):
 
 def test_working_graph_remove_restore(barbell):
     wg = WorkingGraph(barbell)
-    assert wg.degree(2) == 3
+    assert len(list(wg.neighbors(2))) == 3
     wg.remove_edge(3)  # the bridge
     assert wg.is_removed(3)
-    assert wg.degree(2) == 2
+    assert len(list(wg.neighbors(2))) == 2
     assert all(w != 3 for w, _ in wg.neighbors(2))
     assert connected_components(wg).count == 2
     wg.restore_edge(3)
@@ -148,7 +148,7 @@ def test_working_graph_remove_restore(barbell):
     wg.remove_edge(3)
     wg.restore_all()
     assert not wg.is_removed(0) and not wg.is_removed(3)
-    assert wg.degree(2) == 3
+    assert len(list(wg.neighbors(2))) == 3
 
 
 def _flood_fill_labels(g: Graph, removed: set) -> list:
