@@ -24,7 +24,7 @@ from .graph import (
     Graph,
     GraphLoadError,
     LoadWarnings,
-    WorkingGraph,
+    Subgraph,
     connected_components,
     load_edge_list,
     load_gml,
@@ -83,8 +83,8 @@ __all__ = [
     "OracleReport",
     "Partition",
     "RefinementMove",
+    "Subgraph",
     "TraceEntry",
-    "WorkingGraph",
     "apply_move",
     "betweenness_naive",
     "bisect_community",

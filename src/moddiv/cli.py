@@ -9,7 +9,8 @@ Subcommands:
 * ``bench``    run the stock datasets and compare against published scores.
 
 Exit codes: 0 success, 2 input error, 3 configuration error, 4 benchmark
-threshold failure (bench with --strict), 1 verification failure.
+threshold failure (bench with --strict), 1 verification failure, 5 internal
+error (an unexpected exception; its traceback goes to standard error).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from pathlib import Path
 # tracer wraps the pipelines by patching it in place under this name.
 from .bench import ALGORITHMS, RUNNERS as _RUNNERS, rows_to_json_obj, rows_to_tsv, run_bench
 from .engine import ConfigError, EngineConfig, history_to_jsonl
-from .graph import GraphLoadError, WorkingGraph, load_edge_list, load_gml
+from .graph import GraphLoadError, Subgraph, load_edge_list, load_gml
 from .measures import BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4, compute_scores
 from .modularity import partition_to_json_obj, partition_to_tsv
 from .oracles import DEFAULT_SEED, run_verification_suite
@@ -35,6 +37,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_ACCEPTANCE = 4
+EXIT_INTERNAL = 5
 
 MEASURE_FLAGS = {
     "g3": CLUSTERING_G3,
@@ -112,7 +115,7 @@ def cmd_detect(args) -> int:
 
 def cmd_measures(args) -> int:
     g = _load_graph(args.input, args.format)
-    table = compute_scores(MEASURE_FLAGS[args.measure], WorkingGraph(g), range(g.n))
+    table = compute_scores(MEASURE_FLAGS[args.measure], g, Subgraph(g, range(g.n)))
     sys.stdout.write(table.to_tsv(g))
     return EXIT_OK
 
@@ -250,6 +253,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .graph import Graph, WorkingGraph, connected_components, reachable_within
+from .graph import Graph, Subgraph, connected_components, reachable_within
 from .measures import (
     BETWEENNESS,
     CLUSTERING_G3,
@@ -56,15 +56,12 @@ class EngineConfig:
 
     measure: str = CLUSTERING_G3
     refine_max_passes: int = 100
-    min_community_size: int = 1
 
     def validate(self) -> None:
         if self.measure not in MEASURE_KINDS:
             raise ConfigError(f"unknown measure {self.measure!r}")
         if self.refine_max_passes < 1:
             raise ConfigError("refine_max_passes must be >= 1")
-        if self.min_community_size < 1:
-            raise ConfigError("min_community_size must be >= 1")
 
 
 class BorderlineSets:
@@ -294,45 +291,44 @@ class DetectionResult:
 # Core operations
 
 
-def bisect_community(g: WorkingGraph, community, cfg: EngineConfig) -> Bisection:
-    """Remove edges inside `community` until it splits into two components.
+def _bisection(sub: Subgraph, side: set[int], removals) -> Bisection:
+    """Bisection of `sub` into the local ids in `side` and the rest."""
+    inside = tuple(v for i, v in enumerate(sub.verts) if i in side)
+    outside = tuple(v for i, v in enumerate(sub.verts) if i not in side)
+    if outside[0] < inside[0]:
+        inside, outside = outside, inside
+    return Bisection(inside, outside, tuple(removals))
+
+
+def bisect_community(g: Graph, sub: Subgraph, measure: str) -> Bisection:
+    """Remove edges from the community `sub` until it splits in two.
 
     Clustering measures remove the lowest-scoring edge, betweenness the
     highest; after each removal the scores are brought back in line with a
-    full recomputation.  The removals are left applied on the working graph
-    so the caller can inspect the split; restore them afterwards.
+    full recomputation.  The removals are made on `sub` itself, which is of
+    no further use to the caller.
 
     `side_a` is the side containing the smallest vertex id.
     """
-    members = sorted(set(community))
-    if len(members) < 2:
+    if len(sub) < 2:
         raise ValueError("community must contain at least two vertices")
-    vset = set(members)
-    has_internal = any(
-        w in vset for v in members for w, _ in g.neighbors(v)
-    )
-    if not has_internal:
+    if not any(sub.nbrs):
         raise ValueError("community has no internal edges")
-    reach = reachable_within(g, members[0], vset)
-    if len(reach) != len(members):
-        raise ValueError("community is not connected in the working graph")
+    if len(reachable_within(sub, 0)) != len(sub):
+        raise ValueError("community is not connected")
 
-    table = compute_scores(cfg.measure, g, members)
+    table = compute_scores(measure, g, sub)
     removals: list[tuple[int, float]] = []
     while True:
         eid = table.removal_candidate()
-        score = table.scores[eid]
-        g.remove_edge(eid)
-        removals.append((eid, score))
-        u, v = g.base.edges[eid]
-        side = reachable_within(g, u, vset, stop_at=v)
-        if v not in side:
-            side_a = sorted(side)
-            side_b = sorted(vset - side)
-            if side_b[0] < side_a[0]:
-                side_a, side_b = side_b, side_a
-            return Bisection(tuple(side_a), tuple(side_b), tuple(removals))
-        table = rescore_after_removal(table, g, eid, members)
+        removals.append((eid, table.scores[eid]))
+        u, v = g.edges[eid]
+        sub.remove_edge(u, v)
+        target = sub.local[v]
+        side = reachable_within(sub, sub.local[u], stop_at=target)
+        if target not in side:
+            return _bisection(sub, side, removals)
+        table = rescore_after_removal(table, g, sub, eid)
         if not table.scores:
             raise RuntimeError("ran out of edges before the community split")
 
@@ -393,8 +389,7 @@ class _DivisiveRun:
         cfg.validate()
         self.g = g
         self.cfg = cfg
-        self.wg = WorkingGraph(g)
-        self.partition = Partition(g, connected_components(self.wg).labels)
+        self.partition = Partition(g, connected_components(g).labels)
         self.q = modularity_q(g, self.partition)
         self.history: list[dict] = []
         self.trace: list[TraceEntry] = []
@@ -413,7 +408,6 @@ class _DivisiveRun:
         return sorted(cids, key=lambda c: min(self.partition._members[c]))
 
     def run_phase(self, phase: int, measure: str) -> None:
-        phase_cfg = replace(self.cfg, measure=measure)
         queue = deque(self._queue_order(self.partition.communities))
         while queue:
             cid = queue.popleft()
@@ -423,17 +417,14 @@ class _DivisiveRun:
             if len(members) < 2:
                 continue
 
-            vset = set(members)
-            reach = reachable_within(self.wg, members[0], vset)
+            sub = Subgraph(self.g, members)
+            reach = reachable_within(sub, 0)
             if len(reach) < len(members):
                 # cross-community moves can leave a community disconnected;
                 # peeling off a component costs nothing and always helps Q
-                bis = Bisection(
-                    tuple(sorted(reach)), tuple(sorted(vset - reach)), ()
-                )
+                bis = _bisection(sub, reach, ())
             else:
-                bis = bisect_community(self.wg, members, phase_cfg)
-                self.wg.restore_all()
+                bis = bisect_community(self.g, sub, measure)
             for eid, score in bis.removals:
                 lu, lv = self.g.edge_label_pair(eid)
                 self._event(
@@ -474,12 +465,7 @@ class _DivisiveRun:
                 )
             q_new = modularity_q(self.g, tentative)
 
-            sides_ok = all(
-                tentative.communities[c].size >= self.cfg.min_community_size
-                for c in (new_a, new_b)
-                if c in tentative.communities
-            )
-            if q_new > self.q + Q_IMPROVEMENT_EPS and sides_ok:
+            if q_new > self.q + Q_IMPROVEMENT_EPS:
                 self.partition = tentative
                 self.q = q_new
                 members_a = tentative._members.get(new_a, set())

@@ -87,10 +87,6 @@ class Graph:
         unknown = extra_warnings.unknown_keys if extra_warnings else ()
         self.warnings = LoadWarnings(duplicates, self_loops, unknown)
 
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
-        """(neighbor, edge id) pairs of v, sorted by neighbor id."""
-        return self.adj[v]
-
     def edge_label_pair(self, eid: int) -> tuple[str, str]:
         u, v = self.edges[eid]
         return self.labels[u], self.labels[v]
@@ -106,45 +102,49 @@ class Graph:
                 assert (v, eid) in self.adj[w]
 
 
-class WorkingGraph:
-    """Mutable edge-deletion overlay used during bisection.
+class Subgraph:
+    """Mutable copy of the subgraph induced by one vertex set.
 
-    Queries reflect the base graph minus the removed edge set.  Removal is
-    reversible; the engine restores edges between bisections.
+    Bisection deletes edges from this object alone.  Local ids 0..k-1 follow
+    ascending global id: `verts[i]` is the global id of local vertex i and
+    `local` maps back.  `nbrs[i]` maps each local neighbour of i to the edge
+    id joining them.  Rows are filled in ascending neighbour order and dicts
+    keep that order through deletions, so every traversal visits neighbours
+    in ascending id order.  Iterating a subgraph yields its global vertex ids.
     """
 
-    __slots__ = ("base", "removed")
+    __slots__ = ("verts", "local", "nbrs")
 
-    def __init__(self, base: Graph):
-        self.base = base
-        self.removed: set[int] = set()
+    def __init__(self, graph: Graph, members):
+        self.verts = sorted(set(members))
+        if not self.verts:
+            raise ValueError("vertex subset must be nonempty")
+        self.local = local = {v: i for i, v in enumerate(self.verts)}
+        self.nbrs: list[dict[int, int]] = []
+        for v in self.verts:
+            row = {}
+            for w, eid in graph.adj[v]:
+                j = local.get(w)
+                if j is not None:
+                    row[j] = eid
+            self.nbrs.append(row)
 
-    def remove_edge(self, eid: int) -> None:
-        self.removed.add(eid)
+    def __len__(self) -> int:
+        return len(self.verts)
 
-    def restore_edge(self, eid: int) -> None:
-        self.removed.discard(eid)
+    def __iter__(self):
+        return iter(self.verts)
 
-    def restore_all(self) -> None:
-        self.removed.clear()
-
-    def is_removed(self, eid: int) -> bool:
-        return eid in self.removed
-
-    def neighbors(self, v: int):
-        """Yield (neighbor, edge id) pairs of v, skipping removed edges."""
-        removed = self.removed
-        for w, eid in self.base.adj[v]:
-            if eid not in removed:
-                yield w, eid
+    def remove_edge(self, u: int, v: int) -> None:
+        """Delete the edge between global vertices u and v."""
+        i, j = self.local[u], self.local[v]
+        del self.nbrs[i][j]
+        del self.nbrs[j][i]
 
 
 @dataclass(frozen=True)
 class ComponentLabeling:
-    """Connected-component labels for (a subset of) a working graph.
-
-    Vertices outside the queried subset carry label -1.
-    """
+    """Connected-component labels of a graph."""
 
     labels: list[int]
     count: int
@@ -152,57 +152,43 @@ class ComponentLabeling:
     def groups(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.count)]
         for v, c in enumerate(self.labels):
-            if c >= 0:
-                out[c].append(v)
+            out[c].append(v)
         return out
 
 
-def connected_components(g: WorkingGraph, within=None) -> ComponentLabeling:
-    """Label connected components, restricted to non-removed edges.
-
-    If `within` is given, traversal is confined to that vertex subset and all
-    other vertices are labeled -1.
-    """
-    n = g.base.n
-    if within is None:
-        allowed = None
-        order = range(n)
-    else:
-        allowed = set(within)
-        if not allowed:
-            raise ValueError("vertex subset must be nonempty")
-        order = sorted(allowed)
-
-    labels = [-1] * n
+def connected_components(g: Graph) -> ComponentLabeling:
+    """Label connected components, numbered by their smallest vertex."""
+    labels = [-1] * g.n
     count = 0
-    for start in order:
+    for start in range(g.n):
         if labels[start] != -1:
             continue
         labels[start] = count
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for w, _ in g.neighbors(v):
-                if labels[w] == -1 and (allowed is None or w in allowed):
+            for w, _ in g.adj[v]:
+                if labels[w] == -1:
                     labels[w] = count
                     queue.append(w)
         count += 1
     return ComponentLabeling(labels, count)
 
 
-def reachable_within(g: WorkingGraph, start: int, allowed: set[int], stop_at: int | None = None) -> set[int]:
-    """Vertices reachable from `start` inside `allowed` over non-removed edges.
+def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> set[int]:
+    """Local ids reachable from local vertex `start` in the subgraph.
 
     When `stop_at` is supplied the search aborts as soon as that vertex is
     reached (the returned set is then partial); bisection uses this to test
     cheaply whether an edge removal disconnected its endpoints.
     """
+    nbrs = sub.nbrs
     seen = {start}
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for w, _ in g.neighbors(v):
-            if w not in seen and w in allowed:
+        for w in nbrs[v]:
+            if w not in seen:
                 if w == stop_at:
                     seen.add(w)
                     return seen

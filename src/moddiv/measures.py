@@ -1,12 +1,11 @@
 """Per-edge removal scores: shortest-path betweenness and cycle-based
 clustering coefficients.
 
-All scoring is restricted to a vertex subset (the community currently being
-bisected) and to non-removed edges of the working graph.  Clustering scores
-use an explicit +infinity sentinel for edges whose endpoint degrees make the
-denominator zero; the sentinel orders above every finite value, so
-lowest-score selection can never pick such an edge while a finite-scored
-edge remains.
+All scoring works on a `Subgraph`: the community currently being bisected,
+less the edges removed from it so far.  Clustering scores use an explicit
++infinity sentinel for edges whose endpoint degrees make the denominator
+zero; the sentinel orders above every finite value, so lowest-score
+selection can never pick such an edge while a finite-scored edge remains.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import WorkingGraph
+from .graph import Graph, Subgraph
 
 BETWEENNESS = "betweenness"
 CLUSTERING_G3 = "clustering_g3"
@@ -27,7 +26,7 @@ CLUSTERING_KINDS = (CLUSTERING_G3, CLUSTERING_G4)
 
 @dataclass(frozen=True)
 class EdgeScoreTable:
-    """Scores for every non-removed edge inside one vertex subset.
+    """Scores for every edge of one subgraph.
 
     `scores` maps edge id to a finite non-negative value, or `math.inf` for
     clustering kinds when the denominator degenerates.
@@ -44,23 +43,9 @@ class EdgeScoreTable:
         """
         if not self.scores:
             raise ValueError("score table is empty")
-        if self.kind == BETWEENNESS:
-            best = None
-            best_score = -1.0
-            for eid in sorted(self.scores):
-                s = self.scores[eid]
-                if s > best_score:
-                    best, best_score = eid, s
-            return best
-        best = None
-        best_score = math.inf
-        for eid in sorted(self.scores):
-            s = self.scores[eid]
-            if s < best_score:
-                best, best_score = eid, s
-        if best is None:  # all +inf: fall back to smallest edge id
-            best = min(self.scores)
-        return best
+        scores = self.scores
+        best = max(scores.values()) if self.kind == BETWEENNESS else min(scores.values())
+        return min(eid for eid, s in scores.items() if s == best)
 
     def to_tsv(self, graph) -> str:
         """TSV dump (label, label, score) sorted by score then edge id."""
@@ -73,49 +58,20 @@ class EdgeScoreTable:
         return "\n".join(lines) + "\n"
 
 
-def _subset_view(g: WorkingGraph, within) -> tuple[list[int], dict[int, set[int]], list[int]]:
-    """Sorted subset vertices, their in-subset neighbor sets, and internal edge ids."""
-    verts = sorted(set(within))
-    if not verts:
-        raise ValueError("vertex subset must be nonempty")
-    vset = set(verts)
-    nbrs: dict[int, set[int]] = {v: set() for v in verts}
-    internal: list[int] = []
-    for v in verts:
-        for w, eid in g.neighbors(v):
-            if w in vset:
-                nbrs[v].add(w)
-                if v < w:
-                    internal.append(eid)
-    internal.sort()
-    return verts, nbrs, internal
+def edge_betweenness(g: Graph, sub: Subgraph) -> EdgeScoreTable:
+    """Shortest-path betweenness of every edge of the subgraph.
 
-
-def edge_betweenness(g: WorkingGraph, within) -> EdgeScoreTable:
-    """Shortest-path betweenness of every internal edge of the subset.
-
-    For each unordered vertex pair {s, t} inside the subset, every edge e
+    For each unordered vertex pair {s, t} inside the subgraph, every edge e
     accumulates the fraction of shortest s-t paths passing through it.
     Single-source breadth-first searches with dependency back-propagation;
     each pair is visited from both endpoints, so totals are halved.
     """
-    verts = sorted(set(within))
-    if not verts:
-        raise ValueError("vertex subset must be nonempty")
-    k = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-
-    # Local compressed adjacency: (neighbor local index, edge id) pairs.
-    local_adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    scores: dict[int, float] = {}
-    for v in verts:
-        i = pos[v]
-        for w, eid in g.neighbors(v):
-            j = pos.get(w)
-            if j is not None:
-                local_adj[i].append((j, eid))
-                if i < j:
-                    scores[eid] = 0.0
+    # One list snapshot of the rows per call: iterating lists is faster than
+    # iterating the dicts, and keeps their ascending order, so the float
+    # sums accumulate in a fixed order.
+    rows = [list(row.items()) for row in sub.nbrs]
+    k = len(rows)
+    scores = {eid: 0.0 for i, row in enumerate(rows) for j, eid in row if i < j}
 
     dist = [0] * k
     sigma = [0.0] * k
@@ -137,7 +93,7 @@ def edge_betweenness(g: WorkingGraph, within) -> EdgeScoreTable:
             order.append(v)
             dv = dist[v]
             sv = sigma[v]
-            for w, eid in local_adj[v]:
+            for w, eid in rows[v]:
                 if dist[w] < 0:
                     dist[w] = dv + 1
                     queue.append(w)
@@ -156,120 +112,105 @@ def edge_betweenness(g: WorkingGraph, within) -> EdgeScoreTable:
     return EdgeScoreTable(BETWEENNESS, scores)
 
 
-def _triangle_score(nbrs: dict[int, set[int]], u: int, v: int) -> float:
-    shared = len(nbrs[u] & nbrs[v])
-    denom = min(len(nbrs[u]), len(nbrs[v])) - 1
+def _triangle_score(nbrs: list[dict[int, int]], u: int, v: int) -> float:
+    nu, nv = nbrs[u], nbrs[v]
+    shared = len(nu.keys() & nv.keys())
+    denom = min(len(nu), len(nv)) - 1
     if denom <= 0:
         return math.inf
     return (shared + 1) / denom
 
 
-def _four_cycle_score(nbrs: dict[int, set[int]], u: int, v: int) -> float:
-    du = len(nbrs[u])
-    dv = len(nbrs[v])
-    shared = len(nbrs[u] & nbrs[v])
+def _four_cycle_score(nbrs: list[dict[int, int]], u: int, v: int) -> float:
+    nu, nv = nbrs[u], nbrs[v]
+    shared = len(nu.keys() & nv.keys())
     # Maximum possible distinct-endpoint pairings; shared neighbors close
     # triangles, not 4-cycles, so they cannot be paired with themselves.
-    denom = (du - 1) * (dv - 1) - shared
+    denom = (len(nu) - 1) * (len(nv) - 1) - shared
     if denom <= 0:
         return math.inf
     cycles = 0
-    for a in nbrs[u]:
+    for a in nu:
         if a == v:
             continue
         na = nbrs[a]
-        for b in nbrs[v]:
+        for b in nv:
             if b != u and b != a and b in na:
                 cycles += 1
     return (cycles + 1) / denom
 
 
-def edge_clustering_g3(g: WorkingGraph, within) -> EdgeScoreTable:
-    """Triangle-based clustering coefficient of every internal edge.
+def _score_every_edge(kind: str, sub: Subgraph, scorer) -> EdgeScoreTable:
+    nbrs = sub.nbrs
+    scores: dict[int, float] = {}
+    for i, row in enumerate(nbrs):
+        for j, eid in row.items():
+            if i < j:
+                scores[eid] = scorer(nbrs, i, j)
+    return EdgeScoreTable(kind, scores)
+
+
+def edge_clustering_g3(g: Graph, sub: Subgraph) -> EdgeScoreTable:
+    """Triangle-based clustering coefficient of every edge of the subgraph.
 
     score(u, v) = (triangles through the edge + 1) / (min degree - 1), with
-    degrees and triangles restricted to the subset and non-removed edges.
+    degrees and triangles counted inside the subgraph.
     """
-    _, nbrs, internal = _subset_view(g, within)
-    scores: dict[int, float] = {}
-    for eid in internal:
-        u, v = g.base.edges[eid]
-        scores[eid] = _triangle_score(nbrs, u, v)
-    return EdgeScoreTable(CLUSTERING_G3, scores)
+    return _score_every_edge(CLUSTERING_G3, sub, _triangle_score)
 
 
-def edge_clustering_g4(g: WorkingGraph, within) -> EdgeScoreTable:
+def edge_clustering_g4(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     """4-cycle generalization of the edge clustering coefficient.
 
     score(u, v) = (4-cycles through the edge + 1) / S, where S is the
     largest number of 4-cycles the endpoint degrees would allow: every
     pairing of distinct non-shared neighbors of u and v.
     """
-    _, nbrs, internal = _subset_view(g, within)
-    scores: dict[int, float] = {}
-    for eid in internal:
-        u, v = g.base.edges[eid]
-        scores[eid] = _four_cycle_score(nbrs, u, v)
-    return EdgeScoreTable(CLUSTERING_G4, scores)
+    return _score_every_edge(CLUSTERING_G4, sub, _four_cycle_score)
 
 
-def compute_scores(kind: str, g: WorkingGraph, within) -> EdgeScoreTable:
+def compute_scores(kind: str, g: Graph, sub: Subgraph) -> EdgeScoreTable:
+    """Score every edge of `sub`, a subgraph of `g`, by measure `kind`.
+
+    Every scorer takes the graph and the subgraph; the table is keyed by the
+    graph's edge ids.
+    """
     if kind == BETWEENNESS:
-        return edge_betweenness(g, within)
+        return edge_betweenness(g, sub)
     if kind == CLUSTERING_G3:
-        return edge_clustering_g3(g, within)
+        return edge_clustering_g3(g, sub)
     if kind == CLUSTERING_G4:
-        return edge_clustering_g4(g, within)
+        return edge_clustering_g4(g, sub)
     raise ValueError(f"unknown measure kind: {kind!r}")
 
 
 def rescore_after_removal(
-    prev: EdgeScoreTable, g: WorkingGraph, removed_edge: int, within
+    prev: EdgeScoreTable, g: Graph, sub: Subgraph, removed_edge: int
 ) -> EdgeScoreTable:
-    """Score table after one more edge removal, equal to full recomputation.
+    """Score table after `removed_edge` was deleted from `sub`, equal to a
+    full recomputation.
 
-    Betweenness is recomputed outright.  For clustering kinds only edges
-    whose cycle counts or endpoint degrees could have changed are rescored:
-    edges incident to the removed edge's endpoints, plus (for 4-cycles)
-    edges incident to their remaining neighbors.
+    Betweenness is recomputed outright into a new table.  Clustering tables
+    are updated in place and returned: only edges whose cycle counts or
+    endpoint degrees could have changed are rescored, namely edges incident
+    to the removed edge's endpoints, plus (for 4-cycles) edges incident to
+    their remaining neighbors.
     """
     if prev.kind == BETWEENNESS:
-        return edge_betweenness(g, within)
+        return edge_betweenness(g, sub)
 
-    vset = set(within)
-    u, v = g.base.edges[removed_edge]
-    touched = {u, v}
+    nbrs = sub.nbrs
+    u, v = g.edges[removed_edge]
+    i, j = sub.local[u], sub.local[v]
+    touched = {i, j}
     if prev.kind == CLUSTERING_G4:
-        for x in (u, v):
-            for w, _ in g.neighbors(x):
-                if w in vset:
-                    touched.add(w)
+        touched.update(nbrs[i])
+        touched.update(nbrs[j])
 
-    affected: set[int] = set()
-    for x in touched:
-        for w, eid in g.neighbors(x):
-            if w in vset and eid in prev.scores:
-                affected.add(eid)
-
-    nbrs = _LazyNeighborSets(g, vset)
+    affected = {eid: (x, y) for x in touched for y, eid in nbrs[x].items()}
     scorer = _triangle_score if prev.kind == CLUSTERING_G3 else _four_cycle_score
-    scores = dict(prev.scores)
-    scores.pop(removed_edge, None)
-    for eid in sorted(affected):
-        a, b = g.base.edges[eid]
-        scores[eid] = scorer(nbrs, a, b)
-    return EdgeScoreTable(prev.kind, scores)
-
-
-class _LazyNeighborSets(dict):
-    """Subset-restricted neighbor sets, materialized on first access."""
-
-    def __init__(self, g: WorkingGraph, vset: set[int]):
-        super().__init__()
-        self._g = g
-        self._vset = vset
-
-    def __missing__(self, x: int) -> set[int]:
-        val = {w for w, _ in self._g.neighbors(x) if w in self._vset}
-        self[x] = val
-        return val
+    scores = prev.scores
+    del scores[removed_edge]
+    for eid, (x, y) in affected.items():
+        scores[eid] = scorer(nbrs, x, y)
+    return prev

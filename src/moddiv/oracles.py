@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import run_ccr, run_ccr_ebr
-from .graph import Graph, WorkingGraph, connected_components
+from .graph import Graph, Subgraph, connected_components
 from .measures import (
     BETWEENNESS,
     CLUSTERING_G3,
@@ -105,10 +105,10 @@ def gnp_connected(rng: random.Random, n: int, p: float) -> Graph:
     """Random connected graph: resample a few times, then stitch components."""
     g = gnp_graph(rng, n, p)
     for _ in range(40):
-        if connected_components(WorkingGraph(g)).count == 1:
+        if connected_components(g).count == 1:
             return g
         g = gnp_graph(rng, n, p)
-    groups = connected_components(WorkingGraph(g)).groups()
+    groups = connected_components(g).groups()
     pairs = [g.edges[eid] for eid in range(g.m)]
     base = list(groups[0])
     for other in groups[1:]:
@@ -131,7 +131,7 @@ def planted_two_cluster(
     if not any(i < half <= j for i, j in pairs):
         pairs.append((rng.randrange(half), rng.randrange(half, n)))
     g = Graph(n, pairs)
-    if connected_components(WorkingGraph(g)).count == 1:
+    if connected_components(g).count == 1:
         return g
     return gnp_connected(rng, n, p_in / 2)
 
@@ -152,7 +152,7 @@ def random_dense_assignment(rng: random.Random, n: int, k: int) -> list:
 # Reference implementations
 
 
-def _bfs_counts(g: WorkingGraph, source: int, vset: set):
+def _bfs_counts(g: Graph, source: int, vset: set):
     """Distance and shortest-path counts from `source`, restricted to vset."""
     dist = {source: 0}
     sigma = {source: 1}
@@ -160,7 +160,7 @@ def _bfs_counts(g: WorkingGraph, source: int, vset: set):
     while queue:
         v = queue.popleft()
         dv = dist[v]
-        for w, _ in g.neighbors(v):
+        for w, _ in g.adj[v]:
             if w not in vset:
                 continue
             if w not in dist:
@@ -172,7 +172,7 @@ def _bfs_counts(g: WorkingGraph, source: int, vset: set):
     return dist, sigma
 
 
-def betweenness_naive(g: WorkingGraph, within) -> EdgeScoreTable:
+def betweenness_naive(g: Graph, within) -> EdgeScoreTable:
     """Edge betweenness by literal per-pair shortest-path counting.
 
     For every unordered pair (s, t) and every edge (u, v) on some shortest
@@ -186,7 +186,7 @@ def betweenness_naive(g: WorkingGraph, within) -> EdgeScoreTable:
     vset = set(verts)
     internal = []
     for v in verts:
-        for w, eid in g.neighbors(v):
+        for w, eid in g.adj[v]:
             if v < w and w in vset:
                 internal.append((eid, v, w))
     scores = {eid: 0.0 for eid, _, _ in internal}
@@ -270,23 +270,21 @@ def exhaustive_best_partition(g: Graph):
     return best, modularity_q_pairwise(g, best)
 
 
-def cycle_count_naive(g: WorkingGraph, edge_id: int, order: int) -> int:
-    """Count triangles (order 3) or 4-cycles (order 4) through a present edge."""
-    if g.base.n > 60:
+def cycle_count_naive(g: Graph, sub: Subgraph, edge_id: int, order: int) -> int:
+    """Count triangles (order 3) or 4-cycles (order 4) through an edge of
+    the subgraph `sub` of `g`, from its literal edge set."""
+    if len(sub) > 60:
         raise ValueError("naive cycle counting is capped at 60 vertices")
     if order not in (3, 4):
         raise ValueError("order must be 3 or 4")
-    if g.is_removed(edge_id):
-        raise ValueError("edge is removed")
-    u, v = g.base.edges[edge_id]
-    nbr_u = {w for w, _ in g.neighbors(u)}
-    nbr_v = {w for w, _ in g.neighbors(v)}
+    present = {g.edges[eid] for row in sub.nbrs for eid in row.values()}
+    if g.edges[edge_id] not in present:
+        raise ValueError("edge is not in the subgraph")
+    u, v = g.edges[edge_id]
+    nbr_u = {b if a == u else a for a, b in present if u in (a, b)}
+    nbr_v = {b if a == v else a for a, b in present if v in (a, b)}
     if order == 3:
         return len(nbr_u & nbr_v)
-    present = set()
-    for eid, (a, b) in enumerate(g.base.edges):
-        if not g.is_removed(eid):
-            present.add((a, b))
     count = 0
     for a in nbr_u - {v}:
         for b in nbr_v - {u}:
@@ -373,10 +371,9 @@ def _betweenness_corpus(seed: int, cases: int):
 def check_betweenness_vs_naive(seed: int, cases: int = 200, fast_fn=edge_betweenness) -> OracleReport:
     report = OracleReport("betweenness-vs-naive", cases, 0.0, 1e-9)
     for i, g in _betweenness_corpus(seed, cases):
-        wg = WorkingGraph(g)
         verts = range(g.n)
-        fast = fast_fn(wg, verts)
-        slow = betweenness_naive(wg, verts)
+        fast = fast_fn(g, Subgraph(g, verts))
+        slow = betweenness_naive(g, verts)
         for eid in sorted(slow.scores):
             report.record(
                 abs(fast.scores[eid] - slow.scores[eid]),
@@ -393,13 +390,12 @@ def check_betweenness_sum_law(seed: int, cases: int = 200, fast_fn=edge_betweenn
     exactly d(s, t) edges, however it splits across routes)."""
     report = OracleReport("betweenness-sum-law", cases, 0.0, 1e-9)
     for i, g in _betweenness_corpus(seed, cases):
-        wg = WorkingGraph(g)
-        table = fast_fn(wg, range(g.n))
+        table = fast_fn(g, Subgraph(g, range(g.n)))
         total = sum(table.scores[eid] for eid in sorted(table.scores))
         dist_sum = 0
         vset = set(range(g.n))
         for s in range(g.n):
-            dist, _ = _bfs_counts(wg, s, vset)
+            dist, _ = _bfs_counts(g, s, vset)
             dist_sum += sum(d for t, d in dist.items() if t > s)
         report.record(
             abs(total - dist_sum), f"case={i} n={g.n} m={g.m}", dist_sum, total
@@ -421,15 +417,15 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
         else:
             size = rng.randint(3, g.n)
             within = rng.sample(range(g.n), size)
-        wg = WorkingGraph(g)
-        table = compute_scores(kind, wg, within)
+        sub = Subgraph(g, within)
+        table = compute_scores(kind, g, sub)
         for step in range(6):
             if not table.scores:
                 break
             eid = rng.choice(sorted(table.scores))
-            wg.remove_edge(eid)
-            table = rescore_after_removal(table, wg, eid, within)
-            full = compute_scores(kind, wg, within)
+            sub.remove_edge(*g.edges[eid])
+            table = rescore_after_removal(table, g, sub, eid)
+            full = compute_scores(kind, g, sub)
             digest = f"case={i} kind={kind} n={g.n} step={step} removed={eid}"
             if set(table.scores) != set(full.scores):
                 report.record(math.inf, digest, sorted(full.scores), sorted(table.scores))

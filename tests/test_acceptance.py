@@ -16,7 +16,7 @@ import pytest
 from moddiv import (
     Graph,
     Partition,
-    WorkingGraph,
+    Subgraph,
     edge_clustering_g3,
     load_gml,
     modularity_q,
@@ -205,8 +205,8 @@ def test_07_analytic_fixed_points(announce, star5, path3):
     whole_graphs = [star5, path3, Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])]
     q_wholes = [modularity_q(g, Partition(g, [0] * g.n)) for g in whole_graphs]
 
-    star = edge_clustering_g3(WorkingGraph(star5), range(5))
-    path = edge_clustering_g3(WorkingGraph(path3), range(3))
+    star = edge_clustering_g3(star5, Subgraph(star5, range(5)))
+    path = edge_clustering_g3(path3, Subgraph(path3, range(3)))
     pendant_inf = all(math.isinf(s) for s in star.scores.values()) and all(
         math.isinf(s) for s in path.scores.values()
     )

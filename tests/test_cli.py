@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from moddiv import cli
 from moddiv.cli import main
 from moddiv.oracles import SUITE_CHECKS
 
-from conftest import dataset_path
+from conftest import dataset_path, require_dataset
 
 ARTIFACTS = (
     "partition.tsv",
@@ -77,6 +79,89 @@ def test_detect_artifacts_are_byte_identical_without_timestamps(
         assert b"generated_at" not in a, name
 
 
+# sha256 of ARTIFACTS, in that order, written by `detect --no-timestamps`.
+# They pin every tie-break of the engine: a change that alters one of these
+# files has to say why and update the hash.
+PINNED_SHA256 = {
+    ("karate", "ccr", "g3"): (
+        "7d385b840edcf7faf942e790cf5fa46a4aeff694c3370e300f645175ee704065",
+        "8a73bbebbd7c489be883f4b7aaf8cfaad0789cee853ab684bb14c3d9861b7541",
+        "bb7e85152b54f69c1492ef9e4c260a326f6c8d569792d4e6da677fc2880a5092",
+        "f5e129976cc095820641f65421dabd1276136de53f1dd296571e44319e295e1a",
+        "e00fbfe5b87ddd23f095af3b2258f7cca6215b5515f2fc27c7d0d8cf8c982c66",
+    ),
+    ("karate", "ccr", "g4"): (
+        "7d385b840edcf7faf942e790cf5fa46a4aeff694c3370e300f645175ee704065",
+        "8a73bbebbd7c489be883f4b7aaf8cfaad0789cee853ab684bb14c3d9861b7541",
+        "0a2a4cca3b8f77020e2ec78e465e31cc9492f6b2de98898928abed74696d5589",
+        "f5e129976cc095820641f65421dabd1276136de53f1dd296571e44319e295e1a",
+        "690e9538c59ab5fd87e37cd34438a8cf84ac50ecef49682c4f5b4667d1b1d9f6",
+    ),
+    ("karate", "ccr-ebr", "g3"): (
+        "c8e2ef882a1eb0408b15000ec2d8cc23cd770f8219abb9701c021ec8dde1b7dc",
+        "cac09c8fe68aeebd1d3d509e2039ee00f23cb9689c49485e6c2524ac1c3210a7",
+        "e075b149745d1dca57b40093f1c566f26a1f5aa81b1a469f1c637f62cbc22d89",
+        "deb8967e070ef608cd157e1b05d7b8293a9cd60571d0d5de60aa7977fe72983b",
+        "1c6ef6a9ddb6184061e82e2b531c02c81033533180727b48b504db17dfcabaf7",
+    ),
+    ("karate", "ccr-ebr", "g4"): (
+        "c8e2ef882a1eb0408b15000ec2d8cc23cd770f8219abb9701c021ec8dde1b7dc",
+        "cac09c8fe68aeebd1d3d509e2039ee00f23cb9689c49485e6c2524ac1c3210a7",
+        "eb03f5dadbef8ed22dacfc1ff6622aea19e410c13afabe48cf0f933ed16248de",
+        "deb8967e070ef608cd157e1b05d7b8293a9cd60571d0d5de60aa7977fe72983b",
+        "e83f7e0a51f476e84b052a5a38067a168d9e6efa0170ffb7a5833bca71b64e72",
+    ),
+    ("lesmis", "ccr", "g3"): (
+        "82d2d0a548300b4a4d7c720ca76f8e04b668b6adce8a4424a5d22f3cb4737db0",
+        "0e48275a3b2bff45a5764f82c01c746f5abf373f516c4fbc70ec1638fbcc447d",
+        "731bab9fa4218df11588bd533f1be04e59041f5b19e5e0b77f0b0618e804e854",
+        "5536f7ccd895792bf3d85252bebbc9fca9e17f3188ccbcab952b9ba7c1e9cbc1",
+        "92a5ae5a7f9f1e4e31cacddc8b9df7772c7ca367f8cbf446bddfd4b293663e2b",
+    ),
+    ("lesmis", "ccr", "g4"): (
+        "271cbcc7428fa58b0a324b0461224096369dca1ea6208b201c66ee4726ee748c",
+        "7ac9fb9b750f7a68abbfcdc1446506aa7b7d1d9a639d755ffdc391263b57ac87",
+        "9f7b537638de2cca988ab6495e6a9757dce6ae20abc45b411ae4006031f0a858",
+        "e185340be5570607a4a724f9d52d5f4ca32f044edaf6b2cc766b8be56e2c0232",
+        "8b5519513fd69e3fe9495b25468a76b774e9bea2638dc97b9cac585d513a5f9b",
+    ),
+    ("lesmis", "ccr-ebr", "g3"): (
+        "36c1da607125c3fd639ab33e9659f64bc3aa8437f7e0c37ff5a37b30674f4178",
+        "24ed6e98505e42a0634f983c0c5c1653733c60a86b5fd55af393667875bb034c",
+        "e77b84fc2e17e309195b160d68d9914aaa0089c721574cc760797f5a4bbb3796",
+        "35eb5707432e86e508ceebfa7a025b8681e3782af8fcb928c3b5daceb2553dd3",
+        "bd94db368f4dafcddfa878b3e868158bdf3a0634de04604476e311ccb3edd90a",
+    ),
+    ("lesmis", "ccr-ebr", "g4"): (
+        "9d7ee2085fbfc2413b68b199eb977d57b5e294a701f26911a095ac1dfc471409",
+        "15aa64fab1fecc72a94f72e1d7d8f78fa6857bb122d4fdbbd9671bff2ca5e16c",
+        "14ce72bf2199c697dc90234dfa9ced1b9595f5f03b6060c08ed6d3e32595dc0d",
+        "86dac5ba9eb7a867d85a4f10dfe05b48a03f99c22bc9ee5a2b7d693401ea0ea0",
+        "211ced8aa97423fad71f4758abbabc33cb4ffae3ab3d8c0e71b863fed4d83610",
+    ),
+}
+
+
+@pytest.mark.parametrize("dataset, algo, measure", sorted(PINNED_SHA256))
+def test_detect_artifacts_match_pinned_sha256(tmp_path, dataset, algo, measure):
+    out = tmp_path / "out"
+    code = run_cli(
+        "detect",
+        "--input",
+        require_dataset(dataset),
+        "--algo",
+        algo,
+        "--measure",
+        measure,
+        "--out-dir",
+        out,
+        "--no-timestamps",
+    )
+    assert code == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    assert got == dict(zip(ARTIFACTS, PINNED_SHA256[dataset, algo, measure]))
+
+
 def test_detect_timestamps_on_by_default(tmp_path, barbell_file):
     out = tmp_path / "out"
     run_cli("detect", "--input", barbell_file, "--out-dir", out)
@@ -111,6 +196,18 @@ def test_detect_g4_measure_runs(tmp_path, barbell_file, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.startswith("Q=")
+
+
+def test_internal_error_exits_5_with_traceback(tmp_path, barbell_file, capsys, monkeypatch):
+    def broken(g, cfg):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setitem(cli._RUNNERS, "ccr", broken)
+    code = run_cli("detect", "--input", barbell_file, "--out-dir", tmp_path)
+    assert code == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "RuntimeError: engine fault" in err
 
 
 def test_missing_and_empty_inputs_exit_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from moddiv import (
     EngineConfig,
     Graph,
     Partition,
-    WorkingGraph,
+    Subgraph,
     bisect_community,
     modularity_q,
     refine,
@@ -38,8 +38,6 @@ def test_config_validation():
         _cfg(measure="nonsense").validate()
     with pytest.raises(ConfigError):
         _cfg(refine_max_passes=0).validate()
-    with pytest.raises(ConfigError):
-        _cfg(min_community_size=0).validate()
     _cfg().validate()
 
 
@@ -54,29 +52,26 @@ def test_pipelines_reject_betweenness_for_phase_one(k3):
 
 
 def test_bisect_barbell_cuts_the_bridge(barbell):
-    wg = WorkingGraph(barbell)
-    bis = bisect_community(wg, range(6), _cfg())
+    sub = Subgraph(barbell, range(6))
+    bis = bisect_community(barbell, sub, CLUSTERING_G3)
     assert bis.side_a == (0, 1, 2)
     assert bis.side_b == (3, 4, 5)
     assert [eid for eid, _ in bis.removals] == [3]
     assert bis.removals[0][1] == 0.5
-    # removals stay applied for inspection; the caller restores
-    assert wg.is_removed(3)
-    wg.restore_all()
-    assert not wg.is_removed(3)
+    # the removals are made on the subgraph, not on the graph
+    assert 3 not in sub.nbrs[2]
+    assert (2, 3) in barbell.edges
 
 
 def test_bisect_path_betweenness_tie_breaks_low_edge_id(path3):
-    bis = bisect_community(
-        WorkingGraph(path3), range(3), _cfg(measure=BETWEENNESS)
-    )
+    bis = bisect_community(path3, Subgraph(path3, range(3)), BETWEENNESS)
     assert [eid for eid, _ in bis.removals] == [0]
     assert bis.side_a == (0,)
     assert bis.side_b == (1, 2)
 
 
 def test_bisect_k3_walks_through_infinities(k3):
-    bis = bisect_community(WorkingGraph(k3), range(3), _cfg())
+    bis = bisect_community(k3, Subgraph(k3, range(3)), CLUSTERING_G3)
     assert [eid for eid, _ in bis.removals] == [0, 1]
     assert bis.removals[0][1] == 2.0
     assert math.isinf(bis.removals[1][1])
@@ -86,12 +81,12 @@ def test_bisect_k3_walks_through_infinities(k3):
 
 def test_bisect_preconditions(barbell, two_triangles):
     with pytest.raises(ValueError):
-        bisect_community(WorkingGraph(barbell), [0], _cfg())
+        bisect_community(barbell, Subgraph(barbell, [0]), CLUSTERING_G3)
     with pytest.raises(ValueError):
-        bisect_community(WorkingGraph(two_triangles), range(6), _cfg())
+        bisect_community(two_triangles, Subgraph(two_triangles, range(6)), CLUSTERING_G3)
     lone = Graph(3, [(0, 1)])
     with pytest.raises(ValueError):
-        bisect_community(WorkingGraph(lone), [0, 2], _cfg())
+        bisect_community(lone, Subgraph(lone, [0, 2]), CLUSTERING_G3)
 
 
 # -- refine ------------------------------------------------------------------
@@ -188,12 +183,6 @@ def test_isolated_vertex_is_its_own_community():
 def test_engine_rejects_empty_graphs():
     with pytest.raises(ValueError):
         run_ccr(Graph(0, []))
-
-
-def test_min_community_size_blocks_small_splits(path3):
-    r = run_ccr(path3, _cfg(min_community_size=3))
-    assert r.best_partition.n_communities == 1
-    assert any(e["type"] == "reject" for e in r.history)
 
 
 def test_trace_is_strictly_increasing_and_deterministic():

@@ -7,7 +7,7 @@ import pytest
 from moddiv import (
     Graph,
     GraphLoadError,
-    WorkingGraph,
+    Subgraph,
     connected_components,
     load_edge_list,
     load_gml,
@@ -134,21 +134,31 @@ def test_gml_empty_file_is_an_error(tmp_path):
         load_gml(path)
 
 
-def test_working_graph_remove_restore(barbell):
-    wg = WorkingGraph(barbell)
-    assert len(list(wg.neighbors(2))) == 3
-    wg.remove_edge(3)  # the bridge
-    assert wg.is_removed(3)
-    assert len(list(wg.neighbors(2))) == 2
-    assert all(w != 3 for w, _ in wg.neighbors(2))
-    assert connected_components(wg).count == 2
-    wg.restore_edge(3)
-    assert connected_components(wg).count == 1
-    wg.remove_edge(0)
-    wg.remove_edge(3)
-    wg.restore_all()
-    assert not wg.is_removed(0) and not wg.is_removed(3)
-    assert len(list(wg.neighbors(2))) == 3
+def test_subgraph_remove_edge(barbell):
+    sub = Subgraph(barbell, range(6))
+    assert list(sub) == list(range(6)) and len(sub) == 6
+    assert sub.nbrs[2] == {0: 1, 1: 2, 3: 3}
+    sub.remove_edge(3, 2)  # the bridge, endpoints in either order
+    assert sub.nbrs[2] == {0: 1, 1: 2}
+    assert 2 not in sub.nbrs[3]
+    assert reachable_within(sub, 0) == {0, 1, 2}
+    sub.remove_edge(0, 1)
+    assert list(sub.nbrs[1]) == [2]
+    # the input graph is untouched
+    assert connected_components(barbell).count == 1
+    with pytest.raises(KeyError):
+        sub.remove_edge(2, 3)
+
+
+def test_subgraph_uses_local_ids_in_ascending_order(barbell):
+    sub = Subgraph(barbell, [5, 4, 0, 2, 1, 4])
+    assert sub.verts == [0, 1, 2, 4, 5]
+    assert sub.local == {0: 0, 1: 1, 2: 2, 4: 3, 5: 4}
+    # edges leaving the vertex set are left out
+    assert sub.nbrs == [{1: 0, 2: 1}, {0: 0, 2: 2}, {0: 1, 1: 2}, {4: 6}, {3: 6}]
+    assert all(list(row) == sorted(row) for row in sub.nbrs)
+    sub.remove_edge(0, 1)
+    assert list(sub.nbrs[2]) == [0, 1]
 
 
 def _flood_fill_labels(g: Graph, removed: set) -> list:
@@ -184,11 +194,9 @@ def test_connected_components_matches_flood_fill():
         if not pairs:
             pairs = [(0, 1)]
         g = Graph(n, pairs)
-        wg = WorkingGraph(g)
         removed = {eid for eid in range(g.m) if rng.random() < 0.2}
-        for eid in removed:
-            wg.remove_edge(eid)
-        got = connected_components(wg)
+        kept = [g.edges[eid] for eid in range(g.m) if eid not in removed]
+        got = connected_components(Graph(n, kept))
         want = _flood_fill_labels(g, removed)
         assert got.count == len(set(want))
         # same grouping regardless of label numbering
@@ -198,30 +206,22 @@ def test_connected_components_matches_flood_fill():
             assert pairing[a] == b
 
 
-def test_connected_components_within_subset(barbell):
-    wg = WorkingGraph(barbell)
-    comp = connected_components(wg, within=[0, 1, 2, 4, 5])
-    assert comp.count == 2
-    assert comp.labels[3] == -1
-    groups = comp.groups()
-    assert sorted(map(sorted, groups)) == [[0, 1, 2], [4, 5]]
-
-
-def test_connected_components_empty_subset_raises(barbell):
+def test_subgraph_rejects_empty_subset(barbell):
     with pytest.raises(ValueError):
-        connected_components(WorkingGraph(barbell), within=[])
+        Subgraph(barbell, [])
 
 
 def test_reachable_within_early_stop(barbell):
-    wg = WorkingGraph(barbell)
-    allowed = set(range(6))
-    wg.remove_edge(3)
-    side = reachable_within(wg, 0, allowed, stop_at=5)
+    sub = Subgraph(barbell, range(6))
+    side = reachable_within(sub, 0, stop_at=3)
+    assert side == {0, 1, 2, 3}  # early exit once the target shows up
+    sub.remove_edge(2, 3)
+    side = reachable_within(sub, 0, stop_at=5)
     assert 5 not in side
     assert side == {0, 1, 2}
-    wg.restore_edge(3)
-    side = reachable_within(wg, 0, allowed, stop_at=5)
-    assert 5 in side  # early exit once the target shows up
+    # local ids: vertex 5 is local 3 once vertex 2 is left out
+    sub = Subgraph(barbell, [0, 1, 3, 4, 5])
+    assert reachable_within(sub, 2) == {2, 3, 4}
 
 
 def test_validate_on_random_graphs():

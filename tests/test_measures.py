@@ -12,7 +12,7 @@ from moddiv import (
     CLUSTERING_G4,
     EdgeScoreTable,
     Graph,
-    WorkingGraph,
+    Subgraph,
     compute_scores,
     edge_betweenness,
     edge_clustering_g3,
@@ -22,36 +22,36 @@ from moddiv import (
 from moddiv.oracles import betweenness_naive, cycle_count_naive, gnp_connected
 
 
-def _all(g: Graph) -> range:
-    return range(g.n)
+def _whole(g: Graph) -> Subgraph:
+    return Subgraph(g, range(g.n))
 
 
 # -- betweenness -------------------------------------------------------------
 
 
 def test_betweenness_path(path3):
-    table = edge_betweenness(WorkingGraph(path3), _all(path3))
+    table = edge_betweenness(path3, _whole(path3))
     assert table.scores == {0: 2.0, 1: 2.0}
 
 
 def test_betweenness_k4_all_ones(k4):
-    table = edge_betweenness(WorkingGraph(k4), _all(k4))
+    table = edge_betweenness(k4, _whole(k4))
     assert all(abs(s - 1.0) < 1e-12 for s in table.scores.values())
 
 
 def test_betweenness_star_spokes(star5):
     # spoke (0, i) carries (i, 0) plus (i, j) for the three other leaves
-    table = edge_betweenness(WorkingGraph(star5), _all(star5))
+    table = edge_betweenness(star5, _whole(star5))
     assert all(abs(s - 4.0) < 1e-12 for s in table.scores.values())
 
 
 def test_betweenness_c5(c5):
-    table = edge_betweenness(WorkingGraph(c5), _all(c5))
+    table = edge_betweenness(c5, _whole(c5))
     assert all(abs(s - 3.0) < 1e-12 for s in table.scores.values())
 
 
 def test_betweenness_subset_restriction(barbell):
-    table = edge_betweenness(WorkingGraph(barbell), [0, 1, 2])
+    table = edge_betweenness(barbell, Subgraph(barbell, [0, 1, 2]))
     assert set(table.scores) == {0, 1, 2}
     assert all(abs(s - 1.0) < 1e-12 for s in table.scores.values())
 
@@ -60,9 +60,8 @@ def test_betweenness_matches_naive_on_random_graphs():
     rng = random.Random(31)
     for _ in range(15):
         g = gnp_connected(rng, rng.randint(4, 25), rng.choice((0.2, 0.5)))
-        wg = WorkingGraph(g)
-        fast = edge_betweenness(wg, _all(g))
-        slow = betweenness_naive(wg, _all(g))
+        fast = edge_betweenness(g, _whole(g))
+        slow = betweenness_naive(g, range(g.n))
         assert set(fast.scores) == set(slow.scores)
         for eid, s in slow.scores.items():
             assert abs(fast.scores[eid] - s) < 1e-9
@@ -72,18 +71,18 @@ def test_betweenness_matches_naive_on_random_graphs():
 
 
 def test_g3_triangle_scores(k3):
-    table = edge_clustering_g3(WorkingGraph(k3), _all(k3))
+    table = edge_clustering_g3(k3, _whole(k3))
     assert table.scores == {0: 2.0, 1: 2.0, 2: 2.0}
 
 
 def test_g3_pendant_edges_are_infinite(path3, star5):
     for g in (path3, star5):
-        table = edge_clustering_g3(WorkingGraph(g), _all(g))
+        table = edge_clustering_g3(g, _whole(g))
         assert all(math.isinf(s) for s in table.scores.values())
 
 
 def test_g3_barbell_bridge_is_lowest(barbell):
-    table = edge_clustering_g3(WorkingGraph(barbell), _all(barbell))
+    table = edge_clustering_g3(barbell, _whole(barbell))
     assert table.scores[3] == 0.5
     for eid in (0, 1, 2, 4, 5, 6):
         assert table.scores[eid] == 2.0
@@ -92,22 +91,22 @@ def test_g3_barbell_bridge_is_lowest(barbell):
 
 def test_g3_k4(k4):
     # two triangles through each edge, degrees all 3: (2 + 1) / 2
-    table = edge_clustering_g3(WorkingGraph(k4), _all(k4))
+    table = edge_clustering_g3(k4, _whole(k4))
     assert all(s == 1.5 for s in table.scores.values())
 
 
 def test_g4_cycles(c4, c5, k4):
-    t4 = edge_clustering_g4(WorkingGraph(c4), _all(c4))
+    t4 = edge_clustering_g4(c4, _whole(c4))
     assert all(s == 2.0 for s in t4.scores.values())
-    t5 = edge_clustering_g4(WorkingGraph(c5), _all(c5))
+    t5 = edge_clustering_g4(c5, _whole(c5))
     assert all(s == 1.0 for s in t5.scores.values())
     # K4 edge: two 4-cycles, S = 2*2 - 2 common neighbors = 2
-    tk = edge_clustering_g4(WorkingGraph(k4), _all(k4))
+    tk = edge_clustering_g4(k4, _whole(k4))
     assert all(s == 1.5 for s in tk.scores.values())
 
 
 def test_g4_pendant_edges_are_infinite(star5):
-    table = edge_clustering_g4(WorkingGraph(star5), _all(star5))
+    table = edge_clustering_g4(star5, _whole(star5))
     assert all(math.isinf(s) for s in table.scores.values())
 
 
@@ -131,10 +130,10 @@ def test_cycle_counts_match_quadruple_enumeration():
     rng = random.Random(17)
     for _ in range(10):
         g = gnp_connected(rng, rng.randint(5, 30), rng.choice((0.2, 0.4)))
-        wg = WorkingGraph(g)
+        sub = _whole(g)
         present = set(g.edges)
         for eid in range(g.m):
-            naive = cycle_count_naive(wg, eid, 4)
+            naive = cycle_count_naive(g, sub, eid, 4)
             brute = _four_cycles_by_quadruples(g, present, eid)
             assert naive == brute
 
@@ -143,11 +142,11 @@ def test_g4_scores_match_naive_counts():
     rng = random.Random(23)
     for _ in range(8):
         g = gnp_connected(rng, rng.randint(5, 25), 0.4)
-        wg = WorkingGraph(g)
-        table = edge_clustering_g4(wg, _all(g))
+        sub = _whole(g)
+        table = edge_clustering_g4(g, sub)
         for eid, (u, v) in enumerate(g.edges):
-            z = cycle_count_naive(wg, eid, 4)
-            shared = cycle_count_naive(wg, eid, 3)
+            z = cycle_count_naive(g, sub, eid, 4)
+            shared = cycle_count_naive(g, sub, eid, 3)
             denom = (g.degrees[u] - 1) * (g.degrees[v] - 1) - shared
             if denom <= 0:
                 assert math.isinf(table.scores[eid])
@@ -156,39 +155,38 @@ def test_g4_scores_match_naive_counts():
 
 
 def test_cycle_count_naive_fixtures(k4, c4, c5):
-    assert cycle_count_naive(WorkingGraph(k4), 0, 3) == 2
-    assert cycle_count_naive(WorkingGraph(c4), 0, 4) == 1
-    assert cycle_count_naive(WorkingGraph(c5), 0, 3) == 0
+    assert cycle_count_naive(k4, _whole(k4), 0, 3) == 2
+    assert cycle_count_naive(c4, _whole(c4), 0, 4) == 1
+    assert cycle_count_naive(c5, _whole(c5), 0, 3) == 0
 
 
 # -- score table mechanics ---------------------------------------------------
 
 
 def test_removal_candidate_tie_breaks_to_smallest_edge_id(k3, path3):
-    t = edge_clustering_g3(WorkingGraph(k3), _all(k3))
+    t = edge_clustering_g3(k3, _whole(k3))
     assert t.removal_candidate() == 0  # all tie at 2.0
-    b = edge_betweenness(WorkingGraph(path3), _all(path3))
+    b = edge_betweenness(path3, _whole(path3))
     assert b.removal_candidate() == 0  # both tie at 2.0, max rule
 
 
 def test_removal_candidate_all_infinite_falls_back_to_smallest(star5):
-    t = edge_clustering_g3(WorkingGraph(star5), _all(star5))
+    t = edge_clustering_g3(star5, _whole(star5))
     assert t.removal_candidate() == 0
 
 
 def test_removal_candidate_prefers_finite_minimum(barbell):
-    wg = WorkingGraph(barbell)
-    t = edge_clustering_g3(wg, _all(barbell))
+    t = edge_clustering_g3(barbell, _whole(barbell))
     assert t.removal_candidate() == 3  # bridge at 0.5 beats triangles at 2.0
 
 
 def test_betweenness_candidate_takes_maximum(barbell):
-    t = edge_betweenness(WorkingGraph(barbell), _all(barbell))
+    t = edge_betweenness(barbell, _whole(barbell))
     assert t.removal_candidate() == 3  # the bridge carries all cross traffic
 
 
 def test_to_tsv_sorted_with_inf_sentinel(star5):
-    t = edge_clustering_g3(WorkingGraph(star5), _all(star5))
+    t = edge_clustering_g3(star5, _whole(star5))
     lines = t.to_tsv(star5).strip().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 5
@@ -196,7 +194,7 @@ def test_to_tsv_sorted_with_inf_sentinel(star5):
 
 
 def test_to_tsv_orders_by_score_then_edge_id(barbell):
-    t = edge_clustering_g3(WorkingGraph(barbell), _all(barbell))
+    t = edge_clustering_g3(barbell, _whole(barbell))
     rows = t.to_tsv(barbell).strip().splitlines()[1:]
     scores = [row.split("\t")[2] for row in rows]
     assert scores[0] == "0.5"  # the bridge comes first
@@ -206,11 +204,10 @@ def test_to_tsv_orders_by_score_then_edge_id(barbell):
 
 
 def test_rescore_after_bridge_removal_keeps_triangles(barbell):
-    wg = WorkingGraph(barbell)
-    within = list(range(6))
-    table = edge_clustering_g3(wg, within)
-    wg.remove_edge(3)
-    table = rescore_after_removal(table, wg, 3, within)
+    sub = _whole(barbell)
+    table = edge_clustering_g3(barbell, sub)
+    sub.remove_edge(2, 3)
+    assert rescore_after_removal(table, barbell, sub, 3) is table  # in place
     assert set(table.scores) == {0, 1, 2, 4, 5, 6}
     assert all(table.scores[eid] == 2.0 for eid in table.scores)
 
@@ -219,41 +216,38 @@ def test_rescore_matches_full_recompute_g3_and_g4():
     rng = random.Random(41)
     for kind in (CLUSTERING_G3, CLUSTERING_G4):
         g = gnp_connected(rng, 20, 0.3)
-        wg = WorkingGraph(g)
-        within = list(range(g.n))
-        table = compute_scores(kind, wg, within)
+        sub = _whole(g)
+        table = compute_scores(kind, g, sub)
         for _ in range(5):
             if not table.scores:
                 break
             eid = rng.choice(sorted(table.scores))
-            wg.remove_edge(eid)
-            table = rescore_after_removal(table, wg, eid, within)
-            full = compute_scores(kind, wg, within)
+            sub.remove_edge(*g.edges[eid])
+            table = rescore_after_removal(table, g, sub, eid)
+            full = compute_scores(kind, g, sub)
             assert table.scores == full.scores
 
 
 def test_rescore_betweenness_is_full_recompute(barbell):
-    wg = WorkingGraph(barbell)
-    within = list(range(6))
-    table = edge_betweenness(wg, within)
-    wg.remove_edge(0)
-    table = rescore_after_removal(table, wg, 0, within)
-    full = edge_betweenness(wg, within)
+    sub = _whole(barbell)
+    table = edge_betweenness(barbell, sub)
+    sub.remove_edge(0, 1)
+    table = rescore_after_removal(table, barbell, sub, 0)
+    full = edge_betweenness(barbell, sub)
     assert table.scores == full.scores
 
 
 def test_compute_scores_rejects_unknown_kind(k3):
     with pytest.raises(ValueError):
-        compute_scores("nonsense", WorkingGraph(k3), range(3))
+        compute_scores("nonsense", k3, _whole(k3))
 
 
 def test_degrees_follow_removals_within_subset(barbell):
     # degree inputs to the clustering denominator come from the working
     # graph restricted to the subset, so removing an edge must shift scores
-    wg = WorkingGraph(barbell)
-    within = list(range(6))
-    before = edge_clustering_g3(wg, within).scores[0]
-    wg.remove_edge(2)  # (1, 2) inside the first triangle
-    after = edge_clustering_g3(wg, within).scores[0]
+    sub = _whole(barbell)
+    before = edge_clustering_g3(barbell, sub).scores[0]
+    sub.remove_edge(1, 2)  # edge 2, inside the first triangle
+    after = edge_clustering_g3(barbell, sub).scores[0]
     assert before == 2.0
     assert after != before

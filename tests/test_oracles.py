@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from moddiv import Graph, WorkingGraph, edge_betweenness
+from moddiv import Graph, Subgraph, edge_betweenness
 from moddiv.modularity import move_q
 from moddiv.oracles import (
     SUITE_CHECKS,
@@ -55,8 +55,8 @@ def test_corrupted_move_gain_is_caught():
 
 
 def test_corrupted_betweenness_is_caught():
-    def crooked(wg, within):
-        table = edge_betweenness(wg, within)
+    def crooked(g, sub):
+        table = edge_betweenness(g, sub)
         eid = min(table.scores)
         table.scores[eid] += 0.5
         return table
@@ -118,27 +118,27 @@ def test_set_partition_counts_match_bell_numbers():
 
 
 def test_betweenness_naive_fixture(path3):
-    table = betweenness_naive(WorkingGraph(path3), range(3))
+    table = betweenness_naive(path3, range(3))
     assert table.scores == {0: 2.0, 1: 2.0}
 
 
 def test_cycle_count_fixtures(k4, c4):
-    wk4 = WorkingGraph(k4)
-    assert cycle_count_naive(wk4, 0, 3) == 2
-    wc4 = WorkingGraph(c4)
-    assert cycle_count_naive(wc4, 0, 3) == 0
-    assert cycle_count_naive(wc4, 0, 4) == 1
+    assert cycle_count_naive(k4, Subgraph(k4, range(4)), 0, 3) == 2
+    sc4 = Subgraph(c4, range(4))
+    assert cycle_count_naive(c4, sc4, 0, 3) == 0
+    assert cycle_count_naive(c4, sc4, 0, 4) == 1
 
 
 def test_cycle_count_guards(k4):
-    wg = WorkingGraph(k4)
+    sub = Subgraph(k4, range(4))
     with pytest.raises(ValueError):
-        cycle_count_naive(wg, 0, 5)
-    wg.remove_edge(0)
+        cycle_count_naive(k4, sub, 0, 5)
+    sub.remove_edge(0, 1)
     with pytest.raises(ValueError):
-        cycle_count_naive(wg, 0, 3)
+        cycle_count_naive(k4, sub, 0, 3)
+    big = Graph(61, [(0, 1)])
     with pytest.raises(ValueError):
-        cycle_count_naive(WorkingGraph(Graph(61, [(0, 1)])), 0, 3)
+        cycle_count_naive(big, Subgraph(big, range(61)), 0, 3)
 
 
 # -- generators --------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_gnp_connected_is_connected():
     rng = random.Random(5)
     for _ in range(30):
         g = gnp_connected(rng, rng.randint(4, 50), rng.choice((0.05, 0.2)))
-        assert connected_components(WorkingGraph(g)).count == 1
+        assert connected_components(g).count == 1
 
 
 def test_gnp_graph_always_has_an_edge():
