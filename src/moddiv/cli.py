@@ -72,12 +72,6 @@ def cmd_detect(args) -> int:
         measure=MEASURE_FLAGS[args.measure],
         refine_max_passes=args.refine_max_passes,
     )
-    if cfg.measure == BETWEENNESS:
-        raise ConfigError(
-            "betweenness cannot drive the first divisive phase;"
-            " pick a clustering measure (g3 or g4)"
-        )
-    cfg.validate()
     g = _load_graph(args.input, args.format)
     if g.warnings.any():
         print(
@@ -138,8 +132,6 @@ def cmd_bench(args) -> int:
         measure=MEASURE_FLAGS[args.measure],
         refine_max_passes=args.refine_max_passes,
     )
-    if cfg.measure == BETWEENNESS:
-        raise ConfigError("bench drives the divisive phase; pick g3 or g4")
     rows, warnings = run_bench(data_dir, algorithms, cfg=cfg)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)

@@ -29,7 +29,6 @@ from .measures import (
     BETWEENNESS,
     CLUSTERING_G3,
     CLUSTERING_KINDS,
-    MEASURE_KINDS,
     compute_scores,
     rescore_after_removal,
 )
@@ -52,56 +51,24 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Knobs for the divisive engine; defaults reproduce the benchmarks."""
+    """Knobs for the divisive engine; defaults reproduce the benchmarks.
+
+    Construction rejects a measure that cannot drive the divisive phase
+    (only the clustering measures can; betweenness is the second phase's
+    own) and a pass cap below 1.
+    """
 
     measure: str = CLUSTERING_G3
     refine_max_passes: int = 100
 
-    def validate(self) -> None:
-        if self.measure not in MEASURE_KINDS:
-            raise ConfigError(f"unknown measure {self.measure!r}")
+    def __post_init__(self) -> None:
+        if self.measure not in CLUSTERING_KINDS:
+            raise ConfigError(
+                f"measure {self.measure!r} cannot drive the divisive phase;"
+                " pick a clustering measure (g3 or g4)"
+            )
         if self.refine_max_passes < 1:
             raise ConfigError("refine_max_passes must be >= 1")
-
-
-class BorderlineSets:
-    """Per-community sets of vertices incident to a removed edge.
-
-    These are the refinement candidates: exactly the vertices that gained an
-    inter-community incidence when the divisive step cut their edge.
-    """
-
-    __slots__ = ("sets",)
-
-    def __init__(self):
-        self.sets: dict[int, set[int]] = {}
-
-    def add(self, cid: int, v: int) -> None:
-        self.sets.setdefault(cid, set()).add(v)
-
-    def sorted_vertices(self) -> list[int]:
-        out: set[int] = set()
-        for s in self.sets.values():
-            out |= s
-        return sorted(out)
-
-    def after_move(self, g: Graph, p: Partition, ctx: MoveContext) -> None:
-        """Update the sets once `ctx` has been applied.
-
-        The moved vertex switches to the destination's set, and its former
-        neighbors left behind in the source community become borderline
-        there (each of them now has an inter-community edge to the vertex).
-        """
-        if ctx.source in p.communities:
-            src = self.sets.get(ctx.source)
-            if src is not None:
-                src.discard(ctx.vertex)
-            for w, _ in g.adj[ctx.vertex]:
-                if p.assignment[w] == ctx.source:
-                    self.add(ctx.source, w)
-        else:
-            self.sets.pop(ctx.source, None)
-        self.add(ctx.target, ctx.vertex)
 
 
 @dataclass(frozen=True)
@@ -301,9 +268,13 @@ def _bisection(sub: Subgraph, side: set[int], removals) -> Bisection:
 
 
 def bisect_community(g: Graph, sub: Subgraph, measure: str) -> Bisection:
-    """Remove edges from the community `sub` until it splits in two.
+    """Split the community `sub` in two.
 
-    Clustering measures remove the lowest-scoring edge, betweenness the
+    A disconnected community splits with no removals: the component of its
+    smallest vertex against the rest.  Cross-community refinement moves can
+    leave a community disconnected, and peeling off a component always
+    raises Q.  A connected community loses edges until it falls apart:
+    clustering measures remove the lowest-scoring edge, betweenness the
     highest; after each removal the scores are brought back in line with a
     full recomputation.  The removals are made on `sub` itself, which is of
     no further use to the caller.
@@ -312,10 +283,9 @@ def bisect_community(g: Graph, sub: Subgraph, measure: str) -> Bisection:
     """
     if len(sub) < 2:
         raise ValueError("community must contain at least two vertices")
-    if not any(sub.nbrs):
-        raise ValueError("community has no internal edges")
-    if len(reachable_within(sub, 0)) != len(sub):
-        raise ValueError("community is not connected")
+    side = reachable_within(sub, 0)
+    if len(side) < len(sub):
+        return _bisection(sub, side, ())
 
     table = compute_scores(measure, g, sub)
     removals: list[tuple[int, float]] = []
@@ -333,20 +303,23 @@ def bisect_community(g: Graph, sub: Subgraph, measure: str) -> Bisection:
             raise RuntimeError("ran out of edges before the community split")
 
 
-def refine(g: Graph, p: Partition, borderline: BorderlineSets, cfg: EngineConfig):
-    """Move borderline vertices wherever modularity strictly improves.
+def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
+    """Move candidate vertices wherever modularity strictly improves.
 
-    Passes over the borderline vertices in ascending id order; each vertex
-    is offered to every community holding at least one of its neighbors and
-    takes the best strictly-positive gain (ties toward the smaller community
-    id).  Stops after a pass with no moves, or at the pass cap.  Mutates and
-    returns the partition, together with the applied moves.
+    Passes over the candidates in ascending id order; each vertex is offered
+    to every community holding at least one of its neighbors and takes the
+    best strictly-positive gain (ties toward the smaller community id).  A
+    move makes the mover's neighbors left in its source community candidates
+    too, from the next pass on: each now has an edge to another community.
+    Stops after a pass with no moves, or at the pass cap.  Mutates the
+    partition and `candidates`; returns the partition, together with the
+    applied moves.
     """
     moves: list[RefinementMove] = []
     m = g.m
-    for _ in range(cfg.refine_max_passes):
+    for _ in range(max_passes):
         moved = False
-        for v in borderline.sorted_vertices():
+        for v in sorted(candidates):
             source = p.assignment[v]
             tally: dict[int, int] = {}
             for w, _ in g.adj[v]:
@@ -368,7 +341,7 @@ def refine(g: Graph, p: Partition, borderline: BorderlineSets, cfg: EngineConfig
             if best_target is not None and best_gain > Q_IMPROVEMENT_EPS:
                 ctx = MoveContext(v, source, best_target, to_source, tally[best_target], degree)
                 apply_move(p, ctx)
-                borderline.after_move(g, p, ctx)
+                candidates.update(w for w, _ in g.adj[v] if p.assignment[w] == source)
                 moves.append(RefinementMove(v, source, best_target, best_gain))
                 moved = True
         if not moved:
@@ -386,7 +359,6 @@ class _DivisiveRun:
             raise ValueError("graph has no vertices")
         if g.m == 0:
             raise ValueError("graph has no edges")
-        cfg.validate()
         self.g = g
         self.cfg = cfg
         self.partition = Partition(g, connected_components(g).labels)
@@ -404,6 +376,21 @@ class _DivisiveRun:
         record["q_after"] = q_after
         self.history.append(record)
 
+    def _log_moves(self, mvs, q: float, phase: int, stage: str | None = None) -> None:
+        """One `move` event per applied move, with Q running on from `q`."""
+        for mv in mvs:
+            q += mv.gain
+            payload: dict = {"phase": phase}
+            if stage is not None:
+                payload["stage"] = stage
+            payload.update(
+                vertex=self.g.labels[mv.vertex],
+                source=mv.source,
+                target=mv.target,
+                gain=mv.gain,
+            )
+            self._event("move", payload, q)
+
     def _queue_order(self, cids) -> list[int]:
         return sorted(cids, key=lambda c: min(self.partition._members[c]))
 
@@ -417,14 +404,7 @@ class _DivisiveRun:
             if len(members) < 2:
                 continue
 
-            sub = Subgraph(self.g, members)
-            reach = reachable_within(sub, 0)
-            if len(reach) < len(members):
-                # cross-community moves can leave a community disconnected;
-                # peeling off a component costs nothing and always helps Q
-                bis = _bisection(sub, reach, ())
-            else:
-                bis = bisect_community(self.g, sub, measure)
+            bis = bisect_community(self.g, Subgraph(self.g, members), measure)
             for eid, score in bis.removals:
                 lu, lv = self.g.edge_label_pair(eid)
                 self._event(
@@ -441,28 +421,11 @@ class _DivisiveRun:
 
             tentative = self.partition.copy()
             new_a, new_b = tentative.split_community(cid, bis.side_a, bis.side_b)
-            side_a = set(bis.side_a)
-            borderline = BorderlineSets()
-            for eid, _ in bis.removals:
-                for x in self.g.edges[eid]:
-                    borderline.add(new_a if x in side_a else new_b, x)
+            candidates = {x for eid, _ in bis.removals for x in self.g.edges[eid]}
 
             q_split = modularity_q(self.g, tentative)
-            tentative, mvs = refine(self.g, tentative, borderline, self.cfg)
-            q_running = q_split
-            for mv in mvs:
-                q_running += mv.gain
-                self._event(
-                    "move",
-                    {
-                        "phase": phase,
-                        "vertex": self.g.labels[mv.vertex],
-                        "source": mv.source,
-                        "target": mv.target,
-                        "gain": mv.gain,
-                    },
-                    q_running,
-                )
+            tentative, mvs = refine(self.g, tentative, candidates, self.cfg.refine_max_passes)
+            self._log_moves(mvs, q_split, phase)
             q_new = modularity_q(self.g, tentative)
 
             if q_new > self.q + Q_IMPROVEMENT_EPS:
@@ -493,31 +456,15 @@ class _DivisiveRun:
 
     def global_refine(self) -> None:
         """Final refinement over every vertex with an inter-community edge."""
-        borderline = BorderlineSets()
         assignment = self.partition.assignment
-        for v in range(self.g.n):
-            cv = assignment[v]
-            if any(assignment[w] != cv for w, _ in self.g.adj[v]):
-                borderline.add(cv, v)
-        q_before = self.q
-        _, mvs = refine(self.g, self.partition, borderline, self.cfg)
+        candidates = {
+            v for v in range(self.g.n)
+            if any(assignment[w] != assignment[v] for w, _ in self.g.adj[v])
+        }
+        _, mvs = refine(self.g, self.partition, candidates, self.cfg.refine_max_passes)
         if not mvs:
             return
-        q_running = q_before
-        for mv in mvs:
-            q_running += mv.gain
-            self._event(
-                "move",
-                {
-                    "phase": 2,
-                    "stage": "final-refine",
-                    "vertex": self.g.labels[mv.vertex],
-                    "source": mv.source,
-                    "target": mv.target,
-                    "gain": mv.gain,
-                },
-                q_running,
-            )
+        self._log_moves(mvs, self.q, 2, "final-refine")
         self.q = modularity_q(self.g, self.partition)
         self._trace("final-refine")
 
@@ -530,8 +477,6 @@ class _DivisiveRun:
 def run_ccr(g: Graph, cfg: EngineConfig | None = None) -> DetectionResult:
     """Divisive detection by clustering-coefficient removal with refinement."""
     cfg = cfg or EngineConfig()
-    if cfg.measure not in CLUSTERING_KINDS:
-        raise ConfigError("the clustering pipeline requires a clustering measure")
     run = _DivisiveRun(g, cfg)
     run.run_phase(1, cfg.measure)
     return run.result()
@@ -541,8 +486,6 @@ def run_ccr_ebr(g: Graph, cfg: EngineConfig | None = None) -> DetectionResult:
     """Clustering-coefficient phase, then betweenness re-division of its
     communities, then a global refinement pass."""
     cfg = cfg or EngineConfig()
-    if cfg.measure not in CLUSTERING_KINDS:
-        raise ConfigError("the clustering pipeline requires a clustering measure")
     run = _DivisiveRun(g, cfg)
     run.run_phase(1, cfg.measure)
     run.run_phase(2, BETWEENNESS)

@@ -117,25 +117,6 @@ def gnp_connected(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, pairs)
 
 
-def planted_two_cluster(
-    rng: random.Random, n: int, p_in: float = 0.6, p_out: float = 0.05
-) -> Graph:
-    """Two equal-ish blocks, dense inside and sparse across."""
-    half = n // 2
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            same = (i < half) == (j < half)
-            if rng.random() < (p_in if same else p_out):
-                pairs.append((i, j))
-    if not any(i < half <= j for i, j in pairs):
-        pairs.append((rng.randrange(half), rng.randrange(half, n)))
-    g = Graph(n, pairs)
-    if connected_components(g).count == 1:
-        return g
-    return gnp_connected(rng, n, p_in / 2)
-
-
 def random_dense_assignment(rng: random.Random, n: int, k: int) -> list:
     """Assignment of n vertices to at most k groups, relabeled densely."""
     raw = [rng.randrange(k) for _ in range(n)]

@@ -21,8 +21,8 @@ from moddiv import (
     run_ccr,
     run_ccr_ebr,
 )
-from moddiv.engine import BorderlineSets, Dendrogram, TraceEntry, history_to_jsonl
-from moddiv.modularity import MoveContext, apply_move
+from moddiv import engine
+from moddiv.engine import Dendrogram, TraceEntry, history_to_jsonl
 from moddiv.oracles import exhaustive_best_partition, gnp_connected
 
 
@@ -35,10 +35,10 @@ def _cfg(**kw) -> EngineConfig:
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        _cfg(measure="nonsense").validate()
+        _cfg(measure="nonsense")
     with pytest.raises(ConfigError):
-        _cfg(refine_max_passes=0).validate()
-    _cfg().validate()
+        _cfg(refine_max_passes=0)
+    _cfg()
 
 
 def test_pipelines_reject_betweenness_for_phase_one(k3):
@@ -82,11 +82,36 @@ def test_bisect_k3_walks_through_infinities(k3):
 def test_bisect_preconditions(barbell, two_triangles):
     with pytest.raises(ValueError):
         bisect_community(barbell, Subgraph(barbell, [0]), CLUSTERING_G3)
-    with pytest.raises(ValueError):
-        bisect_community(two_triangles, Subgraph(two_triangles, range(6)), CLUSTERING_G3)
+    # a disconnected community splits off the smallest vertex's component
+    # without removing an edge
+    bis = bisect_community(two_triangles, Subgraph(two_triangles, range(6)), CLUSTERING_G3)
+    assert (bis.side_a, bis.side_b, bis.removals) == ((0, 1, 2), (3, 4, 5), ())
+    bis = bisect_community(two_triangles, Subgraph(two_triangles, [0, 1, 2, 4]), CLUSTERING_G3)
+    assert (bis.side_a, bis.side_b, bis.removals) == ((0, 1, 2), (4,), ())
     lone = Graph(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        bisect_community(lone, Subgraph(lone, [0, 2]), CLUSTERING_G3)
+    bis = bisect_community(lone, Subgraph(lone, [0, 2]), CLUSTERING_G3)
+    assert (bis.side_a, bis.side_b, bis.removals) == ((0,), (2,), ())
+
+
+def test_split_test_runs_one_search_per_bisection_and_removal(monkeypatch):
+    calls = []
+    real = engine.reachable_within
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "reachable_within", counted)
+    rng = random.Random(61)
+    for _ in range(5):
+        g = gnp_connected(rng, rng.randint(10, 30), 0.25)
+        for runner in (run_ccr, run_ccr_ebr):
+            calls.clear()
+            r = runner(g)
+            removals = sum(e["type"] == "remove" for e in r.history)
+            bisections = sum(e["type"] in ("accept", "reject") for e in r.history)
+            assert bisections > 0
+            assert len(calls) == removals + bisections
 
 
 # -- refine ------------------------------------------------------------------
@@ -95,9 +120,7 @@ def test_bisect_preconditions(barbell, two_triangles):
 def test_refine_pulls_misassigned_bridge_endpoint_back(barbell):
     p = Partition(barbell, [0, 0, 0, 0, 1, 1])  # vertex 3 on the wrong side
     q_before = modularity_q(barbell, p)
-    borderline = BorderlineSets()
-    borderline.add(0, 3)
-    p, moves = refine(barbell, p, borderline, _cfg())
+    p, moves = refine(barbell, p, {3}, 100)
     assert [(m.vertex, m.source, m.target) for m in moves] == [(3, 0, 1)]
     q_after = modularity_q(barbell, p)
     assert abs((q_after - q_before) - moves[0].gain) < 1e-12
@@ -106,10 +129,7 @@ def test_refine_pulls_misassigned_bridge_endpoint_back(barbell):
 
 def test_refine_is_a_fixed_point_on_good_partitions(barbell):
     p = Partition(barbell, [0, 0, 0, 1, 1, 1])
-    borderline = BorderlineSets()
-    borderline.add(0, 2)
-    borderline.add(1, 3)
-    p, moves = refine(barbell, p, borderline, _cfg())
+    p, moves = refine(barbell, p, {2, 3}, 100)
     assert moves == []
     assert p.assignment == [0, 0, 0, 1, 1, 1]
 
@@ -127,24 +147,21 @@ def test_refine_never_lowers_q():
             dense.append(seen[c])
         p = Partition(g, dense)
         q_before = modularity_q(g, p)
-        borderline = BorderlineSets()
-        for v in range(g.n):
-            borderline.add(p.community_of(v), v)
-        p, _ = refine(g, p, borderline, _cfg())
+        p, _ = refine(g, p, set(range(g.n)), 100)
         assert modularity_q(g, p) >= q_before - 1e-12
 
 
-def test_borderline_update_after_move(barbell):
-    p = Partition(barbell, [0, 0, 0, 0, 1, 1])
-    borderline = BorderlineSets()
-    borderline.add(0, 3)
-    ctx = MoveContext(3, 0, 1, 1, 2, 3)
-    apply_move(p, ctx)
-    borderline.after_move(barbell, p, ctx)
-    # the mover joined the destination set, its abandoned neighbor became
-    # borderline on the source side
-    assert borderline.sets[1] == {3}
-    assert borderline.sets[0] == {2}
+def test_refine_offers_abandoned_neighbors_on_the_next_pass():
+    # two K4s {0..3} and {4..7} joined by the (3, 4) bridge; only vertex 2 is
+    # a candidate, and 3 can follow it only once the move makes 3 one
+    g = Graph(8, [(i, j) for b in (0, 4) for i in range(b, b + 4) for j in range(i + 1, b + 4)]
+              + [(3, 4)])
+    p = Partition(g, [0, 0, 1, 1, 1, 1, 1, 1])
+    candidates = {2}
+    p, moves = refine(g, p, candidates, 100)
+    assert [(m.vertex, m.source, m.target) for m in moves] == [(2, 1, 0), (3, 1, 0)]
+    assert p.assignment == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert candidates == {2, 3, 4}
 
 
 # -- pipelines ---------------------------------------------------------------
