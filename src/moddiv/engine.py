@@ -289,6 +289,8 @@ def bisect_community(g: Graph, sub: Subgraph, measure: str) -> Bisection:
 
     table = compute_scores(measure, g, sub)
     removals: list[tuple[int, float]] = []
+    # The table never empties: while u and v stay connected after a
+    # removal, the path between them keeps at least one edge.
     while True:
         eid = table.removal_candidate()
         removals.append((eid, table.scores[eid]))
@@ -299,8 +301,6 @@ def bisect_community(g: Graph, sub: Subgraph, measure: str) -> Bisection:
         if target not in side:
             return _bisection(sub, side, removals)
         table = rescore_after_removal(table, g, sub, eid)
-        if not table.scores:
-            raise RuntimeError("ran out of edges before the community split")
 
 
 def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):

@@ -11,8 +11,8 @@ selection can never pick such an edge while a finite-scored edge remains.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .graph import Graph, Subgraph
 
@@ -29,11 +29,18 @@ class EdgeScoreTable:
     """Scores for every edge of one subgraph.
 
     `scores` maps edge id to a finite non-negative value, or `math.inf` for
-    clustering kinds when the denominator degenerates.
+    clustering kinds when the denominator degenerates.  Clustering tables
+    also keep `heap`, a min-heap of `(score, edge id)` entries holding the
+    current score of every edge of `scores`, plus stale entries of changed
+    or removed edges that the pick discards lazily.  A g3 table keeps
+    `triangles`, the common-neighbour count of every edge, so rescoring can
+    adjust the counts instead of intersecting neighbour sets.
     """
 
     kind: str
     scores: dict[int, float]
+    heap: list[tuple[float, int]] | None = field(default=None, repr=False, compare=False)
+    triangles: dict[int, int] | None = field(default=None, repr=False, compare=False)
 
     def removal_candidate(self) -> int:
         """Edge id the divisive step should remove next.
@@ -41,11 +48,19 @@ class EdgeScoreTable:
         Clustering kinds remove the lowest score, betweenness the highest;
         ties break toward the smallest edge id.
         """
-        if not self.scores:
-            raise ValueError("score table is empty")
         scores = self.scores
-        best = max(scores.values()) if self.kind == BETWEENNESS else min(scores.values())
-        return min(eid for eid, s in scores.items() if s == best)
+        if not scores:
+            raise ValueError("score table is empty")
+        heap = self.heap
+        if heap is None:
+            best = max(scores.values())
+            return min(eid for eid, s in scores.items() if s == best)
+        # Tuple order is the tie-break: lowest score, then smallest edge id.
+        while True:
+            score, eid = heap[0]
+            if scores.get(eid) == score:
+                return eid
+            heappop(heap)
 
     def to_tsv(self, graph) -> str:
         """TSV dump (label, label, score) sorted by score then edge id."""
@@ -72,53 +87,42 @@ def edge_betweenness(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     rows = [list(row.items()) for row in sub.nbrs]
     k = len(rows)
     scores = {eid: 0.0 for i, row in enumerate(rows) for j, eid in row if i < j}
-
-    dist = [0] * k
-    sigma = [0.0] * k
-    preds: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    delta = [0.0] * k
+    unseen = [-1] * k
 
     for src in range(k):
-        for i in range(k):
-            dist[i] = -1
-            sigma[i] = 0.0
-            preds[i].clear()
-            delta[i] = 0.0
+        dist = unseen[:]
+        sigma = [0] * k  # exact path counts
+        delta = [0.0] * k
         dist[src] = 0
-        sigma[src] = 1.0
-        order: list[int] = []
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv = dist[v]
+        sigma[src] = 1
+        order = [src]  # the BFS queue: the loop reads the entries it appends
+        for v in order:
+            dv1 = dist[v] + 1
             sv = sigma[v]
-            for w, eid in rows[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
+            for w, _ in rows[v]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = dv1
+                    order.append(w)
+                    sigma[w] = sv
+                elif dw == dv1:
                     sigma[w] += sv
-                    preds[w].append((v, eid))
+        # Predecessors of w are its neighbours one level closer to src.  Each
+        # edge gets one addition per source and each delta[v] is summed in
+        # reversed BFS order, so the float sums do not depend on the order
+        # predecessors are visited in.
         for w in reversed(order):
+            dw1 = dist[w] - 1
             coeff = (1.0 + delta[w]) / sigma[w]
-            for v, eid in preds[w]:
-                c = sigma[v] * coeff
-                scores[eid] += c
-                delta[v] += c
+            for v, eid in rows[w]:
+                if dist[v] == dw1:
+                    c = sigma[v] * coeff
+                    scores[eid] += c
+                    delta[v] += c
 
     for eid in scores:
         scores[eid] /= 2.0
     return EdgeScoreTable(BETWEENNESS, scores)
-
-
-def _triangle_score(nbrs: list[dict[int, int]], u: int, v: int) -> float:
-    nu, nv = nbrs[u], nbrs[v]
-    shared = len(nu.keys() & nv.keys())
-    denom = min(len(nu), len(nv)) - 1
-    if denom <= 0:
-        return math.inf
-    return (shared + 1) / denom
 
 
 def _four_cycle_score(nbrs: list[dict[int, int]], u: int, v: int) -> float:
@@ -140,23 +144,28 @@ def _four_cycle_score(nbrs: list[dict[int, int]], u: int, v: int) -> float:
     return (cycles + 1) / denom
 
 
-def _score_every_edge(kind: str, sub: Subgraph, scorer) -> EdgeScoreTable:
-    nbrs = sub.nbrs
-    scores: dict[int, float] = {}
-    for i, row in enumerate(nbrs):
-        for j, eid in row.items():
-            if i < j:
-                scores[eid] = scorer(nbrs, i, j)
-    return EdgeScoreTable(kind, scores)
-
-
 def edge_clustering_g3(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     """Triangle-based clustering coefficient of every edge of the subgraph.
 
     score(u, v) = (triangles through the edge + 1) / (min degree - 1), with
     degrees and triangles counted inside the subgraph.
     """
-    return _score_every_edge(CLUSTERING_G3, sub, _triangle_score)
+    nbrs = sub.nbrs
+    inf = math.inf
+    scores: dict[int, float] = {}
+    triangles: dict[int, int] = {}
+    for i, row in enumerate(nbrs):
+        keys = row.keys()
+        di = len(row)
+        for j, eid in row.items():
+            if i < j:
+                other = nbrs[j]
+                t = triangles[eid] = len(keys & other.keys())
+                denom = min(di, len(other)) - 1
+                scores[eid] = (t + 1) / denom if denom > 0 else inf
+    heap = list(zip(scores.values(), scores))
+    heapify(heap)
+    return EdgeScoreTable(CLUSTERING_G3, scores, heap, triangles)
 
 
 def edge_clustering_g4(g: Graph, sub: Subgraph) -> EdgeScoreTable:
@@ -166,7 +175,15 @@ def edge_clustering_g4(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     largest number of 4-cycles the endpoint degrees would allow: every
     pairing of distinct non-shared neighbors of u and v.
     """
-    return _score_every_edge(CLUSTERING_G4, sub, _four_cycle_score)
+    nbrs = sub.nbrs
+    scores: dict[int, float] = {}
+    for i, row in enumerate(nbrs):
+        for j, eid in row.items():
+            if i < j:
+                scores[eid] = _four_cycle_score(nbrs, i, j)
+    heap = list(zip(scores.values(), scores))
+    heapify(heap)
+    return EdgeScoreTable(CLUSTERING_G4, scores, heap)
 
 
 def compute_scores(kind: str, g: Graph, sub: Subgraph) -> EdgeScoreTable:
@@ -194,7 +211,9 @@ def rescore_after_removal(
     are updated in place and returned: only edges whose cycle counts or
     endpoint degrees could have changed are rescored, namely edges incident
     to the removed edge's endpoints, plus (for 4-cycles) edges incident to
-    their remaining neighbors.
+    their remaining neighbors.  A g3 edge loses the one triangle it shared
+    with the removed edge, if any.  Every changed score is pushed on the
+    heap; the entry it replaces goes stale.
     """
     if prev.kind == BETWEENNESS:
         return edge_betweenness(g, sub)
@@ -202,15 +221,34 @@ def rescore_after_removal(
     nbrs = sub.nbrs
     u, v = g.edges[removed_edge]
     i, j = sub.local[u], sub.local[v]
-    touched = {i, j}
-    if prev.kind == CLUSTERING_G4:
-        touched.update(nbrs[i])
-        touched.update(nbrs[j])
-
-    affected = {eid: (x, y) for x in touched for y, eid in nbrs[x].items()}
-    scorer = _triangle_score if prev.kind == CLUSTERING_G3 else _four_cycle_score
-    scores = prev.scores
+    scores, heap = prev.scores, prev.heap
     del scores[removed_edge]
+
+    if prev.kind == CLUSTERING_G3:
+        triangles = prev.triangles
+        del triangles[removed_edge]
+        inf = math.inf
+        for a, b in ((i, j), (j, i)):
+            row, other = nbrs[a], nbrs[b]
+            da = len(row)
+            for x, eid in row.items():
+                t = triangles[eid]
+                if x in other:
+                    t = triangles[eid] = t - 1
+                denom = min(da, len(nbrs[x])) - 1
+                s = (t + 1) / denom if denom > 0 else inf
+                if s != scores[eid]:
+                    scores[eid] = s
+                    heappush(heap, (s, eid))
+        return prev
+
+    touched = {i, j}
+    touched.update(nbrs[i])
+    touched.update(nbrs[j])
+    affected = {eid: (x, y) for x in touched for y, eid in nbrs[x].items()}
     for eid, (x, y) in affected.items():
-        scores[eid] = scorer(nbrs, x, y)
+        s = _four_cycle_score(nbrs, x, y)
+        if s != scores[eid]:
+            scores[eid] = s
+            heappush(heap, (s, eid))
     return prev

@@ -384,8 +384,15 @@ def check_betweenness_sum_law(seed: int, cases: int = 200, fast_fn=edge_betweenn
     return report
 
 
+def clustering_pick_naive(scores: dict[int, float]) -> int:
+    """The clustering pick by a full scan: lowest score, then smallest edge id."""
+    best = min(scores.values())
+    return min(eid for eid, s in scores.items() if s == best)
+
+
 def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
-    """Incremental clustering rescoring must equal a full recompute exactly."""
+    """Incremental clustering rescoring must equal a full recompute exactly,
+    and the rescored table must pick the edge a scan of that recompute picks."""
     rng = random.Random(seed)
     report = OracleReport("rescore-vs-full", cases, 0.0, 0.0)
     for i in range(cases):
@@ -420,6 +427,10 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
                 else:
                     diff = abs(a - b)
                 report.record(diff, digest + f" edge={e}", b, a)
+            if full.scores:
+                want, got = clustering_pick_naive(full.scores), table.removal_candidate()
+                if got != want:
+                    report.record(math.inf, digest + " pick", want, got)
     return report
 
 

@@ -41,11 +41,9 @@ def test_config_validation():
     _cfg()
 
 
-def test_pipelines_reject_betweenness_for_phase_one(k3):
+def test_config_rejects_betweenness_for_phase_one():
     with pytest.raises(ConfigError):
-        run_ccr(k3, _cfg(measure=BETWEENNESS))
-    with pytest.raises(ConfigError):
-        run_ccr_ebr(k3, _cfg(measure=BETWEENNESS))
+        _cfg(measure=BETWEENNESS)
 
 
 # -- bisect ------------------------------------------------------------------

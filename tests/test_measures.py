@@ -19,7 +19,12 @@ from moddiv import (
     edge_clustering_g4,
     rescore_after_removal,
 )
-from moddiv.oracles import betweenness_naive, cycle_count_naive, gnp_connected
+from moddiv.oracles import (
+    betweenness_naive,
+    clustering_pick_naive,
+    cycle_count_naive,
+    gnp_connected,
+)
 
 
 def _whole(g: Graph) -> Subgraph:
@@ -171,8 +176,27 @@ def test_removal_candidate_tie_breaks_to_smallest_edge_id(k3, path3):
 
 
 def test_removal_candidate_all_infinite_falls_back_to_smallest(star5):
-    t = edge_clustering_g3(star5, _whole(star5))
-    assert t.removal_candidate() == 0
+    for kind in (CLUSTERING_G3, CLUSTERING_G4):
+        sub = _whole(star5)
+        t = compute_scores(kind, star5, sub)
+        assert t.removal_candidate() == 0
+        sub.remove_edge(0, 1)
+        t = rescore_after_removal(t, star5, sub, 0)
+        assert t.removal_candidate() == 1  # the removed edge's entry is discarded
+
+
+@pytest.mark.parametrize("kind", [CLUSTERING_G3, CLUSTERING_G4])
+def test_removal_candidate_on_an_all_tie_clique(kind):
+    # every K5 edge ties; removing the picks one by one keeps the scan's choice
+    g = Graph(5, list(combinations(range(5), 2)))
+    sub = _whole(g)
+    t = compute_scores(kind, g, sub)
+    assert len(set(t.scores.values())) == 1
+    while t.scores:
+        eid = t.removal_candidate()
+        assert eid == clustering_pick_naive(compute_scores(kind, g, sub).scores)
+        sub.remove_edge(*g.edges[eid])
+        t = rescore_after_removal(t, g, sub, eid)
 
 
 def test_removal_candidate_prefers_finite_minimum(barbell):
@@ -213,19 +237,48 @@ def test_rescore_after_bridge_removal_keeps_triangles(barbell):
 
 
 def test_rescore_matches_full_recompute_g3_and_g4():
+    # at every step of random removal sequences, the rescored table holds a
+    # fresh table's scores, picks what a scan of them picks, and (g3) keeps
+    # exact triangle counts
     rng = random.Random(41)
     for kind in (CLUSTERING_G3, CLUSTERING_G4):
-        g = gnp_connected(rng, 20, 0.3)
-        sub = _whole(g)
-        table = compute_scores(kind, g, sub)
-        for _ in range(5):
-            if not table.scores:
-                break
-            eid = rng.choice(sorted(table.scores))
-            sub.remove_edge(*g.edges[eid])
-            table = rescore_after_removal(table, g, sub, eid)
-            full = compute_scores(kind, g, sub)
-            assert table.scores == full.scores
+        for _ in range(12):
+            g = gnp_connected(rng, rng.randint(5, 20), rng.choice((0.2, 0.4)))
+            sub = Subgraph(g, rng.sample(range(g.n), rng.randint(3, g.n)))
+            table = compute_scores(kind, g, sub)
+            while table.scores:
+                full = compute_scores(kind, g, sub)
+                assert table.scores == full.scores
+                pick = table.removal_candidate()
+                assert pick == clustering_pick_naive(full.scores)
+                if kind == CLUSTERING_G3:
+                    counts = {eid: cycle_count_naive(g, sub, eid, 3) for eid in full.scores}
+                    assert table.triangles == full.triangles == counts
+                # remove the pick, as bisection does, or any other edge
+                eid = pick if rng.random() < 0.5 else rng.choice(sorted(table.scores))
+                sub.remove_edge(*g.edges[eid])
+                table = rescore_after_removal(table, g, sub, eid)
+
+
+def test_heap_pick_after_a_score_returns_to_an_earlier_value():
+    # edge 3 = (3, 5) scores 1.0, then 2.0 once (0, 5) is gone, then 1.0
+    # again once (3, 4) breaks its triangle.  Its first heap entry is
+    # discarded as stale in between, and two entries of it are left when it
+    # is removed.
+    g = Graph(6, [(0, 5), (2, 3), (3, 4), (3, 5), (4, 5)])
+    sub = _whole(g)
+    table = edge_clustering_g3(g, sub)
+    history = [table.scores[3]]
+    picks = [table.removal_candidate()]
+    for eid in (0, 2, 3):
+        sub.remove_edge(*g.edges[eid])
+        table = rescore_after_removal(table, g, sub, eid)
+        if 3 in table.scores:
+            history.append(table.scores[3])
+        picks.append(table.removal_candidate())
+        assert picks[-1] == clustering_pick_naive(edge_clustering_g3(g, sub).scores)
+    assert history == [1.0, 2.0, 1.0]
+    assert picks == [3, 2, 3, 1]
 
 
 def test_rescore_betweenness_is_full_recompute(barbell):

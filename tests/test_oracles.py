@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from moddiv import Graph, Subgraph, edge_betweenness
+from moddiv import EdgeScoreTable, Graph, Subgraph, edge_betweenness
 from moddiv.modularity import move_q
 from moddiv.oracles import (
     SUITE_CHECKS,
@@ -65,6 +65,18 @@ def test_corrupted_betweenness_is_caught():
     assert not check_betweenness_vs_naive(7, cases=20, fast_fn=crooked).passed
     assert check_betweenness_sum_law(7, cases=20).passed
     assert not check_betweenness_sum_law(7, cases=20, fast_fn=crooked).passed
+
+
+def test_pick_that_breaks_ties_the_wrong_way_is_caught(monkeypatch):
+    def largest_id(self):
+        best = min(self.scores.values())
+        return max(eid for eid, s in self.scores.items() if s == best)
+
+    assert check_rescore_vs_full(14, cases=10).passed
+    monkeypatch.setattr(EdgeScoreTable, "removal_candidate", largest_id)
+    report = check_rescore_vs_full(14, cases=10)
+    assert not report.passed
+    assert all(digest.endswith(" pick") for digest, _, _ in report.failures)
 
 
 def test_all_checks_pass_on_a_small_sample():

@@ -53,3 +53,11 @@ def test_trace_q_strictly_increases(g):
     for r in _runs(g):
         qs = [t.q for t in r.trace]
         assert all(b > a for a, b in zip(qs, qs[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_reredivision_never_lowers_q(g):
+    for measure in (CLUSTERING_G3, CLUSTERING_G4):
+        cfg = EngineConfig(measure=measure)
+        assert run_ccr_ebr(g, cfg).best_q >= run_ccr(g, cfg).best_q - 1e-12
