@@ -43,12 +43,9 @@ from .measures import (
     rescore_after_removal,
 )
 from .modularity import (
-    MoveContext,
     Partition,
-    apply_move,
     modularity_q,
     modularity_q_pairwise,
-    move_context,
     move_q,
     partition_to_json,
     partition_to_tsv,
@@ -79,13 +76,11 @@ __all__ = [
     "Graph",
     "GraphLoadError",
     "LoadWarnings",
-    "MoveContext",
     "OracleReport",
     "Partition",
     "RefinementMove",
     "Subgraph",
     "TraceEntry",
-    "apply_move",
     "betweenness_naive",
     "bisect_community",
     "compute_scores",
@@ -99,7 +94,6 @@ __all__ = [
     "load_gml",
     "modularity_q",
     "modularity_q_pairwise",
-    "move_context",
     "move_q",
     "partition_to_json",
     "partition_to_tsv",

@@ -73,12 +73,17 @@ def cmd_detect(args) -> int:
         refine_max_passes=args.refine_max_passes,
     )
     g = _load_graph(args.input, args.format)
-    if g.warnings.any():
+    dropped = g.warnings
+    if dropped.duplicates or dropped.self_loops:
         print(
-            f"warning: input cleanup: {g.warnings.duplicates} duplicate edges,"
-            f" {g.warnings.self_loops} self-loops dropped",
+            f"warning: input cleanup: {dropped.duplicates} duplicate edges,"
+            f" {dropped.self_loops} self-loops dropped",
             file=sys.stderr,
         )
+    if dropped.weights:
+        print(f"warning: ignored {dropped.weights} edge weights", file=sys.stderr)
+    if dropped.unknown_keys:
+        print(f"warning: ignored GML keys: {', '.join(dropped.unknown_keys)}", file=sys.stderr)
     result = _RUNNERS[args.algo](g, cfg)
 
     out_dir = Path(args.out_dir)

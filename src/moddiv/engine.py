@@ -32,13 +32,7 @@ from .measures import (
     compute_scores,
     rescore_after_removal,
 )
-from .modularity import (
-    MoveContext,
-    Partition,
-    apply_move,
-    modularity_q,
-    move_q,
-)
+from .modularity import Partition, modularity_q, move_q
 
 # A split is kept, and a refinement move applied, only when Q rises by more
 # than this; it absorbs float noise in the incremental gain formula.
@@ -197,9 +191,6 @@ class Dendrogram:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
-
     def to_newick(self) -> str:
         """Newick text, built with an explicit stack so depth is unbounded.
 
@@ -327,20 +318,19 @@ def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
                 tally[cw] = tally.get(cw, 0) + 1
             to_source = tally.get(source, 0)
             degree = g.degrees[v]
-            src_stats = p.communities[source]
+            source_degree = p.communities[source].total_degree
             best_gain = -math.inf
             best_target = None
             for target in sorted(tally):
                 if target == source:
                     continue
-                ctx = MoveContext(v, source, target, to_source, tally[target], degree)
-                gain = move_q(ctx, src_stats, p.communities[target], m)
+                gain = move_q(degree, to_source, tally[target], source_degree,
+                              p.communities[target].total_degree, m)
                 if gain > best_gain:
                     best_gain = gain
                     best_target = target
             if best_target is not None and best_gain > Q_IMPROVEMENT_EPS:
-                ctx = MoveContext(v, source, best_target, to_source, tally[best_target], degree)
-                apply_move(p, ctx)
+                p.move(v, best_target, to_source, tally[best_target])
                 candidates.update(w for w, _ in g.adj[v] if p.assignment[w] == source)
                 moves.append(RefinementMove(v, source, best_target, best_gain))
                 moved = True
@@ -392,19 +382,20 @@ class _DivisiveRun:
             self._event("move", payload, q)
 
     def _queue_order(self, cids) -> list[int]:
-        return sorted(cids, key=lambda c: min(self.partition._members[c]))
+        communities = self.partition.communities
+        return sorted(cids, key=lambda c: min(communities[c].members))
 
     def run_phase(self, phase: int, measure: str) -> None:
         queue = deque(self._queue_order(self.partition.communities))
         while queue:
             cid = queue.popleft()
-            if cid not in self.partition.communities:
+            community = self.partition.communities.get(cid)
+            if community is None:
                 continue  # retired by refinement moves in the meantime
-            members = self.partition.members(cid)
-            if len(members) < 2:
+            if len(community.members) < 2:
                 continue
 
-            bis = bisect_community(self.g, Subgraph(self.g, members), measure)
+            bis = bisect_community(self.g, Subgraph(self.g, community.members), measure)
             for eid, score in bis.removals:
                 lu, lv = self.g.edge_label_pair(eid)
                 self._event(
@@ -431,20 +422,22 @@ class _DivisiveRun:
             if q_new > self.q + Q_IMPROVEMENT_EPS:
                 self.partition = tentative
                 self.q = q_new
-                members_a = tentative._members.get(new_a, set())
-                members_b = tentative._members.get(new_b, set())
+                children = tentative.communities
                 self._event(
                     "accept",
                     {
                         "phase": phase,
                         "community": cid,
                         "children": [new_a, new_b],
-                        "sizes": [len(members_a), len(members_b)],
+                        "sizes": [
+                            len(children[c].members) if c in children else 0
+                            for c in (new_a, new_b)
+                        ],
                     },
                     self.q,
                 )
                 self._trace("split")
-                live = [c for c in (new_a, new_b) if c in tentative.communities]
+                live = [c for c in (new_a, new_b) if c in children]
                 for child in self._queue_order(live):
                     queue.append(child)
             else:

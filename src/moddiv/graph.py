@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class GraphLoadError(Exception):
@@ -24,9 +24,7 @@ class LoadWarnings:
     duplicates: int = 0
     self_loops: int = 0
     unknown_keys: tuple[str, ...] = ()
-
-    def any(self) -> bool:
-        return bool(self.duplicates or self.self_loops or self.unknown_keys)
+    weights: int = 0  # edge-list weights, ignored: the graph is unweighted
 
 
 class Graph:
@@ -84,22 +82,13 @@ class Graph:
         self.adj = adj
         self.degrees = [len(lst) for lst in adj]
 
-        unknown = extra_warnings.unknown_keys if extra_warnings else ()
-        self.warnings = LoadWarnings(duplicates, self_loops, unknown)
+        self.warnings = replace(
+            extra_warnings or LoadWarnings(), duplicates=duplicates, self_loops=self_loops
+        )
 
     def edge_label_pair(self, eid: int) -> tuple[str, str]:
         u, v = self.edges[eid]
         return self.labels[u], self.labels[v]
-
-    def validate(self) -> None:
-        """Assert the simple-graph invariants; used by tests."""
-        assert sum(self.degrees) == 2 * self.m
-        for u, v in self.edges:
-            assert u != v
-        assert len(set(self.edges)) == self.m
-        for v in range(self.n):
-            for w, eid in self.adj[v]:
-                assert (v, eid) in self.adj[w]
 
 
 class Subgraph:
@@ -201,13 +190,14 @@ def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> s
 # Loading
 
 
-def load_edge_list(path, delimiter: str | None = None, comment_prefix: str = "#") -> Graph:
+def load_edge_list(path) -> Graph:
     """Load a graph from a text edge list.
 
-    One edge per line, two whitespace- (or `delimiter`-) separated vertex
-    tokens; lines starting with `comment_prefix` are ignored.  Tokens become
-    vertex labels; ids are assigned in first-appearance order.  Self-loops
-    and duplicate edges are dropped and counted in `Graph.warnings`.
+    One edge per line: two vertex tokens separated by commas and/or
+    whitespace, optionally followed by a numeric weight; lines starting
+    with `#` are ignored.  Tokens become vertex labels; ids are assigned in
+    first-appearance order.  Weights, self-loops and duplicate edges are
+    dropped and counted in `Graph.warnings`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -218,22 +208,34 @@ def load_edge_list(path, delimiter: str | None = None, comment_prefix: str = "#"
     index: dict[str, int] = {}
     labels: list[str] = []
     pairs: list[tuple[int, int]] = []
+    weights = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith(comment_prefix):
+        if not line or line.startswith("#"):
             continue
-        tokens = line.split(delimiter) if delimiter else line.split()
-        if len(tokens) != 2:
-            raise GraphLoadError(f"{path}:{lineno}: expected 2 vertex tokens, got {len(tokens)}")
+        tokens = line.replace(",", " ").split()
+        if len(tokens) == 3:
+            try:
+                float(tokens[2])
+            except ValueError:
+                raise GraphLoadError(
+                    f"{path}:{lineno}: third token {tokens[2]!r} is not a numeric weight"
+                ) from None
+            weights += 1
+        elif len(tokens) != 2:
+            raise GraphLoadError(
+                f"{path}:{lineno}: expected 2 vertex tokens and an optional weight,"
+                f" got {len(tokens)} tokens"
+            )
         ids = []
-        for tok in tokens:
+        for tok in tokens[:2]:
             if tok not in index:
                 index[tok] = len(labels)
                 labels.append(tok)
             ids.append(index[tok])
         pairs.append((ids[0], ids[1]))
 
-    g = Graph(len(labels), pairs, labels)
+    g = Graph(len(labels), pairs, labels, LoadWarnings(weights=weights))
     if g.m == 0:
         raise GraphLoadError(f"{path}: no edges left after canonicalization")
     return g
@@ -358,11 +360,18 @@ def load_gml(path) -> Graph:
 # Writing
 
 
-def write_edge_list(g: Graph, path, delimiter: str = "\t") -> None:
-    """Write one `label<delimiter>label` line per edge, in edge-id order."""
+def write_edge_list(g: Graph, path) -> None:
+    """Write one `label<TAB>label` line per edge, in edge-id order.
+
+    Raises ValueError if a label would not read back as one token: one that
+    holds whitespace or a comma, or starts a `#` comment.
+    """
+    for label in g.labels:
+        if len(label.replace(",", " ").split()) != 1 or label.startswith("#"):
+            raise ValueError(f"label {label!r} cannot be written to an edge list")
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in g.edges:
-            fh.write(f"{g.labels[u]}{delimiter}{g.labels[v]}\n")
+            fh.write(f"{g.labels[u]}\t{g.labels[v]}\n")
 
 
 def write_gml(g: Graph, path) -> None:

@@ -20,7 +20,6 @@ BETWEENNESS = "betweenness"
 CLUSTERING_G3 = "clustering_g3"
 CLUSTERING_G4 = "clustering_g4"
 
-MEASURE_KINDS = (BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4)
 CLUSTERING_KINDS = (CLUSTERING_G3, CLUSTERING_G4)
 
 

@@ -1,8 +1,8 @@
 """Partition bookkeeping, exact modularity, and single-vertex move gains.
 
-A partition keeps, per community, twice its internal edge count and the
-total degree of its members, so modularity and move gains never require a
-full rescan.  All formulas operate on the immutable base graph; edge
+A partition keeps one record per community: its members, twice its
+internal edge count and the total degree of its members, so modularity and
+move gains never require a full rescan.  All formulas operate on the immutable base graph; edge
 removals performed during bisection do not affect modularity.
 """
 
@@ -15,41 +15,27 @@ from .graph import Graph
 
 
 @dataclass
-class CommunityStats:
-    """Running totals for one community.
+class Community:
+    """One community: its member set and the two totals modularity needs.
 
     `internal_twice` is twice the number of edges with both endpoints in the
     community; `total_degree` is the sum of the members' degrees.
     """
 
+    members: set[int]
     internal_twice: int
     total_degree: int
-    size: int
-
-    def copy(self) -> "CommunityStats":
-        return CommunityStats(self.internal_twice, self.total_degree, self.size)
 
 
-@dataclass(frozen=True)
-class MoveContext:
-    """One candidate relocation of a vertex between two communities.
-
-    `edges_to_source` counts edges from the vertex to its current community
-    (excluding itself); `edges_to_target` counts edges to the destination.
-    """
-
-    vertex: int
-    source: int
-    target: int
-    edges_to_source: int
-    edges_to_target: int
-    degree: int
-
-    def __post_init__(self):
-        if self.source == self.target:
-            raise ValueError("move source and target must differ")
-        if self.edges_to_source > self.degree or self.edges_to_target > self.degree:
-            raise ValueError("community edge counts cannot exceed the vertex degree")
+def _community(graph: Graph, members: set[int]) -> Community:
+    internal_twice = 0
+    total_degree = 0
+    for v in members:
+        total_degree += graph.degrees[v]
+        for w, _ in graph.adj[v]:
+            if w in members:
+                internal_twice += 1
+    return Community(members, internal_twice, total_degree)
 
 
 class Partition:
@@ -59,7 +45,7 @@ class Partition:
     reused, and `renumbered()` restores density for export.
     """
 
-    __slots__ = ("graph", "assignment", "communities", "_members", "_next_id")
+    __slots__ = ("graph", "assignment", "communities", "_next_id")
 
     def __init__(self, graph: Graph, assignment: list[int]):
         if len(assignment) != graph.n:
@@ -69,72 +55,33 @@ class Partition:
             raise ValueError("community ids must be dense 0..k-1")
         self.graph = graph
         self.assignment = list(assignment)
-        self._members: dict[int, set[int]] = {c: set() for c in ids}
+        members: dict[int, set[int]] = {c: set() for c in ids}
         for v, c in enumerate(assignment):
-            self._members[c].add(v)
-        self.communities: dict[int, CommunityStats] = {}
-        for c, members in self._members.items():
-            internal_twice = 0
-            total_degree = 0
-            for v in members:
-                total_degree += graph.degrees[v]
-                for w, _ in graph.adj[v]:
-                    if assignment[w] == c:
-                        internal_twice += 1
-            self.communities[c] = CommunityStats(internal_twice, total_degree, len(members))
+            members[c].add(v)
+        self.communities = {c: _community(graph, side) for c, side in members.items()}
         self._next_id = len(ids)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def single_community(cls, graph: Graph) -> "Partition":
-        return cls(graph, [0] * graph.n)
-
-    @classmethod
-    def singletons(cls, graph: Graph) -> "Partition":
-        return cls(graph, list(range(graph.n)))
-
-    # -- queries -----------------------------------------------------------
-
-    def community_of(self, v: int) -> int:
-        return self.assignment[v]
-
-    def community_ids(self) -> list[int]:
-        return sorted(self.communities)
 
     @property
     def n_communities(self) -> int:
         return len(self.communities)
 
     def members(self, cid: int) -> list[int]:
-        return sorted(self._members[cid])
+        return sorted(self.communities[cid].members)
 
     def copy(self) -> "Partition":
         clone = object.__new__(Partition)
         clone.graph = self.graph
         clone.assignment = list(self.assignment)
-        clone.communities = {c: s.copy() for c, s in self.communities.items()}
-        clone._members = {c: set(s) for c, s in self._members.items()}
+        clone.communities = {
+            c: Community(set(s.members), s.internal_twice, s.total_degree)
+            for c, s in self.communities.items()
+        }
         clone._next_id = self._next_id
         return clone
 
-    def recount(self) -> dict[int, CommunityStats]:
-        """Recompute all stats from scratch; reference for property tests."""
-        fresh: dict[int, CommunityStats] = {
-            c: CommunityStats(0, 0, 0) for c in self.communities
-        }
-        for v, c in enumerate(self.assignment):
-            st = fresh[c]
-            st.size += 1
-            st.total_degree += self.graph.degrees[v]
-            for w, _ in self.graph.adj[v]:
-                if self.assignment[w] == c:
-                    st.internal_twice += 1
-        return fresh
-
     def renumbered(self) -> "Partition":
         """Equivalent partition with dense ids, ordered by smallest member."""
-        order = sorted(self.communities, key=lambda c: min(self._members[c]))
+        order = sorted(self.communities, key=lambda c: min(self.communities[c].members))
         remap = {c: i for i, c in enumerate(order)}
         return Partition(self.graph, [remap[c] for c in self.assignment])
 
@@ -145,28 +92,43 @@ class Partition:
 
         The two sides must partition the community's member set exactly.
         """
-        members = self._members[cid]
         sa, sb = set(side_a), set(side_b)
-        if sa | sb != members or sa & sb:
+        if sa | sb != self.communities[cid].members or sa & sb:
             raise ValueError("sides must partition the community exactly")
         id_a = self._next_id
         id_b = self._next_id + 1
         self._next_id += 2
         del self.communities[cid]
-        del self._members[cid]
         for new_id, side in ((id_a, sa), (id_b, sb)):
-            internal_twice = 0
-            total_degree = 0
             for v in side:
                 self.assignment[v] = new_id
-                total_degree += self.graph.degrees[v]
-            for v in side:
-                for w, _ in self.graph.adj[v]:
-                    if w in side:
-                        internal_twice += 1
-            self._members[new_id] = side
-            self.communities[new_id] = CommunityStats(internal_twice, total_degree, len(side))
+            self.communities[new_id] = _community(self.graph, side)
         return id_a, id_b
+
+    def move(self, v: int, target: int, to_source: int, to_target: int) -> None:
+        """Move vertex `v` into community `target` with O(1) stats updates.
+
+        `to_source` counts the edges from `v` to the rest of its current
+        community, `to_target` those into `target`.  A community emptied by
+        the move is retired (its id is dropped).
+        """
+        source = self.assignment[v]
+        if source == target:
+            raise ValueError("move source and target must differ")
+        degree = self.graph.degrees[v]
+        if to_source > degree or to_target > degree:
+            raise ValueError("community edge counts cannot exceed the vertex degree")
+        src = self.communities[source]
+        dst = self.communities[target]
+        src.internal_twice -= 2 * to_source
+        dst.internal_twice += 2 * to_target
+        src.total_degree -= degree
+        dst.total_degree += degree
+        src.members.remove(v)
+        dst.members.add(v)
+        self.assignment[v] = target
+        if not src.members:
+            del self.communities[source]
 
 
 def modularity_q(g: Graph, p: Partition) -> float:
@@ -207,57 +169,20 @@ def modularity_q_pairwise(g: Graph, p: Partition) -> float:
     return total / two_m
 
 
-def move_q(ctx: MoveContext, source_stats: CommunityStats, target_stats: CommunityStats,
-           edge_count: int) -> float:
+def move_q(degree: int, to_source: int, to_target: int, source_degree: int,
+           target_degree: int, edge_count: int) -> float:
     """Exact modularity change from moving one vertex between communities.
 
-    `source_stats` must still include the vertex; `target_stats` must not.
-    Positive values mean the move improves modularity.
+    `degree` is the vertex's degree and `to_source`/`to_target` its edge
+    counts into the rest of its community and into the destination.
+    `source_degree` is the source's total degree, still including the
+    vertex; `target_degree` the destination's.  Positive values mean the
+    move improves modularity.
     """
     m = float(edge_count)
-    d_v = ctx.degree
-    d_src = source_stats.total_degree
-    d_dst = target_stats.total_degree
-    return (ctx.edges_to_target - ctx.edges_to_source) / m + (
-        d_src * d_v - d_v * d_v - d_dst * d_v
+    return (to_target - to_source) / m + (
+        source_degree * degree - degree * degree - target_degree * degree
     ) / (2.0 * m * m)
-
-
-def move_context(p: Partition, v: int, target: int) -> MoveContext:
-    """Build the move bookkeeping for relocating `v` into community `target`."""
-    source = p.assignment[v]
-    to_source = 0
-    to_target = 0
-    for w, _ in p.graph.adj[v]:
-        cw = p.assignment[w]
-        if cw == source:
-            to_source += 1
-        elif cw == target:
-            to_target += 1
-    return MoveContext(v, source, target, to_source, to_target, p.graph.degrees[v])
-
-
-def apply_move(p: Partition, ctx: MoveContext) -> Partition:
-    """Apply a vertex move in place with O(1) stats updates.
-
-    A community emptied by the move is retired (its id is dropped).
-    Returns the same partition object.
-    """
-    src = p.communities[ctx.source]
-    dst = p.communities[ctx.target]
-    src.internal_twice -= 2 * ctx.edges_to_source
-    dst.internal_twice += 2 * ctx.edges_to_target
-    src.total_degree -= ctx.degree
-    dst.total_degree += ctx.degree
-    src.size -= 1
-    dst.size += 1
-    p.assignment[ctx.vertex] = ctx.target
-    p._members[ctx.source].discard(ctx.vertex)
-    p._members[ctx.target].add(ctx.vertex)
-    if src.size == 0:
-        del p.communities[ctx.source]
-        del p._members[ctx.source]
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +203,12 @@ def partition_to_json_obj(p: Partition) -> dict:
     dense = p.renumbered()
     g = dense.graph
     communities = []
-    for c in dense.community_ids():
+    for c in sorted(dense.communities):
         st = dense.communities[c]
         communities.append(
             {
                 "id": c,
-                "size": st.size,
+                "size": len(st.members),
                 "internal_edges": st.internal_twice // 2,
                 "total_degree": st.total_degree,
                 "members": [g.labels[v] for v in dense.members(c)],

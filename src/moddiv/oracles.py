@@ -26,14 +26,7 @@ from .measures import (
     edge_betweenness,
     rescore_after_removal,
 )
-from .modularity import (
-    MoveContext,
-    Partition,
-    apply_move,
-    modularity_q,
-    modularity_q_pairwise,
-    move_q,
-)
+from .modularity import Partition, modularity_q, modularity_q_pairwise, move_q
 
 DEFAULT_SEED = 4129
 
@@ -326,9 +319,12 @@ def check_moveq_vs_recompute(seed: int, cases: int = 10000, move_q_fn=move_q) ->
                     to_source += 1
                 elif cw == target:
                     to_target += 1
-            ctx = MoveContext(v, source, target, to_source, to_target, g.degrees[v])
-            gain = move_q_fn(ctx, part.communities[source], part.communities[target], g.m)
-            apply_move(part, ctx)
+            gain = move_q_fn(
+                g.degrees[v], to_source, to_target,
+                part.communities[source].total_degree,
+                part.communities[target].total_degree, g.m,
+            )
+            part.move(v, target, to_source, to_target)
             q_after = modularity_q(g, part)
             report.record(
                 abs((q_after - q) - gain),

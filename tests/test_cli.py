@@ -210,6 +210,52 @@ def test_internal_error_exits_5_with_traceback(tmp_path, barbell_file, capsys, m
     assert "RuntimeError: engine fault" in err
 
 
+def test_detect_names_ignored_gml_keys_without_a_cleanup_line(tmp_path, capsys):
+    gml = tmp_path / "weighted.gml"
+    gml.write_text(
+        "graph [\n"
+        "  node [ id 0 ] node [ id 1 ] node [ id 2 ]\n"
+        "  edge [ source 0 target 1 value 2 ]\n"
+        "  edge [ source 1 target 2 ]\n"
+        "  edge [ source 2 target 0 ]\n"
+        "]\n",
+        encoding="utf-8",
+    )
+    assert run_cli("detect", "--input", gml, "--out-dir", tmp_path / "out") == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["warning: ignored GML keys: value"]
+
+
+def test_detect_reports_dropped_duplicates_and_self_loops(tmp_path, capsys):
+    path = tmp_path / "dirty.txt"
+    path.write_text(BARBELL_EDGES + "b a\nf f\n", encoding="utf-8")
+    assert run_cli("detect", "--input", path, "--out-dir", tmp_path / "out") == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: input cleanup: 1 duplicate edges, 1 self-loops dropped"
+    ]
+
+
+def test_detect_reads_commas_and_ignores_weights(tmp_path, capsys):
+    path = tmp_path / "weighted.csv"
+    lines = BARBELL_EDGES.replace(" ", ",").splitlines()
+    lines[0] += ",0.5"
+    lines[3] += " 2"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("detect", "--input", path, "--out-dir", tmp_path / "out") == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "Q=0.3571 communities=2"
+    assert captured.err.splitlines() == ["warning: ignored 2 edge weights"]
+
+
+@pytest.mark.parametrize("line", ["c d heavy", "c d 0.5 extra"])
+def test_detect_rejects_a_bad_weight_column_with_exit_2(tmp_path, capsys, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(BARBELL_EDGES + line + "\n", encoding="utf-8")
+    assert run_cli("detect", "--input", path, "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_and_empty_inputs_exit_2(tmp_path, capsys):
     assert run_cli("detect", "--input", tmp_path / "absent.gml") == 2
     empty = tmp_path / "empty.txt"

@@ -6,13 +6,24 @@ networkx is a test aid only: these tests skip when it is not installed.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 nx = pytest.importorskip("networkx")
 
-from moddiv import Partition, Subgraph, edge_betweenness, modularity_q  # noqa: E402
+from moddiv import (  # noqa: E402
+    Graph,
+    Partition,
+    Subgraph,
+    edge_betweenness,
+    modularity_q,
+    run_ccr,
+    run_ccr_ebr,
+)
 from moddiv.oracles import gnp_connected, gnp_graph, random_dense_assignment  # noqa: E402
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _assert_betweenness_matches(g, members, removed):
@@ -69,3 +80,22 @@ def test_modularity_q_matches_networkx():
         want = nx.community.modularity(h, list(groups.values()))
         got = modularity_q(g, Partition(g, assignment))
         assert abs(got - want) < 1e-12, (got, want)
+
+
+def test_lfr_planted_communities_are_recovered(monkeypatch):
+    # 250 vertices, mixing 0.1: m=1479 and 10 planted communities.  The
+    # sparser average degree 5 plants only 3 communities, too coarse to pin.
+    lfr = nx.LFR_benchmark_graph(
+        250, 2.5, 1.5, 0.1, average_degree=10, max_degree=30, min_community=20, seed=10
+    )
+    g = Graph(lfr.number_of_nodes(), list(lfr.edges()))
+    planted: dict[frozenset, int] = {}
+    truth = [planted.setdefault(frozenset(lfr.nodes[v]["community"]), len(planted))
+             for v in range(g.n)]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from check import nmi
+
+    ccr, ccr_ebr = run_ccr(g), run_ccr_ebr(g)
+    for r in (ccr, ccr_ebr):
+        assert nmi(r.best_partition.assignment, truth) >= 0.98
+    assert ccr_ebr.best_q >= ccr.best_q

@@ -191,7 +191,7 @@ def test_barbell_both_pipelines(barbell):
 def test_isolated_vertex_is_its_own_community():
     g = Graph(4, [(1, 2), (2, 3)])
     r = run_ccr(g)
-    lone = r.best_partition.community_of(0)
+    lone = r.best_partition.assignment[0]
     assert r.best_partition.members(lone) == [0]
 
 
@@ -246,7 +246,7 @@ def test_dendrogram_nodes_partition_their_parents():
                 communities.add(tuple(leaf.members))
         assert sorted(seen) == list(range(g.n))
         best = r.best_partition
-        assert communities == {tuple(best.members(c)) for c in best.community_ids()}
+        assert communities == {tuple(best.members(c)) for c in best.communities}
 
 
 def test_best_partition_is_the_final_state():
@@ -266,7 +266,7 @@ def _chain_run(depth: int):
     """History, final partition and trace of a run that peels one vertex
     off a path `depth` times, nesting every split in the previous one."""
     g = Graph(depth + 1, [(v, v + 1) for v in range(depth)])
-    p = Partition.single_community(g)
+    p = Partition(g, [0] * g.n)
     history = []
     cid = 0
     for v in range(depth):
@@ -290,7 +290,7 @@ def test_dendrogram_deeper_than_the_recursion_limit_exports():
 
 
 def test_dendrogram_drops_moves_of_rejected_splits(barbell):
-    p = Partition.single_community(barbell)
+    p = Partition(barbell, [0] * barbell.n)
     a, b = p.split_community(0, [0, 1, 2], [3, 4, 5])
     move = {"type": "move", "phase": 1, "vertex": "3", "source": b, "target": a,
             "gain": -0.1, "q_after": 0.2}

@@ -43,6 +43,31 @@ def test_edge_list_bad_token_count_reports_line(tmp_path):
     assert "2" in str(err.value)  # offending line number
 
 
+def test_edge_list_splits_on_commas_and_whitespace(tmp_path):
+    path = tmp_path / "commas.csv"
+    path.write_text("1,2\n2, 3\n3 ,1\n3\t4\n", encoding="utf-8")
+    g = load_edge_list(path)
+    assert g.labels == ["1", "2", "3", "4"]
+    assert g.edges == [(0, 1), (1, 2), (0, 2), (2, 3)]
+    assert g.warnings.weights == 0
+
+
+def test_edge_list_numeric_third_token_is_an_ignored_weight(tmp_path):
+    path = tmp_path / "weighted.txt"
+    path.write_text("1 2 0.5\n2,3,7\n3 1\n", encoding="utf-8")
+    g = load_edge_list(path)
+    assert (g.n, g.m) == (3, 3)
+    assert g.warnings.weights == 2
+
+
+@pytest.mark.parametrize("line", ["1 2 heavy", "1 2 0.5 extra"])
+def test_edge_list_rejects_a_bad_third_or_a_fourth_token(tmp_path, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0 1\n{line}\n", encoding="utf-8")
+    with pytest.raises(GraphLoadError, match=":2:"):
+        load_edge_list(path)
+
+
 def test_edge_list_no_edges_is_an_error(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# only a comment\n", encoding="utf-8")
@@ -73,6 +98,14 @@ def test_edge_list_round_trip(tmp_path, barbell):
     back = load_edge_list(path)
     assert (back.n, back.m) == (barbell.n, barbell.m)
     assert back.edges == barbell.edges
+
+
+@pytest.mark.parametrize("label", ["1 2", "a,b", "#c", ""])
+def test_edge_list_writer_rejects_labels_that_do_not_read_back(tmp_path, label):
+    # "1 2\t3" would read back as the edge 1-2 with an ignored weight 3
+    g = Graph(2, [(0, 1)], labels=[label, "3"])
+    with pytest.raises(ValueError):
+        write_edge_list(g, tmp_path / "out.txt")
 
 
 def test_gml_labels_with_spaces(tmp_path):
@@ -224,6 +257,18 @@ def test_reachable_within_early_stop(barbell):
     assert reachable_within(sub, 2) == {2, 3, 4}
 
 
+def assert_simple(g):
+    """The simple-graph invariants: degrees sum to 2m, no loops or
+    repeated edges, and every adjacency entry has its mirror."""
+    assert sum(g.degrees) == 2 * g.m
+    for u, v in g.edges:
+        assert u != v
+    assert len(set(g.edges)) == g.m
+    for v in range(g.n):
+        for w, eid in g.adj[v]:
+            assert (v, eid) in g.adj[w]
+
+
 def test_validate_on_random_graphs():
     rng = random.Random(7)
     for _ in range(20):
@@ -231,7 +276,7 @@ def test_validate_on_random_graphs():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1]
         if not pairs:
             pairs = [(0, 1)]
-        Graph(n, pairs).validate()
+        assert_simple(Graph(n, pairs))
 
 
 def test_graph_rejects_bad_vertex_ids():

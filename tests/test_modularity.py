@@ -7,12 +7,9 @@ import pytest
 
 from moddiv import (
     Graph,
-    MoveContext,
     Partition,
-    apply_move,
     modularity_q,
     modularity_q_pairwise,
-    move_context,
     move_q,
     partition_to_tsv,
 )
@@ -20,14 +17,22 @@ from moddiv.modularity import partition_to_json_obj
 from moddiv.oracles import gnp_graph, random_dense_assignment
 
 
+def edge_counts(p, v, target):
+    """Edges from `v` into its own community and into `target`."""
+    source = p.assignment[v]
+    to_source = sum(p.assignment[w] == source for w, _ in p.graph.adj[v])
+    to_target = sum(p.assignment[w] == target for w, _ in p.graph.adj[v])
+    return to_source, to_target
+
+
 def test_single_community_is_exactly_zero(barbell, k4, c5):
     for g in (barbell, k4, c5):
-        assert modularity_q(g, Partition.single_community(g)) == 0.0
+        assert modularity_q(g, Partition(g, [0] * g.n)) == 0.0
 
 
 def test_single_edge_singletons_is_exactly_minus_half():
     g = Graph(2, [(0, 1)])
-    assert modularity_q(g, Partition.singletons(g)) == -0.5
+    assert modularity_q(g, Partition(g, [0, 1])) == -0.5
 
 
 def test_barbell_split_value(barbell):
@@ -55,23 +60,16 @@ def test_move_q_bridge_endpoint_matches_recompute(barbell):
     # drag vertex 3 across the bridge into the left triangle's community
     p = Partition(barbell, [0, 0, 0, 1, 1, 1])
     q_before = modularity_q(barbell, p)
-    ctx = move_context(p, 3, 0)
-    gain = move_q(ctx, p.communities[1], p.communities[0], barbell.m)
-    apply_move(p, ctx)
+    to_source, to_target = edge_counts(p, 3, 0)
+    assert (to_source, to_target) == (2, 1)  # vertices 4 and 5; the bridge to 2
+    gain = move_q(
+        barbell.degrees[3], to_source, to_target,
+        p.communities[1].total_degree, p.communities[0].total_degree, barbell.m,
+    )
+    p.move(3, 0, to_source, to_target)
     q_after = modularity_q(barbell, p)
     assert abs((q_after - q_before) - gain) < 1e-12
     assert gain < 0  # pulling the bridge endpoint over hurts
-
-
-def test_move_context_tallies_neighbors(barbell):
-    p = Partition(barbell, [0, 0, 0, 1, 1, 1])
-    ctx = move_context(p, 3, 0)
-    assert ctx.vertex == 3
-    assert ctx.source == 1
-    assert ctx.target == 0
-    assert ctx.edges_to_source == 2  # vertices 4 and 5
-    assert ctx.edges_to_target == 1  # the bridge to vertex 2
-    assert ctx.degree == 3
 
 
 def test_apply_move_updates_stats_incrementally():
@@ -84,33 +82,34 @@ def test_apply_move_updates_stats_incrementally():
             if p.n_communities < 2:
                 break
             v = rng.randrange(n)
-            source = p.community_of(v)
-            targets = [c for c in p.community_ids() if c != source]
-            ctx = move_context(p, v, rng.choice(targets))
-            apply_move(p, ctx)
-            fresh = p.recount()
-            assert set(fresh) == set(p.communities)
-            for cid, st in p.communities.items():
-                ref = fresh[cid]
-                assert (st.internal_twice, st.total_degree, st.size) == (
-                    ref.internal_twice,
-                    ref.total_degree,
-                    ref.size,
-                )
+            source = p.assignment[v]
+            target = rng.choice([c for c in sorted(p.communities) if c != source])
+            p.move(v, target, *edge_counts(p, v, target))
+            # a fresh partition of the same assignment counts from scratch
+            ids = sorted(p.communities)
+            fresh = Partition(g, [ids.index(c) for c in p.assignment])
+            assert [
+                (st.members, st.internal_twice, st.total_degree)
+                for _, st in sorted(p.communities.items())
+            ] == [
+                (st.members, st.internal_twice, st.total_degree)
+                for _, st in sorted(fresh.communities.items())
+            ]
 
 
 def test_apply_move_retires_emptied_community():
     g = Graph(3, [(0, 1), (1, 2)])
     p = Partition(g, [0, 0, 1])
-    ctx = move_context(p, 2, 0)
-    apply_move(p, ctx)
+    p.move(2, 0, 0, 1)
     assert p.n_communities == 1
     assert 1 not in p.communities
-    assert p.community_of(2) == 0
+    assert p.assignment[2] == 0
+    assert p.communities[0].members == {0, 1, 2}
+    assert (p.communities[0].internal_twice, p.communities[0].total_degree) == (4, 4)
 
 
 def test_split_community_stats(barbell):
-    p = Partition.single_community(barbell)
+    p = Partition(barbell, [0] * barbell.n)
     a, b = p.split_community(0, [0, 1, 2], [3, 4, 5])
     assert p.n_communities == 2
     assert p.members(a) == [0, 1, 2]
@@ -122,7 +121,7 @@ def test_split_community_stats(barbell):
 
 
 def test_split_community_requires_exact_partition(barbell):
-    p = Partition.single_community(barbell)
+    p = Partition(barbell, [0] * barbell.n)
     with pytest.raises(ValueError):
         p.split_community(0, [0, 1], [3, 4, 5])  # vertex 2 missing
 
@@ -162,14 +161,16 @@ def test_partition_json_reports_q_and_stats(barbell):
     assert json.loads(json.dumps(obj)) == obj
 
 
-def test_move_context_validation():
+def test_move_context_validation(k3):
+    p = Partition(k3, [0, 1, 1])
     with pytest.raises(ValueError):
-        MoveContext(0, 1, 1, 0, 0, 2)  # source == target
+        p.move(0, 0, 0, 0)  # source == target
     with pytest.raises(ValueError):
-        MoveContext(0, 1, 2, 3, 3, 2)  # more incident edges than degree
+        p.move(0, 1, 3, 3)  # more incident edges than degree
+    assert p.assignment == [0, 1, 1]
 
 
 def test_modularity_requires_matching_graph(k3, k4):
-    p = Partition.single_community(k3)
+    p = Partition(k3, [0, 0, 0])
     with pytest.raises(ValueError):
         modularity_q(k4, p)

@@ -44,8 +44,8 @@ def test_report_tracks_failures_iff_over_tolerance():
 
 
 def test_corrupted_move_gain_is_caught():
-    def crooked(ctx, source, target, m):
-        return move_q(ctx, source, target, m) + 1e-6
+    def crooked(*args):
+        return move_q(*args) + 1e-6
 
     clean = check_moveq_vs_recompute(7, cases=200)
     dirty = check_moveq_vs_recompute(7, cases=200, move_q_fn=crooked)
