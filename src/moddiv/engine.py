@@ -29,8 +29,10 @@ from .measures import (
     BETWEENNESS,
     CLUSTERING_G3,
     CLUSTERING_KINDS,
+    EdgeScoreTable,
     compute_scores,
     rescore_after_removal,
+    rescore_around,
 )
 from .modularity import Partition, modularity_q, move_q
 
@@ -75,11 +77,16 @@ class RefinementMove:
 
 @dataclass(frozen=True)
 class Bisection:
-    """Outcome of one divisive split: two sides plus the removals that caused it."""
+    """Outcome of one divisive split: two sides plus the removals that caused it.
+
+    `table` is the score table the removals were picked from, as it stood
+    at the last removal (None for a split that needed no scores).
+    """
 
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
     removals: tuple[tuple[int, float], ...]  # (edge id, score at removal time)
+    table: EdgeScoreTable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -249,16 +256,22 @@ class DetectionResult:
 # Core operations
 
 
-def _bisection(sub: Subgraph, side: set[int], removals) -> Bisection:
+def _bisection(sub: Subgraph, side: set[int], removals, table) -> Bisection:
     """Bisection of `sub` into the local ids in `side` and the rest."""
-    inside = tuple(v for i, v in enumerate(sub.verts) if i in side)
-    outside = tuple(v for i, v in enumerate(sub.verts) if i not in side)
+    inside: list[int] = []
+    outside: list[int] = []
+    for v, i in sub.local.items():
+        (inside if i in side else outside).append(v)
+    inside.sort()
+    outside.sort()
     if outside[0] < inside[0]:
         inside, outside = outside, inside
-    return Bisection(inside, outside, tuple(removals))
+    return Bisection(tuple(inside), tuple(outside), tuple(removals), table)
 
 
-def bisect_community(g: Graph, sub: Subgraph, measure: str) -> Bisection:
+def bisect_community(
+    g: Graph, sub: Subgraph, measure: str, table: EdgeScoreTable | None = None
+) -> Bisection:
     """Split the community `sub` in two.
 
     A disconnected community splits with no removals: the component of its
@@ -267,18 +280,21 @@ def bisect_community(g: Graph, sub: Subgraph, measure: str) -> Bisection:
     raises Q.  A connected community loses edges until it falls apart:
     clustering measures remove the lowest-scoring edge, betweenness the
     highest; after each removal the scores are brought back in line with a
-    full recomputation.  The removals are made on `sub` itself, which is of
-    no further use to the caller.
+    full recomputation.  `table` may hold the scores of `sub` already (an
+    inherited clustering table); otherwise they are computed.  The removals
+    are made on `sub` itself, and the table comes back with the bisection,
+    not yet rescored after the last removal.
 
     `side_a` is the side containing the smallest vertex id.
     """
     if len(sub) < 2:
         raise ValueError("community must contain at least two vertices")
-    side = reachable_within(sub, 0)
+    side = reachable_within(sub, sub.local[min(sub.local)])
     if len(side) < len(sub):
-        return _bisection(sub, side, ())
+        return _bisection(sub, side, (), table)
 
-    table = compute_scores(measure, g, sub)
+    if table is None:
+        table = compute_scores(measure, g, sub)
     removals: list[tuple[int, float]] = []
     # The table never empties: while u and v stay connected after a
     # removal, the path between them keeps at least one edge.
@@ -290,8 +306,41 @@ def bisect_community(g: Graph, sub: Subgraph, measure: str) -> Bisection:
         target = sub.local[v]
         side = reachable_within(sub, sub.local[u], stop_at=target)
         if target not in side:
-            return _bisection(sub, side, removals)
+            return _bisection(sub, side, removals, table)
         table = rescore_after_removal(table, g, sub, eid)
+
+
+def _inherit_larger_side(g: Graph, sub: Subgraph, bis: Bisection, small) -> bool:
+    """Shrink a bisected community's `sub` and clustering table to the side
+    other than `small`, equal to a fresh build of that side.
+
+    The smaller side's vertices go with their edges (no edge joins the two
+    sides any more), the larger side's removed edges come back, and the
+    scores at their endpoints and at the last removal's are brought up to
+    date.  Returns False, with nothing changed, when those endpoints carry
+    more than half the larger side's edges: rescoring around them would
+    then cost more than a fresh table.
+    """
+    table, local, nbrs = bis.table, sub.local, sub.nbrs
+    gone = set(small)
+    readd = [(eid, *g.edges[eid]) for eid, _ in bis.removals if gone.isdisjoint(g.edges[eid])]
+    ends = {local[x] for _, u, v in readd for x in (u, v)}
+    edges = len(table.scores) + len(readd) - sum(len(nbrs[local[v]]) for v in small) // 2
+    if bis.removals:
+        # Bisection returns before rescoring the removal that split `sub`.
+        last = bis.removals[-1][0]
+        ends.update(local[x] for x in g.edges[last] if x not in gone)
+        edges -= 1
+    if 2 * (sum(len(nbrs[i]) for i in ends) + 2 * len(readd)) > edges:
+        return False
+    for v in small:
+        table.forget(sub.drop_vertex(v).values())
+    if bis.removals:
+        table.forget((last,))
+    for eid, u, v in readd:
+        sub.add_edge(u, v, eid)
+    rescore_around(table, sub, ends)
+    return True
 
 
 def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
@@ -386,16 +435,27 @@ class _DivisiveRun:
         return sorted(cids, key=lambda c: min(communities[c].members))
 
     def run_phase(self, phase: int, measure: str) -> None:
+        """Bisect queued communities until no split raises Q.
+
+        In a clustering phase the larger child of an accepted split keeps
+        its parent's subgraph and score table in `kept` until it is
+        dequeued, and every kept community follows the refinement moves
+        that leave or enter it, so only smaller children are built fresh.
+        Betweenness tables are recomputed after every removal anyway, and
+        Brandes' float sums follow ascending local ids, so the betweenness
+        phase builds every subgraph fresh.
+        """
+        kept: dict[int, tuple[Subgraph, EdgeScoreTable]] = {}
         queue = deque(self._queue_order(self.partition.communities))
         while queue:
             cid = queue.popleft()
             community = self.partition.communities.get(cid)
-            if community is None:
-                continue  # retired by refinement moves in the meantime
-            if len(community.members) < 2:
-                continue
+            if community is None or len(community.members) < 2:
+                kept.pop(cid, None)
+                continue  # retired by refinement moves, or too small to split
 
-            bis = bisect_community(self.g, Subgraph(self.g, community.members), measure)
+            sub, table = kept.pop(cid, None) or (Subgraph(self.g, community.members), None)
+            bis = bisect_community(self.g, sub, measure, table)
             for eid, score in bis.removals:
                 lu, lv = self.g.edge_label_pair(eid)
                 self._event(
@@ -437,6 +497,14 @@ class _DivisiveRun:
                     self.q,
                 )
                 self._trace("split")
+                if measure != BETWEENNESS:
+                    if len(bis.side_b) > len(bis.side_a):
+                        small, larger = bis.side_a, new_b
+                    else:
+                        small, larger = bis.side_b, new_a
+                    if bis.table is not None and _inherit_larger_side(self.g, sub, bis, small):
+                        kept[larger] = (sub, bis.table)
+                    self._follow_moves(kept, mvs)
                 live = [c for c in (new_a, new_b) if c in children]
                 for child in self._queue_order(live):
                     queue.append(child)
@@ -446,6 +514,21 @@ class _DivisiveRun:
                     {"phase": phase, "community": cid, "q_tentative": q_new},
                     self.q,
                 )
+
+    def _follow_moves(self, kept: dict, mvs) -> None:
+        """Apply refinement moves to the kept subgraphs and tables they touch."""
+        for mv in mvs:
+            if mv.source in kept:
+                sub, table = kept[mv.source]
+                row = sub.drop_vertex(mv.vertex)
+                table.forget(row.values())
+                rescore_around(table, sub, row)
+                if not len(sub):
+                    del kept[mv.source]
+            if mv.target in kept:
+                sub, table = kept[mv.target]
+                i = sub.insert_vertex(self.g, mv.vertex)
+                rescore_around(table, sub, (i, *sub.nbrs[i]))
 
     def global_refine(self) -> None:
         """Final refinement over every vertex with an inter-community edge."""

@@ -94,12 +94,14 @@ class Graph:
 class Subgraph:
     """Mutable copy of the subgraph induced by one vertex set.
 
-    Bisection deletes edges from this object alone.  Local ids 0..k-1 follow
-    ascending global id: `verts[i]` is the global id of local vertex i and
-    `local` maps back.  `nbrs[i]` maps each local neighbour of i to the edge
-    id joining them.  Rows are filled in ascending neighbour order and dicts
-    keep that order through deletions, so every traversal visits neighbours
-    in ascending id order.  Iterating a subgraph yields its global vertex ids.
+    Bisection deletes edges from this object alone.  `verts[i]` is the
+    global id of local vertex i and `local` maps each live global vertex
+    back.  `nbrs[i]` maps each local neighbour of i to the edge id joining
+    them.  In a fresh subgraph local ids follow ascending global id and rows
+    are filled in ascending neighbour order, which dicts keep through
+    deletions; an inserted vertex takes the next local id, and a dropped
+    one keeps its id with an empty row.  Iterating a subgraph yields its
+    live global vertex ids.
     """
 
     __slots__ = ("verts", "local", "nbrs")
@@ -119,16 +121,46 @@ class Subgraph:
             self.nbrs.append(row)
 
     def __len__(self) -> int:
-        return len(self.verts)
+        return len(self.local)
 
     def __iter__(self):
-        return iter(self.verts)
+        return iter(self.local)
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete the edge between global vertices u and v."""
         i, j = self.local[u], self.local[v]
         del self.nbrs[i][j]
         del self.nbrs[j][i]
+
+    def add_edge(self, u: int, v: int, eid: int) -> None:
+        """Add edge `eid` between global vertices u and v."""
+        i, j = self.local[u], self.local[v]
+        self.nbrs[i][j] = eid
+        self.nbrs[j][i] = eid
+
+    def drop_vertex(self, v: int) -> dict[int, int]:
+        """Remove global vertex v with its edges; returns its former row."""
+        i = self.local.pop(v)
+        row = self.nbrs[i]
+        self.nbrs[i] = {}
+        for j in row:
+            del self.nbrs[j][i]
+        return row
+
+    def insert_vertex(self, graph: Graph, v: int) -> int:
+        """Add global vertex v with its edges to the live vertices; returns
+        its local id."""
+        i = len(self.verts)
+        row = {}
+        for w, eid in graph.adj[v]:
+            j = self.local.get(w)
+            if j is not None:
+                row[j] = eid
+                self.nbrs[j][i] = eid
+        self.verts.append(v)
+        self.local[v] = i
+        self.nbrs.append(row)
+        return i
 
 
 @dataclass(frozen=True)
@@ -248,34 +280,48 @@ _GML_KNOWN_NODE_KEYS = {"id", "label"}
 _GML_KNOWN_EDGE_KEYS = {"source", "target"}
 
 
+def _gml_value(tok: str) -> object:
+    if tok.startswith('"'):
+        # A closed string is one token; a lone quote starts a bare token.
+        if len(tok) < 2 or not tok.endswith('"'):
+            raise GraphLoadError(f"malformed GML: unterminated string {tok!r}")
+        return tok[1:-1]
+    try:
+        return int(tok)
+    except ValueError:
+        try:
+            return float(tok)
+        except ValueError:
+            return tok
+
+
 def _gml_parse_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, object]], int]:
-    """Parse tokens after '[' until the matching ']'; returns (entries, next pos)."""
+    """Parse tokens after '[' until the matching ']'; returns (entries, next pos).
+
+    The enclosing blocks of a nested one wait on an explicit stack, so any
+    nesting depth parses.
+    """
     entries: list[tuple[str, object]] = []
+    outer: list[list[tuple[str, object]]] = []
     while pos < len(tokens):
-        tok = tokens[pos]
-        if tok == "]":
-            return entries, pos + 1
-        key = tok
+        key = tokens[pos]
         pos += 1
+        if key == "]":
+            if not outer:
+                return entries, pos
+            entries = outer.pop()
+            continue
         if pos >= len(tokens):
             raise GraphLoadError(f"malformed GML: key {key!r} has no value")
         val_tok = tokens[pos]
+        pos += 1
         if val_tok == "[":
-            sub, pos = _gml_parse_block(tokens, pos + 1)
-            entries.append((key, sub))
+            block: list[tuple[str, object]] = []
+            entries.append((key, block))
+            outer.append(entries)
+            entries = block
         else:
-            if val_tok.startswith('"'):
-                value: object = val_tok[1:-1]
-            else:
-                try:
-                    value = int(val_tok)
-                except ValueError:
-                    try:
-                        value = float(val_tok)
-                    except ValueError:
-                        value = val_tok
-            entries.append((key, value))
-            pos += 1
+            entries.append((key, _gml_value(val_tok)))
     raise GraphLoadError("malformed GML: unterminated block")
 
 

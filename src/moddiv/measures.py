@@ -61,6 +61,14 @@ class EdgeScoreTable:
                 return eid
             heappop(heap)
 
+    def forget(self, eids) -> None:
+        """Drop the scores of edges gone from the subgraph; their heap
+        entries go stale."""
+        for eid in eids:
+            del self.scores[eid]
+            if self.triangles is not None:
+                del self.triangles[eid]
+
     def to_tsv(self, graph) -> str:
         """TSV dump (label, label, score) sorted by score then edge id."""
         lines = ["# u\tv\tscore"]
@@ -209,45 +217,70 @@ def rescore_after_removal(
     Betweenness is recomputed outright into a new table.  Clustering tables
     are updated in place and returned: only edges whose cycle counts or
     endpoint degrees could have changed are rescored, namely edges incident
-    to the removed edge's endpoints, plus (for 4-cycles) edges incident to
-    their remaining neighbors.  A g3 edge loses the one triangle it shared
-    with the removed edge, if any.  Every changed score is pushed on the
-    heap; the entry it replaces goes stale.
+    to the removed edge's endpoints, plus (for 4-cycles, by
+    `rescore_around`) edges incident to their remaining neighbors.  A g3
+    edge loses the one triangle it shared with the removed edge, if any.
+    Every changed score is pushed on the heap; the entry it replaces goes
+    stale.
     """
     if prev.kind == BETWEENNESS:
         return edge_betweenness(g, sub)
 
-    nbrs = sub.nbrs
     u, v = g.edges[removed_edge]
     i, j = sub.local[u], sub.local[v]
-    scores, heap = prev.scores, prev.heap
-    del scores[removed_edge]
-
-    if prev.kind == CLUSTERING_G3:
-        triangles = prev.triangles
-        del triangles[removed_edge]
-        inf = math.inf
-        for a, b in ((i, j), (j, i)):
-            row, other = nbrs[a], nbrs[b]
-            da = len(row)
-            for x, eid in row.items():
-                t = triangles[eid]
-                if x in other:
-                    t = triangles[eid] = t - 1
-                denom = min(da, len(nbrs[x])) - 1
-                s = (t + 1) / denom if denom > 0 else inf
-                if s != scores[eid]:
-                    scores[eid] = s
-                    heappush(heap, (s, eid))
+    prev.forget((removed_edge,))
+    if prev.kind == CLUSTERING_G4:
+        rescore_around(prev, sub, (i, j))
         return prev
 
-    touched = {i, j}
-    touched.update(nbrs[i])
-    touched.update(nbrs[j])
+    nbrs = sub.nbrs
+    scores, heap, triangles = prev.scores, prev.heap, prev.triangles
+    inf = math.inf
+    for a, b in ((i, j), (j, i)):
+        row, other = nbrs[a], nbrs[b]
+        da = len(row)
+        for x, eid in row.items():
+            t = triangles[eid]
+            if x in other:
+                t = triangles[eid] = t - 1
+            denom = min(da, len(nbrs[x])) - 1
+            s = (t + 1) / denom if denom > 0 else inf
+            if s != scores[eid]:
+                scores[eid] = s
+                heappush(heap, (s, eid))
+    return prev
+
+
+def rescore_around(table: EdgeScoreTable, sub: Subgraph, vertices) -> None:
+    """Bring a clustering table in line with a full recomputation after
+    edges were added to or removed from `sub` at the local `vertices`.
+
+    This is the general form of `rescore_after_removal`: it rescores every
+    edge at `vertices`, plus (for 4-cycles) every edge at their neighbours,
+    recounting g3 triangles from the neighbour sets.  A dropped vertex
+    passes its former neighbours, an inserted one itself and its
+    neighbours.  The heap is rebuilt once stale entries outnumber live ones.
+    """
+    nbrs = sub.nbrs
+    scores, heap, triangles = table.scores, table.heap, table.triangles
+    g4 = table.kind == CLUSTERING_G4
+    touched = set(vertices)
+    if g4:
+        for x in tuple(touched):
+            touched.update(nbrs[x])
     affected = {eid: (x, y) for x in touched for y, eid in nbrs[x].items()}
+    inf = math.inf
     for eid, (x, y) in affected.items():
-        s = _four_cycle_score(nbrs, x, y)
-        if s != scores[eid]:
+        if g4:
+            s = _four_cycle_score(nbrs, x, y)
+        else:
+            row, other = nbrs[x], nbrs[y]
+            t = triangles[eid] = len(row.keys() & other.keys())
+            denom = min(len(row), len(other)) - 1
+            s = (t + 1) / denom if denom > 0 else inf
+        if s != scores.get(eid):
             scores[eid] = s
             heappush(heap, (s, eid))
-    return prev
+    if len(heap) > 2 * len(scores):
+        heap[:] = zip(scores.values(), scores)
+        heapify(heap)

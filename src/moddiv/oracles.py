@@ -25,6 +25,7 @@ from .measures import (
     compute_scores,
     edge_betweenness,
     rescore_after_removal,
+    rescore_around,
 )
 from .modularity import Partition, modularity_q, modularity_q_pairwise, move_q
 
@@ -386,9 +387,54 @@ def clustering_pick_naive(scores: dict[int, float]) -> int:
     return min(eid for eid, s in scores.items() if s == best)
 
 
+def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
+                      table: EdgeScoreTable, removed: set) -> str | None:
+    """One random edit of `sub` and `table`: an edge removal, the re-add of a
+    removed edge, a vertex drop or a vertex insert, each followed by the
+    update the engine makes.  `removed` holds the removed edges between live
+    vertices.  Returns the edit's name, or None when it had nothing to act
+    on."""
+    op = rng.choice(("remove", "readd", "drop", "insert"))
+    if op == "remove" and table.scores:
+        eid = rng.choice(sorted(table.scores))
+        sub.remove_edge(*g.edges[eid])
+        rescore_after_removal(table, g, sub, eid)
+        removed.add(eid)
+        return f"remove={eid}"
+    if op == "readd":
+        if removed:
+            eid = rng.choice(sorted(removed))
+            u, v = g.edges[eid]
+            sub.add_edge(u, v, eid)
+            rescore_around(table, sub, (sub.local[u], sub.local[v]))
+            removed.discard(eid)
+            return f"readd={eid}"
+    if op == "drop" and len(sub) > 2:
+        v = rng.choice(sorted(sub))
+        removed.difference_update(eid for _, eid in g.adj[v])
+        row = sub.drop_vertex(v)
+        table.forget(row.values())
+        rescore_around(table, sub, row)
+        return f"drop={v}"
+    if op == "insert":
+        outside = [v for v in range(g.n) if v not in sub.local]
+        if outside:
+            v = rng.choice(outside)
+            removed.difference_update(eid for _, eid in g.adj[v])
+            i = sub.insert_vertex(g, v)
+            rescore_around(table, sub, (i, *sub.nbrs[i]))
+            return f"insert={v}"
+    return None
+
+
 def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
     """Incremental clustering rescoring must equal a full recompute exactly,
-    and the rescored table must pick the edge a scan of that recompute picks."""
+    and the rescored table must pick the edge a scan of that recompute picks.
+
+    Each case interleaves edge removals with the edits a kept community
+    sees: re-added edges, dropped vertices and inserted vertices.  The
+    recompute runs on a fresh `Subgraph` of the same vertices, less the
+    same removed edges."""
     rng = random.Random(seed)
     report = OracleReport("rescore-vs-full", cases, 0.0, 0.0)
     for i in range(cases):
@@ -403,15 +449,17 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
             within = rng.sample(range(g.n), size)
         sub = Subgraph(g, within)
         table = compute_scores(kind, g, sub)
-        for step in range(6):
-            if not table.scores:
-                break
-            eid = rng.choice(sorted(table.scores))
-            sub.remove_edge(*g.edges[eid])
-            table = rescore_after_removal(table, g, sub, eid)
-            full = compute_scores(kind, g, sub)
-            digest = f"case={i} kind={kind} n={g.n} step={step} removed={eid}"
-            if set(table.scores) != set(full.scores):
+        removed: set[int] = set()
+        for step in range(12):
+            edit = _step_inheritance(rng, g, sub, table, removed)
+            if edit is None:
+                continue
+            fresh = Subgraph(g, sub)
+            for eid in sorted(removed):
+                fresh.remove_edge(*g.edges[eid])
+            full = compute_scores(kind, g, fresh)
+            digest = f"case={i} kind={kind} n={g.n} step={step} {edit}"
+            if set(table.scores) != set(full.scores) or table.triangles != full.triangles:
                 report.record(math.inf, digest, sorted(full.scores), sorted(table.scores))
                 break
             for e in sorted(full.scores):

@@ -256,6 +256,31 @@ def test_detect_rejects_a_bad_weight_column_with_exit_2(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_detect_loads_deeply_nested_gml_with_exit_0(tmp_path, capsys):
+    # 3000 nested unknown blocks used to raise RecursionError: exit 5
+    gml = tmp_path / "deep.gml"
+    gml.write_text(
+        "graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ]\n"
+        "  edge [ source 0 target 1 ] edge [ source 1 target 2 ]\n"
+        "  edge [ source 2 target 0 ]\n  " + "x [ " * 3000 + "] " * 3000 + "\n]\n",
+        encoding="utf-8",
+    )
+    assert run_cli("detect", "--input", gml, "--out-dir", tmp_path / "out") == 0
+    assert capsys.readouterr().err.splitlines() == ["warning: ignored GML keys: x"]
+
+
+def test_detect_rejects_an_unterminated_gml_string_with_exit_2(tmp_path, capsys):
+    gml = tmp_path / "quote.gml"
+    gml.write_text(
+        'graph [ node [ id 0 label "a ] node [ id 1 ] edge [ source 0 target 1 ] ]\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli("detect", "--input", gml, "--out-dir", out) == 2
+    assert "unterminated string" in capsys.readouterr().err
+    assert not (out / "partition.tsv").exists()
+
+
 def test_missing_and_empty_inputs_exit_2(tmp_path, capsys):
     assert run_cli("detect", "--input", tmp_path / "absent.gml") == 2
     empty = tmp_path / "empty.txt"

@@ -167,6 +167,32 @@ def test_gml_empty_file_is_an_error(tmp_path):
         load_gml(path)
 
 
+def test_gml_parses_any_nesting_depth(tmp_path):
+    # each nested block used to cost one Python frame: depth 3000 raised
+    # RecursionError
+    depth = 5000
+    path = tmp_path / "deep.gml"
+    path.write_text(
+        "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 ]\n"
+        + "x [ " * depth + "] " * depth + "]\n",
+        encoding="utf-8",
+    )
+    g = load_gml(path)
+    assert (g.n, g.m) == (2, 1)
+    assert g.warnings.unknown_keys == ("x",)
+
+
+def test_gml_unterminated_string_is_an_error(tmp_path):
+    # `"a` read as a bare token used to become the empty label
+    path = tmp_path / "quote.gml"
+    path.write_text(
+        'graph [ node [ id 0 label "a ] node [ id 1 ] edge [ source 0 target 1 ] ]\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(GraphLoadError, match="unterminated string"):
+        load_gml(path)
+
+
 def test_subgraph_remove_edge(barbell):
     sub = Subgraph(barbell, range(6))
     assert list(sub) == list(range(6)) and len(sub) == 6
@@ -192,6 +218,25 @@ def test_subgraph_uses_local_ids_in_ascending_order(barbell):
     assert all(list(row) == sorted(row) for row in sub.nbrs)
     sub.remove_edge(0, 1)
     assert list(sub.nbrs[2]) == [0, 1]
+
+
+def test_subgraph_drop_insert_and_add_edge(barbell):
+    sub = Subgraph(barbell, [0, 1, 2, 3])
+    assert sub.drop_vertex(2) == {0: 1, 1: 2, 3: 3}
+    assert list(sub) == [0, 1, 3] and len(sub) == 3
+    assert sub.nbrs == [{1: 0}, {0: 0}, {}, {}]  # local 2 keeps its id, empty
+    assert sub.insert_vertex(barbell, 4) == 4  # the next local id, not a reuse
+    assert sub.verts[4] == 4 and sub.local[4] == 4
+    assert sub.nbrs[3] == {4: 4} and sub.nbrs[4] == {3: 4}
+    assert list(sub) == [0, 1, 3, 4]
+    sub.remove_edge(0, 1)
+    sub.add_edge(1, 0, 0)
+    assert sub.nbrs[0] == {1: 0} and sub.nbrs[1] == {0: 0}
+    # an inserted vertex only sees live vertices: 2 was dropped
+    assert sub.insert_vertex(barbell, 5) == 5
+    assert sub.nbrs[5] == {3: 5, 4: 6}
+    with pytest.raises(KeyError):
+        sub.drop_vertex(2)
 
 
 def _flood_fill_labels(g: Graph, removed: set) -> list:
