@@ -310,36 +310,40 @@ def bisect_community(
         table = rescore_after_removal(table, g, sub, eid)
 
 
-def _inherit_larger_side(g: Graph, sub: Subgraph, bis: Bisection, small) -> bool:
-    """Shrink a bisected community's `sub` and clustering table to the side
-    other than `small`, equal to a fresh build of that side.
+def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, community) -> bool:
+    """Bring the `sub` and clustering `table` a bisection left behind (with
+    its `removals`) to a fresh build of `community`'s current members.
 
-    The smaller side's vertices go with their edges (no edge joins the two
-    sides any more), the larger side's removed edges come back, and the
-    scores at their endpoints and at the last removal's are brought up to
-    date.  Returns False, with nothing changed, when those endpoints carry
-    more than half the larger side's edges: rescoring around them would
-    then cost more than a fresh table.
+    Vertices no longer in the community go with their edges: the peeled
+    side, and any vertex a refinement move took out.  The last removal,
+    never rescored, is forgotten; the removed edges with both ends kept
+    come back; members that moved in are inserted; and one rescore covers
+    every vertex those edits touched.  Returns False, with nothing changed,
+    when that rescoring would cost more than half the community's edges:
+    a fresh table then costs less.
     """
-    table, local, nbrs = bis.table, sub.local, sub.nbrs
-    gone = set(small)
-    readd = [(eid, *g.edges[eid]) for eid, _ in bis.removals if gone.isdisjoint(g.edges[eid])]
-    ends = {local[x] for _, u, v in readd for x in (u, v)}
-    edges = len(table.scores) + len(readd) - sum(len(nbrs[local[v]]) for v in small) // 2
-    if bis.removals:
-        # Bisection returns before rescoring the removal that split `sub`.
-        last = bis.removals[-1][0]
-        ends.update(local[x] for x in g.edges[last] if x not in gone)
-        edges -= 1
-    if 2 * (sum(len(nbrs[i]) for i in ends) + 2 * len(readd)) > edges:
+    members, local, nbrs = community.members, sub.local, sub.nbrs
+    extra = local.keys() - members
+    new = members - local.keys()
+    readd = [eid for eid, _ in removals if members.issuperset(g.edges[eid])]
+    gone = {local[v] for v in extra}
+    touched = {j for i in gone for j in nbrs[i]} - gone
+    touched.update(local[x] for eid in readd for x in g.edges[eid])
+    if removals:
+        last = removals[-1][0]
+        touched.update(local[x] for x in g.edges[last] if x in members)
+    touched.update(local[w] for v in new for w, _ in g.adj[v] if w in members and w in local)
+    work = sum(len(nbrs[i]) for i in touched) + 2 * len(readd) + sum(g.degrees[v] for v in new)
+    if 2 * work > community.internal_twice // 2:
         return False
-    for v in small:
+    for v in extra:
         table.forget(sub.drop_vertex(v).values())
-    if bis.removals:
+    if removals:
         table.forget((last,))
-    for eid, u, v in readd:
-        sub.add_edge(u, v, eid)
-    rescore_around(table, sub, ends)
+    for eid in readd:
+        sub.add_edge(*g.edges[eid], eid)
+    touched.update(sub.insert_vertex(g, v) for v in sorted(new))
+    rescore_around(table, sub, touched)
     return True
 
 
@@ -438,23 +442,26 @@ class _DivisiveRun:
         """Bisect queued communities until no split raises Q.
 
         In a clustering phase the larger child of an accepted split keeps
-        its parent's subgraph and score table in `kept` until it is
-        dequeued, and every kept community follows the refinement moves
-        that leave or enter it, so only smaller children are built fresh.
+        the subgraph, score table and removals its parent's bisection left
+        in `kept`, and `_reconcile` brings them to the child's members when
+        it is dequeued, so only smaller children are usually built fresh.
         Betweenness tables are recomputed after every removal anyway, and
         Brandes' float sums follow ascending local ids, so the betweenness
         phase builds every subgraph fresh.
         """
-        kept: dict[int, tuple[Subgraph, EdgeScoreTable]] = {}
+        kept: dict[int, tuple[Subgraph, EdgeScoreTable, tuple]] = {}
         queue = deque(self._queue_order(self.partition.communities))
         while queue:
             cid = queue.popleft()
+            state = kept.pop(cid, None)
             community = self.partition.communities.get(cid)
             if community is None or len(community.members) < 2:
-                kept.pop(cid, None)
                 continue  # retired by refinement moves, or too small to split
 
-            sub, table = kept.pop(cid, None) or (Subgraph(self.g, community.members), None)
+            if state is not None and _reconcile(self.g, *state, community):
+                sub, table, _ = state
+            else:
+                sub, table = Subgraph(self.g, community.members), None
             bis = bisect_community(self.g, sub, measure, table)
             for eid, score in bis.removals:
                 lu, lv = self.g.edge_label_pair(eid)
@@ -497,14 +504,9 @@ class _DivisiveRun:
                     self.q,
                 )
                 self._trace("split")
-                if measure != BETWEENNESS:
-                    if len(bis.side_b) > len(bis.side_a):
-                        small, larger = bis.side_a, new_b
-                    else:
-                        small, larger = bis.side_b, new_a
-                    if bis.table is not None and _inherit_larger_side(self.g, sub, bis, small):
-                        kept[larger] = (sub, bis.table)
-                    self._follow_moves(kept, mvs)
+                larger = new_b if len(bis.side_b) > len(bis.side_a) else new_a
+                if measure != BETWEENNESS and bis.table is not None and larger in children:
+                    kept[larger] = (sub, bis.table, bis.removals)
                 live = [c for c in (new_a, new_b) if c in children]
                 for child in self._queue_order(live):
                     queue.append(child)
@@ -514,21 +516,6 @@ class _DivisiveRun:
                     {"phase": phase, "community": cid, "q_tentative": q_new},
                     self.q,
                 )
-
-    def _follow_moves(self, kept: dict, mvs) -> None:
-        """Apply refinement moves to the kept subgraphs and tables they touch."""
-        for mv in mvs:
-            if mv.source in kept:
-                sub, table = kept[mv.source]
-                row = sub.drop_vertex(mv.vertex)
-                table.forget(row.values())
-                rescore_around(table, sub, row)
-                if not len(sub):
-                    del kept[mv.source]
-            if mv.target in kept:
-                sub, table = kept[mv.target]
-                i = sub.insert_vertex(self.g, mv.vertex)
-                rescore_around(table, sub, (i, *sub.nbrs[i]))
 
     def global_refine(self) -> None:
         """Final refinement over every vertex with an inter-community edge."""

@@ -94,25 +94,24 @@ class Graph:
 class Subgraph:
     """Mutable copy of the subgraph induced by one vertex set.
 
-    Bisection deletes edges from this object alone.  `verts[i]` is the
-    global id of local vertex i and `local` maps each live global vertex
-    back.  `nbrs[i]` maps each local neighbour of i to the edge id joining
-    them.  In a fresh subgraph local ids follow ascending global id and rows
-    are filled in ascending neighbour order, which dicts keep through
-    deletions; an inserted vertex takes the next local id, and a dropped
-    one keeps its id with an empty row.  Iterating a subgraph yields its
-    live global vertex ids.
+    Bisection deletes edges from this object alone.  `local` maps each
+    live global vertex to its local id, and `nbrs[i]` maps each local
+    neighbour of i to the edge id joining them.  In a fresh subgraph local
+    ids follow ascending global id and rows are filled in ascending
+    neighbour order, which dicts keep through deletions; an inserted vertex
+    takes the next local id, and a dropped one keeps its id with an empty
+    row.  Iterating a subgraph yields its live global vertex ids.
     """
 
-    __slots__ = ("verts", "local", "nbrs")
+    __slots__ = ("local", "nbrs")
 
     def __init__(self, graph: Graph, members):
-        self.verts = sorted(set(members))
-        if not self.verts:
+        verts = sorted(set(members))
+        if not verts:
             raise ValueError("vertex subset must be nonempty")
-        self.local = local = {v: i for i, v in enumerate(self.verts)}
+        self.local = local = {v: i for i, v in enumerate(verts)}
         self.nbrs: list[dict[int, int]] = []
-        for v in self.verts:
+        for v in verts:
             row = {}
             for w, eid in graph.adj[v]:
                 j = local.get(w)
@@ -150,14 +149,13 @@ class Subgraph:
     def insert_vertex(self, graph: Graph, v: int) -> int:
         """Add global vertex v with its edges to the live vertices; returns
         its local id."""
-        i = len(self.verts)
+        i = len(self.nbrs)
         row = {}
         for w, eid in graph.adj[v]:
             j = self.local.get(w)
             if j is not None:
                 row[j] = eid
                 self.nbrs[j][i] = eid
-        self.verts.append(v)
         self.local[v] = i
         self.nbrs.append(row)
         return i
@@ -234,7 +232,7 @@ def load_edge_list(path) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphLoadError(f"cannot read {path}: {exc}") from exc
 
     index: dict[str, int] = {}
@@ -336,7 +334,7 @@ def load_gml(path) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphLoadError(f"cannot read {path}: {exc}") from exc
 
     tokens = _GML_TOKEN.findall(text)

@@ -389,52 +389,60 @@ def clustering_pick_naive(scores: dict[int, float]) -> int:
 
 def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
                       table: EdgeScoreTable, removed: set) -> str | None:
-    """One random edit of `sub` and `table`: an edge removal, the re-add of a
-    removed edge, a vertex drop or a vertex insert, each followed by the
-    update the engine makes.  `removed` holds the removed edges between live
-    vertices.  Returns the edit's name, or None when it had nothing to act
-    on."""
-    op = rng.choice(("remove", "readd", "drop", "insert"))
-    if op == "remove" and table.scores:
+    """One random step on `sub` and `table`: an edge removal rescored as
+    bisection does, or 1-3 edits of a kept community (re-added edges,
+    dropped vertices, inserted vertices) made in the engine's reconcile
+    order and followed by one `rescore_around` over the vertices they
+    touched.  Drops come first, so none takes an edge still unscored.
+    `removed` holds the removed edges between live vertices.  Returns the
+    step's edits, or None when it had nothing to act on."""
+    if rng.random() < 0.25:
+        if not table.scores:
+            return None
         eid = rng.choice(sorted(table.scores))
         sub.remove_edge(*g.edges[eid])
         rescore_after_removal(table, g, sub, eid)
         removed.add(eid)
         return f"remove={eid}"
-    if op == "readd":
-        if removed:
+    edits: list[str] = []
+    touched: set[int] = set()
+    order = ("drop", "readd", "insert")
+    for op in sorted((rng.choice(order) for _ in range(rng.randint(1, 3))), key=order.index):
+        if op == "readd" and removed:
             eid = rng.choice(sorted(removed))
             u, v = g.edges[eid]
             sub.add_edge(u, v, eid)
-            rescore_around(table, sub, (sub.local[u], sub.local[v]))
+            touched.update((sub.local[u], sub.local[v]))
             removed.discard(eid)
-            return f"readd={eid}"
-    if op == "drop" and len(sub) > 2:
-        v = rng.choice(sorted(sub))
-        removed.difference_update(eid for _, eid in g.adj[v])
-        row = sub.drop_vertex(v)
-        table.forget(row.values())
-        rescore_around(table, sub, row)
-        return f"drop={v}"
-    if op == "insert":
-        outside = [v for v in range(g.n) if v not in sub.local]
-        if outside:
-            v = rng.choice(outside)
+            edits.append(f"readd={eid}")
+        elif op == "drop" and len(sub) > 2:
+            v = rng.choice(sorted(sub))
             removed.difference_update(eid for _, eid in g.adj[v])
-            i = sub.insert_vertex(g, v)
-            rescore_around(table, sub, (i, *sub.nbrs[i]))
-            return f"insert={v}"
-    return None
+            row = sub.drop_vertex(v)
+            table.forget(row.values())
+            touched.update(row)
+            edits.append(f"drop={v}")
+        elif op == "insert":
+            outside = [v for v in range(g.n) if v not in sub.local]
+            if outside:
+                v = rng.choice(outside)
+                i = sub.insert_vertex(g, v)
+                touched.update((i, *sub.nbrs[i]))
+                edits.append(f"insert={v}")
+    if not edits:
+        return None
+    rescore_around(table, sub, touched)
+    return ",".join(edits)
 
 
 def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
     """Incremental clustering rescoring must equal a full recompute exactly,
     and the rescored table must pick the edge a scan of that recompute picks.
 
-    Each case interleaves edge removals with the edits a kept community
-    sees: re-added edges, dropped vertices and inserted vertices.  The
-    recompute runs on a fresh `Subgraph` of the same vertices, less the
-    same removed edges."""
+    Each case interleaves edge removals with batches of the edits a kept
+    community sees, re-added edges, dropped vertices and inserted vertices,
+    each batch rescored once.  The recompute runs on a fresh `Subgraph` of
+    the same vertices, less the same removed edges."""
     rng = random.Random(seed)
     report = OracleReport("rescore-vs-full", cases, 0.0, 0.0)
     for i in range(cases):

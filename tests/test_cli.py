@@ -281,6 +281,15 @@ def test_detect_rejects_an_unterminated_gml_string_with_exit_2(tmp_path, capsys)
     assert not (out / "partition.tsv").exists()
 
 
+@pytest.mark.parametrize("name", ["bad.txt", "bad.gml"])
+def test_detect_rejects_a_non_utf8_input_with_exit_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(b"a b\n\xff c\n")
+    assert run_cli("detect", "--input", path, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "cannot read" in err and "Traceback" not in err
+
+
 def test_missing_and_empty_inputs_exit_2(tmp_path, capsys):
     assert run_cli("detect", "--input", tmp_path / "absent.gml") == 2
     empty = tmp_path / "empty.txt"

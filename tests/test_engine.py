@@ -10,12 +10,14 @@ import pytest
 from moddiv import (
     BETWEENNESS,
     CLUSTERING_G3,
+    CLUSTERING_G4,
     ConfigError,
     EngineConfig,
     Graph,
     Partition,
     Subgraph,
     bisect_community,
+    compute_scores,
     modularity_q,
     refine,
     run_ccr,
@@ -334,3 +336,43 @@ def test_detection_result_q_matches_partition(barbell, two_triangles):
             r = runner(g)
             assert r.best_q == modularity_q(g, r.best_partition)
             assert r.best_q >= r.trace[0].q
+
+
+def _ring_of_k4s_with_outsider(k: int) -> Graph:
+    """k K4s on a ring, clique edges first, then ring edge i joining clique
+    i to clique i + 1; plus vertex 4k joined to vertices 0 and 1."""
+    pairs = [(4 * c + a, 4 * c + b) for c in range(k) for a in range(4) for b in range(a + 1, 4)]
+    pairs += [(4 * c + 3, (4 * c + 4) % (4 * k)) for c in range(k)]
+    pairs += [(0, 4 * k), (1, 4 * k)]
+    return Graph(4 * k + 1, pairs)
+
+
+@pytest.mark.parametrize("measure", [CLUSTERING_G3, CLUSTERING_G4])
+@pytest.mark.parametrize("case", ["inserted", "dropped", "last-kept"])
+def test_reconcile_equals_a_fresh_build(measure, case):
+    """Member sets no engine run in the inheritance corpus reconciles
+    against: an inserted member, a dropped member off the peeled side, and
+    both ends of the last removal kept."""
+    g = _ring_of_k4s_with_outsider(8)
+    sub = Subgraph(g, range(32))  # the ring, without the outsider 32
+    bis = bisect_community(g, sub, measure)
+    # the two lowest ring edges go: clique 1 is peeled off the ring
+    assert bis.side_b == (4, 5, 6, 7) and [e for e, _ in bis.removals] == [48, 49]
+    assert 49 in bis.table.scores  # the last removal is never rescored
+    members = set(bis.side_a)
+    if case == "inserted":
+        members.add(32)
+    elif case == "dropped":
+        members.discard(13)
+    else:
+        members.add(7)  # both ends of the last removal, (7, 8), are kept
+    community = Partition(g, [0 if v in members else 1 for v in range(g.n)]).communities[0]
+    assert engine._reconcile(g, sub, bis.table, bis.removals, community)
+    fresh = Subgraph(g, members)
+    want = compute_scores(measure, g, fresh)
+    assert sorted(sub) == sorted(members)
+    edges = [{eid for row in s.nbrs for eid in row.values()} for s in (sub, fresh)]
+    assert edges[0] == edges[1]
+    assert bis.table.scores == want.scores
+    assert bis.table.triangles == want.triangles
+    assert bis.table.removal_candidate() == want.removal_candidate()

@@ -160,6 +160,17 @@ def test_gml_edge_to_missing_node_is_an_error(tmp_path):
     assert "9" in str(err.value)
 
 
+@pytest.mark.parametrize("loader, text", [
+    (load_edge_list, b"a b\n\xff c\n"),
+    (load_gml, b'graph [ node [ id 0 label "\xff" ] ]\n'),
+])
+def test_non_utf8_input_is_a_load_error(tmp_path, loader, text):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text)
+    with pytest.raises(GraphLoadError, match="cannot read"):
+        loader(path)
+
+
 def test_gml_empty_file_is_an_error(tmp_path):
     path = tmp_path / "empty.gml"
     path.write_text("", encoding="utf-8")
@@ -211,7 +222,7 @@ def test_subgraph_remove_edge(barbell):
 
 def test_subgraph_uses_local_ids_in_ascending_order(barbell):
     sub = Subgraph(barbell, [5, 4, 0, 2, 1, 4])
-    assert sub.verts == [0, 1, 2, 4, 5]
+    assert sorted(sub) == [0, 1, 2, 4, 5]
     assert sub.local == {0: 0, 1: 1, 2: 2, 4: 3, 5: 4}
     # edges leaving the vertex set are left out
     assert sub.nbrs == [{1: 0, 2: 1}, {0: 0, 2: 2}, {0: 1, 1: 2}, {4: 6}, {3: 6}]
@@ -226,7 +237,7 @@ def test_subgraph_drop_insert_and_add_edge(barbell):
     assert list(sub) == [0, 1, 3] and len(sub) == 3
     assert sub.nbrs == [{1: 0}, {0: 0}, {}, {}]  # local 2 keeps its id, empty
     assert sub.insert_vertex(barbell, 4) == 4  # the next local id, not a reuse
-    assert sub.verts[4] == 4 and sub.local[4] == 4
+    assert sub.local[4] == 4
     assert sub.nbrs[3] == {4: 4} and sub.nbrs[4] == {3: 4}
     assert list(sub) == [0, 1, 3, 4]
     sub.remove_edge(0, 1)
