@@ -31,15 +31,16 @@ class EdgeScoreTable:
     clustering kinds when the denominator degenerates.  Clustering tables
     also keep `heap`, a min-heap of `(score, edge id)` entries holding the
     current score of every edge of `scores`, plus stale entries of changed
-    or removed edges that the pick discards lazily.  A g3 table keeps
-    `triangles`, the common-neighbour count of every edge, so rescoring can
-    adjust the counts instead of intersecting neighbour sets.
+    or removed edges that the pick discards lazily, at most as many as the
+    live ones.  Clustering tables also keep `cycles`, the count of every
+    edge's triangles (g3, its common neighbours) or 4-cycles (g4), so
+    rescoring can adjust the counts instead of recounting them.
     """
 
     kind: str
     scores: dict[int, float]
     heap: list[tuple[float, int]] | None = field(default=None, repr=False, compare=False)
-    triangles: dict[int, int] | None = field(default=None, repr=False, compare=False)
+    cycles: dict[int, int] | None = field(default=None, repr=False, compare=False)
 
     def removal_candidate(self) -> int:
         """Edge id the divisive step should remove next.
@@ -66,8 +67,8 @@ class EdgeScoreTable:
         entries go stale."""
         for eid in eids:
             del self.scores[eid]
-            if self.triangles is not None:
-                del self.triangles[eid]
+            if self.cycles is not None:
+                del self.cycles[eid]
 
     def to_tsv(self, graph) -> str:
         """TSV dump (label, label, score) sorted by score then edge id."""
@@ -85,70 +86,79 @@ def edge_betweenness(g: Graph, sub: Subgraph) -> EdgeScoreTable:
 
     For each unordered vertex pair {s, t} inside the subgraph, every edge e
     accumulates the fraction of shortest s-t paths passing through it.
-    Single-source breadth-first searches with dependency back-propagation;
+    Single-source breadth-first searches record each vertex's predecessors
+    (Brandes 2001), and the dependency back-propagation walks only those;
     each pair is visited from both endpoints, so totals are halved.
     """
-    # One list snapshot of the rows per call: iterating lists is faster than
-    # iterating the dicts, and keeps their ascending order, so the float
-    # sums accumulate in a fixed order.
-    rows = [list(row.items()) for row in sub.nbrs]
+    # Local edge indices in row order, and rows of (neighbour, (self, edge
+    # index)) lists: the second item is the predecessor entry the neighbour
+    # records, built once instead of once per source.  Iterating lists keeps
+    # the rows' ascending order, so the float sums accumulate in a fixed
+    # order.
+    eids: list[int] = []
+    index: dict[int, int] = {}
+    for i, row in enumerate(sub.nbrs):
+        for j, eid in row.items():
+            if i < j:
+                index[eid] = len(eids)
+                eids.append(eid)
+    rows = [[(j, (i, index[eid])) for j, eid in row.items()] for i, row in enumerate(sub.nbrs)]
     k = len(rows)
-    scores = {eid: 0.0 for i, row in enumerate(rows) for j, eid in row if i < j}
+    acc = [0.0] * len(eids)
     unseen = [-1] * k
 
     for src in range(k):
         dist = unseen[:]
         sigma = [0] * k  # exact path counts
         delta = [0.0] * k
+        preds: list = [None] * k
+        preds[src] = ()
         dist[src] = 0
         sigma[src] = 1
         order = [src]  # the BFS queue: the loop reads the entries it appends
         for v in order:
             dv1 = dist[v] + 1
             sv = sigma[v]
-            for w, _ in rows[v]:
+            for w, pred in rows[v]:
                 dw = dist[w]
                 if dw < 0:
                     dist[w] = dv1
                     order.append(w)
                     sigma[w] = sv
+                    preds[w] = [pred]
                 elif dw == dv1:
                     sigma[w] += sv
-        # Predecessors of w are its neighbours one level closer to src.  Each
-        # edge gets one addition per source and each delta[v] is summed in
-        # reversed BFS order, so the float sums do not depend on the order
+                    preds[w].append(pred)
+        # Each edge gets one addition per source and each delta[v] is summed
+        # in reversed BFS order, so the float sums do not depend on the order
         # predecessors are visited in.
         for w in reversed(order):
-            dw1 = dist[w] - 1
             coeff = (1.0 + delta[w]) / sigma[w]
-            for v, eid in rows[w]:
-                if dist[v] == dw1:
-                    c = sigma[v] * coeff
-                    scores[eid] += c
-                    delta[v] += c
+            for v, e in preds[w]:
+                c = sigma[v] * coeff
+                acc[e] += c
+                delta[v] += c
 
-    for eid in scores:
-        scores[eid] /= 2.0
-    return EdgeScoreTable(BETWEENNESS, scores)
+    return EdgeScoreTable(BETWEENNESS, {eid: a / 2.0 for eid, a in zip(eids, acc)})
 
 
-def _four_cycle_score(nbrs: list[dict[int, int]], u: int, v: int) -> float:
+def _g4_score(nbrs: list[dict[int, int]], u: int, v: int, cycles: int) -> float:
+    """(cycles + 1) over the most 4-cycles the edge u-v could close: every
+    pairing of distinct non-shared neighbours of u and v; shared neighbours
+    close triangles, not 4-cycles, so they cannot be paired with themselves.
+    """
     nu, nv = nbrs[u], nbrs[v]
-    shared = len(nu.keys() & nv.keys())
-    # Maximum possible distinct-endpoint pairings; shared neighbors close
-    # triangles, not 4-cycles, so they cannot be paired with themselves.
-    denom = (len(nu) - 1) * (len(nv) - 1) - shared
-    if denom <= 0:
-        return math.inf
-    cycles = 0
-    for a in nu:
-        if a == v:
-            continue
-        na = nbrs[a]
-        for b in nv:
-            if b != u and b != a and b in na:
-                cycles += 1
-    return (cycles + 1) / denom
+    denom = (len(nu) - 1) * (len(nv) - 1) - len(nu.keys() & nv.keys())
+    return (cycles + 1) / denom if denom > 0 else math.inf
+
+
+def _four_cycles(nbrs: list[dict[int, int]], u: int, v: int) -> int:
+    """4-cycles u-v-b-a through the edge u-v: pairs a ~ b with a in N(u),
+    b in N(v), a != v, b != u and a != b."""
+    nv = nbrs[v].keys()
+    # b ranges over N(a) & N(v); u is in both for every a, and a is in
+    # neither.
+    return sum(len(nbrs[a].keys() & nv) for a in nbrs[u] if a != v) - (len(nbrs[u]) - 1)
 
 
 def edge_clustering_g3(g: Graph, sub: Subgraph) -> EdgeScoreTable:
@@ -184,13 +194,15 @@ def edge_clustering_g4(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     """
     nbrs = sub.nbrs
     scores: dict[int, float] = {}
+    cycles: dict[int, int] = {}
     for i, row in enumerate(nbrs):
         for j, eid in row.items():
             if i < j:
-                scores[eid] = _four_cycle_score(nbrs, i, j)
+                f = cycles[eid] = _four_cycles(nbrs, i, j)
+                scores[eid] = _g4_score(nbrs, i, j, f)
     heap = list(zip(scores.values(), scores))
     heapify(heap)
-    return EdgeScoreTable(CLUSTERING_G4, scores, heap)
+    return EdgeScoreTable(CLUSTERING_G4, scores, heap, cycles)
 
 
 def compute_scores(kind: str, g: Graph, sub: Subgraph) -> EdgeScoreTable:
@@ -216,12 +228,13 @@ def rescore_after_removal(
 
     Betweenness is recomputed outright into a new table.  Clustering tables
     are updated in place and returned: only edges whose cycle counts or
-    endpoint degrees could have changed are rescored, namely edges incident
-    to the removed edge's endpoints, plus (for 4-cycles, by
-    `rescore_around`) edges incident to their remaining neighbors.  A g3
-    edge loses the one triangle it shared with the removed edge, if any.
-    Every changed score is pushed on the heap; the entry it replaces goes
-    stale.
+    endpoint degrees changed are rescored, from their kept counts.  Those
+    are the edges at the removed edge's endpoints u and v; a g3 edge there
+    loses the one triangle it shared with the removed edge, if any.  For
+    4-cycles, every cycle u-v-b-a the removal ends (a in N(u), b in N(v),
+    a ~ b) takes one from the counts of (u, a), (v, b) and (a, b), and the
+    (a, b) edges are rescored too.  Every changed score is pushed on the
+    heap; the entry it replaces goes stale.
     """
     if prev.kind == BETWEENNESS:
         return edge_betweenness(g, sub)
@@ -229,25 +242,47 @@ def rescore_after_removal(
     u, v = g.edges[removed_edge]
     i, j = sub.local[u], sub.local[v]
     prev.forget((removed_edge,))
+    nbrs = sub.nbrs
+    scores, heap, cycles = prev.scores, prev.heap, prev.cycles
     if prev.kind == CLUSTERING_G4:
-        rescore_around(prev, sub, (i, j))
+        ni, nj = nbrs[i], nbrs[j]
+        nj_keys = nj.keys()
+        far: dict[int, tuple[int, int]] = {}
+        for a, ea in ni.items():
+            na = nbrs[a]
+            ended = na.keys() & nj_keys
+            if ended:
+                cycles[ea] -= len(ended)
+                for b in ended:
+                    cycles[nj[b]] -= 1
+                    eab = na[b]
+                    cycles[eab] -= 1
+                    far[eab] = (a, b)
+        for x in (i, j):
+            for y, eid in nbrs[x].items():
+                far[eid] = (x, y)
+        for eid, (x, y) in far.items():
+            s = _g4_score(nbrs, x, y, cycles[eid])
+            if s != scores[eid]:
+                scores[eid] = s
+                heappush(heap, (s, eid))
+        _compact(prev)
         return prev
 
-    nbrs = sub.nbrs
-    scores, heap, triangles = prev.scores, prev.heap, prev.triangles
     inf = math.inf
     for a, b in ((i, j), (j, i)):
         row, other = nbrs[a], nbrs[b]
         da = len(row)
         for x, eid in row.items():
-            t = triangles[eid]
+            t = cycles[eid]
             if x in other:
-                t = triangles[eid] = t - 1
+                t = cycles[eid] = t - 1
             denom = min(da, len(nbrs[x])) - 1
             s = (t + 1) / denom if denom > 0 else inf
             if s != scores[eid]:
                 scores[eid] = s
                 heappush(heap, (s, eid))
+    _compact(prev)
     return prev
 
 
@@ -257,12 +292,12 @@ def rescore_around(table: EdgeScoreTable, sub: Subgraph, vertices) -> None:
 
     This is the general form of `rescore_after_removal`: it rescores every
     edge at `vertices`, plus (for 4-cycles) every edge at their neighbours,
-    recounting g3 triangles from the neighbour sets.  A dropped vertex
-    passes its former neighbours, an inserted one itself and its
-    neighbours.  The heap is rebuilt once stale entries outnumber live ones.
+    recounting the triangles or 4-cycles of each from the neighbour sets.
+    A dropped vertex passes its former neighbours, an inserted one itself
+    and its neighbours.
     """
     nbrs = sub.nbrs
-    scores, heap, triangles = table.scores, table.heap, table.triangles
+    scores, heap, cycles = table.scores, table.heap, table.cycles
     g4 = table.kind == CLUSTERING_G4
     touched = set(vertices)
     if g4:
@@ -272,15 +307,23 @@ def rescore_around(table: EdgeScoreTable, sub: Subgraph, vertices) -> None:
     inf = math.inf
     for eid, (x, y) in affected.items():
         if g4:
-            s = _four_cycle_score(nbrs, x, y)
+            f = cycles[eid] = _four_cycles(nbrs, x, y)
+            s = _g4_score(nbrs, x, y, f)
         else:
             row, other = nbrs[x], nbrs[y]
-            t = triangles[eid] = len(row.keys() & other.keys())
+            t = cycles[eid] = len(row.keys() & other.keys())
             denom = min(len(row), len(other)) - 1
             s = (t + 1) / denom if denom > 0 else inf
         if s != scores.get(eid):
             scores[eid] = s
             heappush(heap, (s, eid))
+    _compact(table)
+
+
+def _compact(table: EdgeScoreTable) -> None:
+    """Rebuild the heap from the live scores once stale entries outnumber
+    live ones, so it never holds more than twice the live scores."""
+    heap, scores = table.heap, table.scores
     if len(heap) > 2 * len(scores):
         heap[:] = zip(scores.values(), scores)
         heapify(heap)

@@ -442,7 +442,8 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
     Each case interleaves edge removals with batches of the edits a kept
     community sees, re-added edges, dropped vertices and inserted vertices,
     each batch rescored once.  The recompute runs on a fresh `Subgraph` of
-    the same vertices, less the same removed edges."""
+    the same vertices, less the same removed edges.  A g4 table's kept
+    4-cycle counts are also checked against literal enumeration."""
     rng = random.Random(seed)
     report = OracleReport("rescore-vs-full", cases, 0.0, 0.0)
     for i in range(cases):
@@ -467,9 +468,18 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
                 fresh.remove_edge(*g.edges[eid])
             full = compute_scores(kind, g, fresh)
             digest = f"case={i} kind={kind} n={g.n} step={step} {edit}"
-            if set(table.scores) != set(full.scores) or table.triangles != full.triangles:
+            if set(table.scores) != set(full.scores):
                 report.record(math.inf, digest, sorted(full.scores), sorted(table.scores))
                 break
+            if table.cycles != full.cycles:
+                e = min(e for e in full.cycles if table.cycles[e] != full.cycles[e])
+                report.record(math.inf, digest + f" edge={e} cycles", full.cycles[e], table.cycles[e])
+                break
+            if kind == CLUSTERING_G4:
+                for e, f in sorted(table.cycles.items()):
+                    naive = cycle_count_naive(g, fresh, e, 4)
+                    if f != naive:
+                        report.record(math.inf, digest + f" edge={e} naive cycles", naive, f)
             for e in sorted(full.scores):
                 a, b = table.scores[e], full.scores[e]
                 if a == b:

@@ -7,6 +7,8 @@ import pytest
 
 from moddiv import Graph
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 DATA_DIR = Path(
     os.environ.get("MODDIV_DATA_DIR")
     or Path(__file__).resolve().parent.parent / "data"
@@ -22,6 +24,15 @@ def require_dataset(name: str) -> Path:
     if not path.is_file():
         pytest.skip(f"dataset {name} not present; run scripts/fetch_datasets.py")
     return path
+
+
+@pytest.fixture
+def gen(monkeypatch):
+    """The seeded graph generators of `perfbench/gen.py`."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    return gen
 
 
 @pytest.fixture

@@ -374,5 +374,5 @@ def test_reconcile_equals_a_fresh_build(measure, case):
     edges = [{eid for row in s.nbrs for eid in row.values()} for s in (sub, fresh)]
     assert edges[0] == edges[1]
     assert bis.table.scores == want.scores
-    assert bis.table.triangles == want.triangles
+    assert bis.table.cycles == want.cycles
     assert bis.table.removal_candidate() == want.removal_candidate()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from pathlib import Path
 
 import pytest
 
@@ -19,8 +18,6 @@ from moddiv.measures import CLUSTERING_G4, compute_scores
 
 from conftest import require_dataset
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
 ARTIFACTS = (
     "partition.tsv",
     "partition.json",
@@ -28,14 +25,6 @@ ARTIFACTS = (
     "dendrogram.newick",
     "trace.jsonl",
 )
-
-
-@pytest.fixture
-def gen(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import gen
-
-    return gen
 
 
 def _generated(name: str, gen) -> tuple[int, list[tuple[int, int]]]:
@@ -78,7 +67,7 @@ def test_inherited_state_equals_a_fresh_build_at_every_dequeue(
             assert sorted(sub) == sorted(fresh)
             assert _edges(sub) == _edges(fresh)
             assert table.scores == want.scores
-            assert table.triangles == want.triangles
+            assert table.cycles == want.cycles
             # the heap holds every live score, and is compacted
             live = {(s, e) for s, e in table.heap if table.scores.get(e) == s}
             assert live == {(s, e) for e, s in want.scores.items()}

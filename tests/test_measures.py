@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import math
 import random
 from itertools import combinations
@@ -17,14 +20,20 @@ from moddiv import (
     edge_betweenness,
     edge_clustering_g3,
     edge_clustering_g4,
+    engine,
+    load_gml,
     rescore_after_removal,
 )
+from moddiv.cli import main
+from moddiv.engine import history_to_jsonl
 from moddiv.oracles import (
     betweenness_naive,
     clustering_pick_naive,
     cycle_count_naive,
     gnp_connected,
 )
+
+from conftest import require_dataset
 
 
 def _whole(g: Graph) -> Subgraph:
@@ -238,8 +247,8 @@ def test_rescore_after_bridge_removal_keeps_triangles(barbell):
 
 def test_rescore_matches_full_recompute_g3_and_g4():
     # at every step of random removal sequences, the rescored table holds a
-    # fresh table's scores, picks what a scan of them picks, and (g3) keeps
-    # exact triangle counts
+    # fresh table's scores, picks what a scan of them picks, and keeps exact
+    # triangle (g3) or 4-cycle (g4) counts
     rng = random.Random(41)
     for kind in (CLUSTERING_G3, CLUSTERING_G4):
         for _ in range(12):
@@ -251,9 +260,9 @@ def test_rescore_matches_full_recompute_g3_and_g4():
                 assert table.scores == full.scores
                 pick = table.removal_candidate()
                 assert pick == clustering_pick_naive(full.scores)
-                if kind == CLUSTERING_G3:
-                    counts = {eid: cycle_count_naive(g, sub, eid, 3) for eid in full.scores}
-                    assert table.triangles == full.triangles == counts
+                order = 3 if kind == CLUSTERING_G3 else 4
+                counts = {eid: cycle_count_naive(g, sub, eid, order) for eid in full.scores}
+                assert table.cycles == full.cycles == counts
                 # remove the pick, as bisection does, or any other edge
                 eid = pick if rng.random() < 0.5 else rng.choice(sorted(table.scores))
                 sub.remove_edge(*g.edges[eid])
@@ -281,6 +290,19 @@ def test_heap_pick_after_a_score_returns_to_an_earlier_value():
     assert picks == [3, 2, 3, 1]
 
 
+@pytest.mark.parametrize("kind", [CLUSTERING_G3, CLUSTERING_G4])
+def test_rescoring_keeps_the_heap_within_twice_the_live_scores(gen, kind):
+    n, edges, _ = gen.planted_partition(random.Random(1), 80, 4, 12.0, 2.0)
+    g = Graph(n, edges)
+    sub = _whole(g)
+    table = compute_scores(kind, g, sub)
+    while table.scores:
+        eid = table.removal_candidate()
+        sub.remove_edge(*g.edges[eid])
+        table = rescore_after_removal(table, g, sub, eid)
+        assert len(table.heap) <= 2 * len(table.scores)
+
+
 def test_rescore_betweenness_is_full_recompute(barbell):
     sub = _whole(barbell)
     table = edge_betweenness(barbell, sub)
@@ -304,3 +326,52 @@ def test_degrees_follow_removals_within_subset(barbell):
     after = edge_clustering_g3(barbell, sub).scores[0]
     assert before == 2.0
     assert after != before
+
+
+# -- pinned outputs ------------------------------------------------------------
+# Bit-exact values from before g4 kept its 4-cycle counts and Brandes kept
+# predecessor lists.  The 1e-9 oracles cannot see a change in the order of
+# float additions; these can.
+
+# sha256 of the `moddiv measures` TSV on lesmis.
+PINNED_MEASURES_SHA256 = {
+    "g4": "7fc5455b809161a726cf81152bf50a94694845c0b743ca5976b5c0443e152bb8",
+    "betweenness": "02cffe69108f660c31b62605121a2def14db696ee20d7ff66b87be1417ae33a9",
+}
+
+
+@pytest.mark.parametrize("measure", sorted(PINNED_MEASURES_SHA256))
+def test_measures_tsv_matches_pinned_sha256(measure):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["measures", "--input", str(require_dataset("lesmis")), "--measure", measure])
+    assert code == 0
+    got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == PINNED_MEASURES_SHA256[measure]
+
+
+def test_betweenness_after_a_removal_chain_matches_pinned_repr():
+    # five highest-betweenness removals on karate, then the sha256 of the
+    # repr of every remaining score
+    g = load_gml(require_dataset("karate"))
+    sub = _whole(g)
+    table = edge_betweenness(g, sub)
+    chain = []
+    for _ in range(5):
+        eid = table.removal_candidate()
+        chain.append(eid)
+        sub.remove_edge(*g.edges[eid])
+        table = rescore_after_removal(table, g, sub, eid)
+    assert chain == [15, 1, 7, 45, 52]
+    got = hashlib.sha256(repr(sorted(table.scores.items())).encode()).hexdigest()
+    assert got == "b8449dcb3b2f16f4bee2b71d35fb7e9faa4a03ceff5f5eed694fc9bd93f21ddc"
+
+
+def test_g4_run_on_a_planted_n400_graph_matches_pinned_history(gen):
+    # about 50 s when every removal recounted the 4-cycles around it
+    n, edges, _ = gen.planted_partition(random.Random(1), 400, 8, 16, 4)
+    result = engine.run_ccr(Graph(n, edges), engine.EngineConfig(measure=CLUSTERING_G4))
+    got = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+    assert got == "540e0fa285ed987546af310fe745975597c3188efffda52a8ced6e718b57cf3a"
+    assert result.best_q == 0.6684360517158535
+    assert result.best_partition.n_communities == 8
