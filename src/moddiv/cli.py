@@ -8,9 +8,11 @@ Subcommands:
 * ``verify``   run the self-verification suite and emit its JSON report;
 * ``bench``    run the stock datasets and compare against published scores.
 
-Exit codes: 0 success, 2 input error, 3 configuration error, 4 benchmark
-threshold failure (bench with --strict), 1 verification failure, 5 internal
-error (an unexpected exception; its traceback goes to standard error).
+Exit codes: 0 success, 2 input error (an unreadable input, or an output
+directory or artifact that cannot be written; `detect` and `bench` make the
+directory before they run), 3 configuration error, 4 benchmark threshold
+failure (bench with --strict), 1 verification failure, 5 internal error (an
+unexpected exception; its traceback goes to standard error).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,6 +47,27 @@ MEASURE_FLAGS = {
     "g4": CLUSTERING_G4,
     "betweenness": BETWEENNESS,
 }
+
+
+class OutputError(Exception):
+    """An output directory or artifact could not be written."""
+
+
+@contextmanager
+def _writing(out_dir: Path):
+    """Report an OSError raised while making or filling `out_dir` as an
+    OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_dir}: {exc}") from exc
+
+
+def _make_out_dir(path_str: str) -> Path:
+    out_dir = Path(path_str)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _load_graph(path_str: str, fmt: str | None):
@@ -84,29 +108,28 @@ def cmd_detect(args) -> int:
         print(f"warning: ignored {dropped.weights} edge weights", file=sys.stderr)
     if dropped.unknown_keys:
         print(f"warning: ignored GML keys: {', '.join(dropped.unknown_keys)}", file=sys.stderr)
+    out_dir = _make_out_dir(args.out_dir)
     result = _RUNNERS[args.algo](g, cfg)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stamped = not args.no_timestamps
 
     tsv = partition_to_tsv(result.best_partition)
     if stamped:
         head, _, rest = tsv.partition("\n")
         tsv = f"{head}\n# generated_at\t{_timestamp()}\n{rest}"
-    (out_dir / "partition.tsv").write_text(tsv, encoding="utf-8")
-    _write_json(
-        out_dir / "partition.json",
-        partition_to_json_obj(result.best_partition),
-        stamped,
-    )
-    _write_json(out_dir / "dendrogram.json", result.dendrogram.to_json_obj(), stamped)
-    (out_dir / "dendrogram.newick").write_text(
-        result.dendrogram.to_newick(), encoding="utf-8"
-    )
-    (out_dir / "trace.jsonl").write_text(
-        history_to_jsonl(result.history), encoding="utf-8"
-    )
+    with _writing(out_dir):
+        (out_dir / "partition.tsv").write_text(tsv, encoding="utf-8")
+        _write_json(
+            out_dir / "partition.json",
+            partition_to_json_obj(result.best_partition),
+            stamped,
+        )
+        _write_json(out_dir / "dendrogram.json", result.dendrogram.to_json_obj(), stamped)
+        (out_dir / "dendrogram.newick").write_text(
+            result.dendrogram.to_newick(), encoding="utf-8"
+        )
+        (out_dir / "trace.jsonl").write_text(
+            history_to_jsonl(result.history), encoding="utf-8"
+        )
 
     print(f"Q={result.best_q:.4f} communities={result.best_partition.n_communities}")
     return EXIT_OK
@@ -137,19 +160,19 @@ def cmd_bench(args) -> int:
         measure=MEASURE_FLAGS[args.measure],
         refine_max_passes=args.refine_max_passes,
     )
+    out_dir = _make_out_dir(args.out_dir) if args.out_dir else None
     rows, warnings = run_bench(data_dir, algorithms, cfg=cfg)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
     sys.stdout.write(rows_to_tsv(rows))
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "bench.tsv").write_text(rows_to_tsv(rows), encoding="utf-8")
-        _write_json(
-            out_dir / "bench.json",
-            rows_to_json_obj(rows, warnings),
-            not args.no_timestamps,
-        )
+    if out_dir is not None:
+        with _writing(out_dir):
+            (out_dir / "bench.tsv").write_text(rows_to_tsv(rows), encoding="utf-8")
+            _write_json(
+                out_dir / "bench.json",
+                rows_to_json_obj(rows, warnings),
+                not args.no_timestamps,
+            )
     if args.strict:
         if not rows:
             print("error: no datasets were benchmarked", file=sys.stderr)
@@ -241,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphLoadError as exc:
+    except (GraphLoadError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FileNotFoundError as exc:

@@ -197,23 +197,45 @@ def connected_components(g: Graph) -> ComponentLabeling:
 def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> set[int]:
     """Local ids reachable from local vertex `start` in the subgraph.
 
-    When `stop_at` is supplied the search aborts as soon as that vertex is
-    reached (the returned set is then partial); bisection uses this to test
-    cheaply whether an edge removal disconnected its endpoints.
+    With `stop_at`, bisection's test of whether an edge removal split its
+    endpoints, the search runs from both ends (Pohl 1971): each step grows
+    the smaller frontier by one level.  It stops when the two searches
+    meet, returning a partial set that holds both ends, or when one side
+    runs out of vertices.  That side is a whole component, so the result
+    is exactly the component of `start`: that side itself, or the live
+    vertices outside the exhausted side of `stop_at`, which assumes the
+    subgraph has at most two components, as it does after one removal
+    from a connected one.
     """
     nbrs = sub.nbrs
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in nbrs[v]:
-            if w not in seen:
-                if w == stop_at:
+    if stop_at is None:
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in nbrs[v]:
+                if w not in seen:
                     seen.add(w)
-                    return seen
-                seen.add(w)
-                queue.append(w)
-    return seen
+                    queue.append(w)
+        return seen
+
+    seen = ({start}, {stop_at})
+    fronts = [[start], [stop_at]]
+    while True:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        mine, other = seen[side], seen[1 - side]
+        grown = []
+        for v in fronts[side]:
+            for w in nbrs[v]:
+                if w not in mine:
+                    if w in other:
+                        seen[0].add(stop_at)
+                        return seen[0]
+                    mine.add(w)
+                    grown.append(w)
+        if not grown:
+            return mine if side == 0 else set(sub.local.values()) - mine
+        fronts[side] = grown
 
 
 # ---------------------------------------------------------------------------

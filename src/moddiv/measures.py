@@ -230,7 +230,10 @@ def rescore_after_removal(
     are updated in place and returned: only edges whose cycle counts or
     endpoint degrees changed are rescored, from their kept counts.  Those
     are the edges at the removed edge's endpoints u and v; a g3 edge there
-    loses the one triangle it shared with the removed edge, if any.  For
+    loses the one triangle it shared with the removed edge, if any.  A g3
+    edge (u, x) keeps its score unless x is a common neighbour of u and v
+    or d_x is above u's new degree d_u: otherwise min(d_u, d_x) was d_x
+    before the removal too, and no count changed.  For
     4-cycles, every cycle u-v-b-a the removal ends (a in N(u), b in N(v),
     a ~ b) takes one from the counts of (u, a), (v, b) and (a, b), and the
     (a, b) edges are rescored too.  Every changed score is pushed on the
@@ -270,14 +273,19 @@ def rescore_after_removal(
         return prev
 
     inf = math.inf
-    for a, b in ((i, j), (j, i)):
-        row, other = nbrs[a], nbrs[b]
+    common = nbrs[i].keys() & nbrs[j].keys()
+    for a in (i, j):
+        row = nbrs[a]
         da = len(row)
         for x, eid in row.items():
-            t = cycles[eid]
-            if x in other:
-                t = cycles[eid] = t - 1
-            denom = min(da, len(nbrs[x])) - 1
+            if x in common:
+                t = cycles[eid] = cycles[eid] - 1
+                denom = min(da, len(nbrs[x])) - 1
+            elif len(nbrs[x]) > da:
+                t = cycles[eid]
+                denom = da - 1
+            else:
+                continue  # min(d_a, d_x) - 1 was d_x - 1 before the removal too
             s = (t + 1) / denom if denom > 0 else inf
             if s != scores[eid]:
                 scores[eid] = s

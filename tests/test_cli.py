@@ -210,6 +210,26 @@ def test_internal_error_exits_5_with_traceback(tmp_path, barbell_file, capsys, m
     assert "RuntimeError: engine fault" in err
 
 
+def _never_run(g, cfg):
+    raise AssertionError("the pipeline ran")
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_detect_unusable_out_dir_exits_2_before_running(
+    tmp_path, barbell_file, capsys, monkeypatch, below
+):
+    # --out-dir naming an existing file, or a path below one
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "out" if below else blocker
+    monkeypatch.setitem(cli._RUNNERS, "ccr", _never_run)
+    code = run_cli("detect", "--input", barbell_file, "--out-dir", out)
+    assert code == cli.EXIT_INPUT == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in err
+
+
 def test_detect_names_ignored_gml_keys_without_a_cleanup_line(tmp_path, capsys):
     gml = tmp_path / "weighted.gml"
     gml.write_text(
@@ -382,3 +402,17 @@ def test_bench_data_dir_flag_beats_environment(tmp_path, karate_dir, capsys, mon
 def test_bench_rejects_betweenness(capsys):
     assert run_cli("bench", "--measure", "betweenness") == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_bench_out_dir_naming_a_file_exits_2_before_running(
+    tmp_path, karate_dir, capsys, monkeypatch
+):
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    for algo in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, algo, _never_run)
+    code = run_cli("bench", "--data-dir", karate_dir, "--out-dir", blocker)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker}")
+    assert "Traceback" not in err

@@ -313,6 +313,105 @@ def test_reachable_within_early_stop(barbell):
     assert reachable_within(sub, 2) == {2, 3, 4}
 
 
+def test_reachable_within_meets_at_a_common_neighbour():
+    # 0 and 1 share neighbour 2; the path 5-7-8-9 beyond 1 is never reached
+    g = Graph(10, [(0, 2), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 7), (7, 8), (8, 9)])
+    side = reachable_within(Subgraph(g, range(10)), 0, stop_at=1)
+    assert {0, 1, 2} <= side
+    assert side.isdisjoint({7, 8, 9})
+
+
+def _triangle_and_clique(n_clique: int) -> Graph:
+    # triangle 0-1-2 bridged by (2, 3) to a clique on 3..3+n_clique-1
+    clique = range(3, 3 + n_clique)
+    pairs = [(0, 1), (0, 2), (1, 2), (2, 3)]
+    pairs += [(a, b) for a in clique for b in clique if a < b]
+    return Graph(3 + n_clique, pairs)
+
+
+def test_reachable_within_start_side_runs_out_first():
+    g = _triangle_and_clique(8)
+    sub = Subgraph(g, range(g.n))
+    sub.remove_edge(2, 3)
+    assert reachable_within(sub, 0, stop_at=3) == {0, 1, 2}
+
+
+def test_reachable_within_stop_side_runs_out_first():
+    # the small side is stop_at's: the start's whole component comes back
+    g = _triangle_and_clique(8)
+    sub = Subgraph(g, range(g.n))
+    sub.remove_edge(2, 3)
+    assert reachable_within(sub, 3, stop_at=0) == set(range(3, 11))
+
+
+def test_reachable_within_skips_dropped_and_keeps_inserted_vertices():
+    # clique 0..5, vertex 6 on 0 and 1, triangle 7-8-9 bridged by (5, 7)
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    pairs += [(0, 6), (1, 6), (5, 7), (7, 8), (7, 9), (8, 9)]
+    g = Graph(10, pairs)
+    sub = Subgraph(g, [v for v in range(10) if v != 4])
+    sub.drop_vertex(6)  # local 5 stays behind with an empty row
+    sub.insert_vertex(g, 4)  # takes local 9
+    sub.remove_edge(5, 7)
+    side = reachable_within(sub, sub.local[5], stop_at=sub.local[7])
+    assert side == {sub.local[v] for v in range(6)}
+    assert 5 not in side and 9 in side
+
+
+def _component(sub: Subgraph, start: int) -> set:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in sub.nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _live_edges(g: Graph, sub: Subgraph) -> list:
+    local, nbrs = sub.local, sub.nbrs
+    return [(u, v) for u, v in g.edges
+            if u in local and v in local and local[v] in nbrs[local[u]]]
+
+
+def test_reachable_within_agrees_with_a_plain_search_under_removals():
+    # remove random edges from connected random subgraphs; after a split
+    # keep one side, as a reconciled subgraph does, and now and then insert
+    # a vertex with a live neighbour
+    rng = random.Random(7)
+    splits = 0
+    for _ in range(60):
+        n = rng.randint(4, 40)
+        p = rng.choice((0.1, 0.2, 0.4))
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        members = rng.sample(range(n), rng.randint(2, n))
+        sub = Subgraph(g, members)
+        first = sub.local[members[0]]
+        keep = {v for v, i in sub.local.items() if i in _component(sub, first)}
+        for v in set(sub) - keep:
+            sub.drop_vertex(v)
+        while _live_edges(g, sub):
+            if rng.random() < 0.2:
+                outside = [v for v in range(n) if v not in sub.local
+                           and any(w in sub.local for w, _ in g.adj[v])]
+                if outside:
+                    sub.insert_vertex(g, rng.choice(outside))
+            u, v = rng.choice(_live_edges(g, sub))
+            sub.remove_edge(u, v)
+            i, j = sub.local[u], sub.local[v]
+            side = reachable_within(sub, i, stop_at=j)
+            want = _component(sub, i)
+            assert (j in side) == (j in want)
+            assert {i, j} <= side if j in want else side == want
+            if j not in want:
+                splits += 1
+                gone = want if rng.random() < 0.5 else _component(sub, j)
+                for w in [w for w, x in sub.local.items() if x in gone]:
+                    sub.drop_vertex(w)
+    assert splits > 50
+
+
 def assert_simple(g):
     """The simple-graph invariants: degrees sum to 2m, no loops or
     repeated edges, and every adjacency entry has its mirror."""

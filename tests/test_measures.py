@@ -269,6 +269,22 @@ def test_rescore_matches_full_recompute_g3_and_g4():
                 table = rescore_after_removal(table, g, sub, eid)
 
 
+def test_g3_rescore_skips_only_edges_whose_score_cannot_move():
+    # removing (0, 1) leaves d_0 = 2: (0, 2) has d_2 = 3 = d_0 + 1, so its
+    # denominator falls from 2 to 1; (0, 3) has d_3 = 2 = d_0 and keeps its
+    # score and its one heap entry
+    g = Graph(8, [(0, 1), (0, 2), (0, 3), (2, 4), (2, 5), (3, 6), (1, 7)])
+    sub = _whole(g)
+    table = edge_clustering_g3(g, sub)
+    assert (table.scores[1], table.scores[2]) == (0.5, 1.0)
+    sub.remove_edge(0, 1)
+    table = rescore_after_removal(table, g, sub, 0)
+    assert (table.scores[1], table.scores[2]) == (1.0, 1.0)
+    assert table.scores == edge_clustering_g3(g, sub).scores
+    assert [e for _, e in table.heap].count(1) == 2
+    assert [e for _, e in table.heap].count(2) == 1
+
+
 def test_heap_pick_after_a_score_returns_to_an_earlier_value():
     # edge 3 = (3, 5) scores 1.0, then 2.0 once (0, 5) is gone, then 1.0
     # again once (3, 4) breaks its triangle.  Its first heap entry is
@@ -374,4 +390,14 @@ def test_g4_run_on_a_planted_n400_graph_matches_pinned_history(gen):
     got = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
     assert got == "540e0fa285ed987546af310fe745975597c3188efffda52a8ced6e718b57cf3a"
     assert result.best_q == 0.6684360517158535
+    assert result.best_partition.n_communities == 8
+
+
+def test_g3_run_on_a_planted_n800_graph_matches_pinned_history(gen):
+    # m=16386; the split test and the g3 rescoring dominate this run
+    n, edges, _ = gen.planted_partition(random.Random(1), 800, 8, 33, 8)
+    result = engine.run_ccr(Graph(n, edges))
+    got = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+    assert got == "04df2bcf9bae4ae731ba97edb9bd3c3afe0834afcf59bfb1e6f58044bc618eec"
+    assert result.best_q == 0.68200430437137
     assert result.best_partition.n_communities == 8
