@@ -270,14 +270,20 @@ def _bisection(sub: Subgraph, side: set[int], removals, table) -> Bisection:
 
 
 def bisect_community(
-    g: Graph, sub: Subgraph, measure: str, table: EdgeScoreTable | None = None
+    g: Graph,
+    sub: Subgraph,
+    measure: str,
+    table: EdgeScoreTable | None = None,
+    connected: bool = False,
 ) -> Bisection:
     """Split the community `sub` in two.
 
     A disconnected community splits with no removals: the component of its
     smallest vertex against the rest.  Cross-community refinement moves can
     leave a community disconnected, and peeling off a component always
-    raises Q.  A connected community loses edges until it falls apart:
+    raises Q.  The search for that component is skipped when the caller
+    passes `connected`, having proven the community connected.  A connected
+    community loses edges until it falls apart:
     clustering measures remove the lowest-scoring edge, betweenness the
     highest; after each removal the scores are brought back in line with a
     full recomputation.  `table` may hold the scores of `sub` already (an
@@ -289,9 +295,10 @@ def bisect_community(
     """
     if len(sub) < 2:
         raise ValueError("community must contain at least two vertices")
-    side = reachable_within(sub, sub.local[min(sub.local)])
-    if len(side) < len(sub):
-        return _bisection(sub, side, (), table)
+    if not connected:
+        side = reachable_within(sub, sub.local[min(sub.local)])
+        if len(side) < len(sub):
+            return _bisection(sub, side, (), table)
 
     if table is None:
         table = compute_scores(measure, g, sub)
@@ -405,6 +412,8 @@ class _DivisiveRun:
         self.g = g
         self.cfg = cfg
         self.partition = Partition(g, connected_components(g).labels)
+        # ids of communities known to be connected; see `run_phase`
+        self.proven = set(self.partition.communities)
         self.q = modularity_q(g, self.partition)
         self.history: list[dict] = []
         self.trace: list[TraceEntry] = []
@@ -441,6 +450,17 @@ class _DivisiveRun:
     def run_phase(self, phase: int, measure: str) -> None:
         """Bisect queued communities until no split raises Q.
 
+        Each split is judged in place: the live partition is split and
+        refined, and on a reject the moves are undone in reverse order and
+        the parent's record put back, so ids stay as if nothing happened.
+
+        `self.proven` holds the communities known to be connected, whose
+        bisection skips the opening search.  Both sides of a split made by
+        removals are connected, and so is the peeled side of a free split.
+        A move into a community keeps it connected; a move out of one may
+        not, so every move discards its source, and undoing a move its
+        target.
+
         In a clustering phase the larger child of an accepted split keeps
         the subgraph, score table and removals its parent's bisection left
         in `kept`, and `_reconcile` brings them to the child's members when
@@ -449,22 +469,23 @@ class _DivisiveRun:
         Brandes' float sums follow ascending local ids, so the betweenness
         phase builds every subgraph fresh.
         """
+        g, p, proven = self.g, self.partition, self.proven
         kept: dict[int, tuple[Subgraph, EdgeScoreTable, tuple]] = {}
-        queue = deque(self._queue_order(self.partition.communities))
+        queue = deque(self._queue_order(p.communities))
         while queue:
             cid = queue.popleft()
             state = kept.pop(cid, None)
-            community = self.partition.communities.get(cid)
+            community = p.communities.get(cid)
             if community is None or len(community.members) < 2:
                 continue  # retired by refinement moves, or too small to split
 
-            if state is not None and _reconcile(self.g, *state, community):
+            if state is not None and _reconcile(g, *state, community):
                 sub, table, _ = state
             else:
-                sub, table = Subgraph(self.g, community.members), None
-            bis = bisect_community(self.g, sub, measure, table)
+                sub, table = Subgraph(g, community.members), None
+            bis = bisect_community(g, sub, measure, table, connected=cid in proven)
             for eid, score in bis.removals:
-                lu, lv = self.g.edge_label_pair(eid)
+                lu, lv = g.edge_label_pair(eid)
                 self._event(
                     "remove",
                     {
@@ -477,19 +498,20 @@ class _DivisiveRun:
                     self.q,
                 )
 
-            tentative = self.partition.copy()
-            new_a, new_b = tentative.split_community(cid, bis.side_a, bis.side_b)
-            candidates = {x for eid, _ in bis.removals for x in self.g.edges[eid]}
+            new_a, new_b = p.split_community(cid, bis.side_a, bis.side_b)
+            proven.update((new_a, new_b) if bis.removals else (new_a,))
+            candidates = {x for eid, _ in bis.removals for x in g.edges[eid]}
 
-            q_split = modularity_q(self.g, tentative)
-            tentative, mvs = refine(self.g, tentative, candidates, self.cfg.refine_max_passes)
+            q_split = modularity_q(g, p)
+            _, mvs = refine(g, p, candidates, self.cfg.refine_max_passes)
+            proven.difference_update(mv.source for mv in mvs)
             self._log_moves(mvs, q_split, phase)
-            q_new = modularity_q(self.g, tentative)
+            q_new = modularity_q(g, p)
 
             if q_new > self.q + Q_IMPROVEMENT_EPS:
-                self.partition = tentative
                 self.q = q_new
-                children = tentative.communities
+                proven.discard(cid)
+                children = p.communities
                 self._event(
                     "accept",
                     {
@@ -511,6 +533,11 @@ class _DivisiveRun:
                 for child in self._queue_order(live):
                     queue.append(child)
             else:
+                for mv in reversed(mvs):
+                    p.undo_move(mv.vertex, mv.source)
+                    proven.discard(mv.target)
+                p.unsplit(cid, community, (new_a, new_b))
+                proven.difference_update((new_a, new_b))
                 self._event(
                     "reject",
                     {"phase": phase, "community": cid, "q_tentative": q_new},

@@ -69,6 +69,8 @@ class Partition:
         return sorted(self.communities[cid].members)
 
     def copy(self) -> "Partition":
+        # The engine judges splits in place and no longer copies; this stays
+        # because perfbench/tracer.py binds `Partition.copy` by name.
         clone = object.__new__(Partition)
         clone.graph = self.graph
         clone.assignment = list(self.assignment)
@@ -91,19 +93,62 @@ class Partition:
         """Replace community `cid` by two new communities; returns their ids.
 
         The two sides must partition the community's member set exactly.
+        Only the smaller side's edges are walked: the larger side's totals
+        follow from the parent's by integer subtraction, and its members are
+        the parent's less the smaller side.  The parent's record is left as
+        it was, so `unsplit` can put it back.
         """
-        sa, sb = set(side_a), set(side_b)
-        if sa | sb != self.communities[cid].members or sa & sb:
+        parent = self.communities[cid]
+        swap = len(side_b) < len(side_a)
+        small_side, large_side = (side_b, side_a) if swap else (side_a, side_b)
+        small = set(small_side)
+        large = parent.members - small
+        if (
+            len(small) != len(small_side)
+            or len(large) != len(large_side)
+            or len(small) + len(large) != len(parent.members)
+            or large != set(large_side)
+        ):
             raise ValueError("sides must partition the community exactly")
+        assignment, adj, degrees = self.assignment, self.graph.adj, self.graph.degrees
+        internal_twice = total_degree = cut = 0
+        for v in small:
+            total_degree += degrees[v]
+            for w, _ in adj[v]:
+                if w in small:
+                    internal_twice += 1
+                elif assignment[w] == cid:
+                    cut += 1
+        records = (
+            Community(small, internal_twice, total_degree),
+            Community(
+                large,
+                parent.internal_twice - internal_twice - 2 * cut,
+                parent.total_degree - total_degree,
+            ),
+        )
         id_a = self._next_id
         id_b = self._next_id + 1
         self._next_id += 2
         del self.communities[cid]
-        for new_id, side in ((id_a, sa), (id_b, sb)):
-            for v in side:
-                self.assignment[v] = new_id
-            self.communities[new_id] = _community(self.graph, side)
+        for new_id, record in zip((id_a, id_b), reversed(records) if swap else records):
+            for v in record.members:
+                assignment[v] = new_id
+            self.communities[new_id] = record
         return id_a, id_b
+
+    def unsplit(self, cid: int, parent: Community, children: tuple[int, int]) -> None:
+        """Undo the latest `split_community` of `cid` into `children`, once
+        every move made since has been undone: put the parent's record back
+        with its assignment, and release the children's ids."""
+        if children != (self._next_id - 2, self._next_id - 1):
+            raise ValueError("only the latest split can be undone")
+        for c in children:
+            del self.communities[c]
+        for v in parent.members:
+            self.assignment[v] = cid
+        self.communities[cid] = parent
+        self._next_id = children[0]
 
     def move(self, v: int, target: int, to_source: int, to_target: int) -> None:
         """Move vertex `v` into community `target` with O(1) stats updates.
@@ -129,6 +174,22 @@ class Partition:
         self.assignment[v] = target
         if not src.members:
             del self.communities[source]
+
+    def undo_move(self, v: int, source: int) -> None:
+        """Move `v` back into `source`, the community a `move` took it out
+        of, recreating `source` if that move emptied it.  The edge counts are
+        recounted from the graph."""
+        if source not in self.communities:
+            self.communities[source] = Community(set(), 0, 0)
+        current = self.assignment[v]
+        to_current = to_source = 0
+        for w, _ in self.graph.adj[v]:
+            c = self.assignment[w]
+            if c == current:
+                to_current += 1
+            elif c == source:
+                to_source += 1
+        self.move(v, source, to_current, to_source)
 
 
 def modularity_q(g: Graph, p: Partition) -> float:

@@ -15,8 +15,15 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .engine import run_ccr, run_ccr_ebr
-from .graph import Graph, Subgraph, connected_components
+from .engine import (
+    Q_IMPROVEMENT_EPS,
+    EngineConfig,
+    RefinementMove,
+    refine,
+    run_ccr,
+    run_ccr_ebr,
+)
+from .graph import Graph, Subgraph, connected_components, reachable_within
 from .measures import (
     BETWEENNESS,
     CLUSTERING_G3,
@@ -38,6 +45,7 @@ SUITE_CHECKS = (
     "betweenness-sum-law",
     "rescore-vs-full",
     "engine-vs-exhaustive",
+    "engine-vs-reference",
 )
 
 
@@ -109,6 +117,63 @@ def gnp_connected(rng: random.Random, n: int, p: float) -> Graph:
         pairs.append((rng.choice(base), rng.choice(sorted(other))))
         base.extend(other)
     return Graph(n, pairs)
+
+
+def reference_corpus_graph(rng: random.Random) -> tuple[str, Graph]:
+    """A small graph for the engine-vs-reference check, with its kind: G(n, p),
+    a planted partition, a ring of cliques, blocks of random cycles, G(n, p)
+    with isolated vertices, or small cliques hanging off a core clique.
+    Refinement moves of the hanging cliques' hubs leave communities in three
+    or more pieces, whose free splits leave a disconnected rest; the other
+    kinds almost never do.  Vertex ids are shuffled, so no kind hands the
+    engine its blocks in id order."""
+    kind = rng.choice(("gnp", "planted", "ring", "cycles", "isolated", "hanging"))
+    if kind in ("gnp", "isolated"):
+        n = rng.randint(4, 30)
+        pairs = gnp_graph(rng, n, rng.choice((0.1, 0.2, 0.4))).edges
+        if kind == "isolated":
+            n += rng.randint(1, 5)
+    elif kind == "planted":
+        blocks, size = rng.randint(2, 4), rng.randint(4, 8)
+        n = blocks * size
+        p_in, p_out = rng.choice((0.5, 0.8)), rng.choice((0.03, 0.1))
+        pairs = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < (p_in if u // size == v // size else p_out)
+        ]
+    elif kind == "ring":
+        cliques, size = rng.randint(3, 9), rng.randint(3, 5)
+        n = cliques * size
+        pairs = [
+            (c * size + a, c * size + b)
+            for c in range(cliques) for a in range(size) for b in range(a + 1, size)
+        ]
+        pairs += [(c * size + size - 1, (c + 1) % cliques * size) for c in range(cliques)]
+    elif kind == "hanging":
+        n = rng.randint(3, 6)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        core = n
+        for _ in range(rng.randint(5, 10)):
+            size = rng.randint(3, 5)
+            pairs += [(a, b) for a in range(n, n + size) for b in range(a + 1, n + size)]
+            pairs.append((rng.randrange(core), n))
+            if rng.random() < 0.5:
+                pairs.append((rng.randrange(core), n + size - 1))
+            n += size
+    else:
+        blocks, size = rng.randint(2, 4), rng.randint(5, 9)
+        n = blocks * size
+        pairs = []
+        for b in range(blocks):
+            for _ in range(2):
+                cycle = rng.sample(range(b * size, (b + 1) * size), size)
+                pairs += zip(cycle, cycle[1:] + cycle[:1])
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(blocks)]
+    order = rng.sample(range(n), n)
+    pairs = [(order[u], order[v]) for u, v in pairs if u != v]
+    if not pairs:
+        pairs = [(order[0], order[1])]
+    return kind, Graph(n, pairs)
 
 
 def random_dense_assignment(rng: random.Random, n: int, k: int) -> list:
@@ -183,6 +248,106 @@ def betweenness_naive(g: Graph, within) -> EdgeScoreTable:
                     ):
                         scores[eid] += sig_s[x] * sig_t[y] / total
     return EdgeScoreTable(BETWEENNESS, scores)
+
+
+def _reference_refine(g: Graph, assignment: list, candidates: set, max_passes: int):
+    """`refine` on a fresh `Partition` of `assignment`.  Its dense ids keep
+    the order of the run's ids, so tie-breaks and Q's summation order are the
+    run's; moves come back in the run's ids.  Returns the new assignment, Q
+    before and after, and the moves."""
+    ids = sorted(set(assignment))
+    dense = {c: i for i, c in enumerate(ids)}
+    p = Partition(g, [dense[c] for c in assignment])
+    q_before = modularity_q(g, p)
+    p, moves = refine(g, p, candidates, max_passes)
+    moves = [RefinementMove(mv.vertex, ids[mv.source], ids[mv.target], mv.gain) for mv in moves]
+    return [ids[c] for c in p.assignment], q_before, modularity_q(g, p), moves
+
+
+def reference_run(g: Graph, algo: str, measure: str, max_passes: int = 100):
+    """The divisive pipelines without any of the engine's shortcuts.
+
+    Every bisection builds a fresh `Subgraph`, recomputes the scores after
+    every removal, and tests for a split with a one-ended search; every split
+    is judged on a fresh `Partition`.  The queue, tie-breaks and events are
+    the engine's.  Returns the event log, the best Q and the renumbered
+    assignment, as `run_ccr` or `run_ccr_ebr` (`algo` "ccr" or "ccr-ebr")
+    would.
+    """
+    assignment = list(connected_components(g).labels)
+    next_id = max(assignment) + 1
+    q = modularity_q(g, Partition(g, assignment))
+    history: list[dict] = []
+
+    def log_moves(moves, q_run: float, phase: int, stage=None) -> None:
+        for mv in moves:
+            q_run += mv.gain
+            event = {"type": "move", "phase": phase}
+            if stage is not None:
+                event["stage"] = stage
+            event.update(vertex=g.labels[mv.vertex], source=mv.source,
+                         target=mv.target, gain=mv.gain, q_after=q_run)
+            history.append(event)
+
+    def members(cid) -> list[int]:
+        return [v for v in range(g.n) if assignment[v] == cid]
+
+    phases = [(1, measure)] + ([(2, BETWEENNESS)] if algo == "ccr-ebr" else [])
+    for phase, kind in phases:
+        queue = deque(sorted(set(assignment), key=lambda c: members(c)[0]))
+        while queue:
+            cid = queue.popleft()
+            verts = members(cid)
+            if len(verts) < 2:
+                continue
+            sub = Subgraph(g, verts)
+            side = reachable_within(sub, 0)
+            removals = []
+            while len(side) == len(sub):
+                table = compute_scores(kind, g, sub)
+                eid = table.removal_candidate()
+                removals.append(eid)
+                u, v = g.edges[eid]
+                sub.remove_edge(u, v)
+                side = reachable_within(sub, sub.local[u])
+                score = table.scores[eid]
+                history.append({
+                    "type": "remove", "phase": phase, "community": cid, "edge_id": eid,
+                    "edge": list(g.edge_label_pair(eid)),
+                    "score": "inf" if math.isinf(score) else score, "q_after": q,
+                })
+            sides = ([v for v in verts if sub.local[v] in side],
+                     [v for v in verts if sub.local[v] not in side])
+            children = (next_id, next_id + 1)
+            trial = list(assignment)
+            for c, part in zip(children, sorted(sides)):
+                for v in part:
+                    trial[v] = c
+            candidates = {x for eid in removals for x in g.edges[eid]}
+            trial, q_split, q_new, moves = _reference_refine(g, trial, candidates, max_passes)
+            log_moves(moves, q_split, phase)
+            if q_new > q + Q_IMPROVEMENT_EPS:
+                assignment, q, next_id = trial, q_new, next_id + 2
+                sizes = [assignment.count(c) for c in children]
+                history.append({"type": "accept", "phase": phase, "community": cid,
+                                "children": list(children), "sizes": sizes, "q_after": q})
+                live = [c for c, size in zip(children, sizes) if size]
+                queue.extend(sorted(live, key=lambda c: members(c)[0]))
+            else:
+                history.append({"type": "reject", "phase": phase, "community": cid,
+                                "q_tentative": q_new, "q_after": q})
+    if algo == "ccr-ebr":
+        candidates = {
+            v for v in range(g.n) if any(assignment[w] != assignment[v] for w, _ in g.adj[v])
+        }
+        trial, _, q_new, moves = _reference_refine(g, assignment, candidates, max_passes)
+        if moves:
+            log_moves(moves, q, 2, "final-refine")
+            assignment = trial
+    order = sorted(set(assignment), key=lambda c: members(c)[0])
+    remap = {c: i for i, c in enumerate(order)}
+    best = Partition(g, [remap[c] for c in assignment])
+    return history, modularity_q(g, best), best.assignment
 
 
 def _set_partitions(n: int):
@@ -523,6 +688,47 @@ def check_engine_vs_exhaustive(seed: int, cases: int = 100) -> OracleReport:
     return report
 
 
+def engine_reference_mismatch(g: Graph, algo: str, measure: str):
+    """First difference between the engine's run of `algo` with `measure` and
+    `reference_run`'s, as (where, expected, got); None when the event log,
+    the best Q and the assignment are all identical."""
+    runner = run_ccr if algo == "ccr" else run_ccr_ebr
+    try:
+        got = runner(g, EngineConfig(measure=measure))
+    except Exception as exc:  # a crashing engine fails the check, not the suite
+        return "raised", None, repr(exc)
+    history, best_q, assignment = reference_run(g, algo, measure)
+    for i, (want, event) in enumerate(zip(history, got.history)):
+        if want != event:
+            return f"event={i}", want, event
+    if len(history) != len(got.history):
+        i = min(len(history), len(got.history))
+        return f"event={i}", history[i:i + 1], got.history[i:i + 1]
+    if got.best_q != best_q:
+        return "best_q", best_q, got.best_q
+    if got.best_partition.assignment != assignment:
+        v = min(v for v in range(g.n) if got.best_partition.assignment[v] != assignment[v])
+        return f"vertex={v}", assignment[v], got.best_partition.assignment[v]
+    return None
+
+
+def check_engine_vs_reference(seed: int, cases: int = 150) -> OracleReport:
+    """Whole runs of both pipelines, with g3 and g4, must equal
+    `reference_run` exactly on a seeded `reference_corpus_graph` corpus."""
+    rng = random.Random(seed)
+    report = OracleReport("engine-vs-reference", cases, 0.0, 0.0)
+    for i in range(cases):
+        kind, g = reference_corpus_graph(rng)
+        for algo in ("ccr", "ccr-ebr"):
+            for measure in (CLUSTERING_G3, CLUSTERING_G4):
+                mismatch = engine_reference_mismatch(g, algo, measure)
+                if mismatch is not None:
+                    where, want, got = mismatch
+                    digest = f"case={i} graph={kind} n={g.n} m={g.m} algo={algo} measure={measure}"
+                    report.record(math.inf, f"{digest} {where}", want, got)
+    return report
+
+
 def run_verification_suite(seed: int = DEFAULT_SEED) -> list:
     """All checks with deterministic seeds; betweenness checks share a corpus."""
     return [
@@ -532,4 +738,5 @@ def run_verification_suite(seed: int = DEFAULT_SEED) -> list:
         check_betweenness_sum_law(seed + 2),
         check_rescore_vs_full(seed + 3),
         check_engine_vs_exhaustive(seed + 4),
+        check_engine_vs_reference(seed + 5),
     ]

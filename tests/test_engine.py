@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -93,25 +94,37 @@ def test_bisect_preconditions(barbell, two_triangles):
     assert (bis.side_a, bis.side_b, bis.removals) == ((0,), (2,), ())
 
 
-def test_split_test_runs_one_search_per_bisection_and_removal(monkeypatch):
+def test_split_test_runs_one_search_per_bisection_and_removal(monkeypatch, gen):
+    """One search per removal, plus one opening search per bisection of a
+    community not proven connected; proven bisections skip it."""
     calls = []
-    real = engine.reachable_within
+    proven = []
+    real_reach, real_bisect = engine.reachable_within, engine.bisect_community
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real_reach(*args, **kwargs)
+
+    def bisect(g, sub, measure, table=None, connected=False):
+        proven.append(connected)
+        return real_bisect(g, sub, measure, table, connected)
 
     monkeypatch.setattr(engine, "reachable_within", counted)
+    monkeypatch.setattr(engine, "bisect_community", bisect)
     rng = random.Random(61)
-    for _ in range(5):
-        g = gnp_connected(rng, rng.randint(10, 30), 0.25)
+    graphs = [("gnp", gnp_connected(rng, rng.randint(10, 30), 0.25)) for _ in range(5)]
+    graphs += [("ring", Graph(*gen.ring_of_cliques(k, 4)[:2])) for k in (12, 40)]
+    for kind, g in graphs:
         for runner in (run_ccr, run_ccr_ebr):
             calls.clear()
+            proven.clear()
             r = runner(g)
             removals = sum(e["type"] == "remove" for e in r.history)
             bisections = sum(e["type"] in ("accept", "reject") for e in r.history)
-            assert bisections > 0
-            assert len(calls) == removals + bisections
+            assert bisections == len(proven) > 0
+            assert len(calls) == removals + bisections - sum(proven)
+            if kind == "ring":
+                assert sum(proven) > 0
 
 
 # -- refine ------------------------------------------------------------------
@@ -289,6 +302,16 @@ def test_dendrogram_deeper_than_the_recursion_limit_exports():
     assert [node["id"] for node in obj["nodes"]] == list(range(2 * depth + 1))
     expected = "".join(f"({v}," for v in range(depth)) + str(depth) + ")" * depth
     assert d.to_newick() == expected + ";\n"
+
+
+def test_deep_ring_run_matches_pinned_history(gen):
+    # 125 communities from 124 accepted splits of one ring
+    n, edges, _ = gen.ring_of_cliques(200, 4)
+    result = run_ccr(Graph(n, edges))
+    got = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+    assert got == "14d17a40d6023ed76c15eb192815357ab86ee553755c271c88eefcd77604bfdb"
+    assert result.best_q == 0.8804642857142856
+    assert result.best_partition.n_communities == 125
 
 
 def test_dendrogram_drops_moves_of_rejected_splits(barbell):

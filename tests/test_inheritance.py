@@ -1,8 +1,9 @@
 """The larger child of a clustering split inherits its parent's state.
 
 At every dequeue of an inherited community its `Subgraph` and score table
-must equal a fresh build of its members, and the runs that inherit must
-write the artifacts a fresh build per bisection wrote.
+must equal a fresh build of its members, every community passed as proven
+connected must be connected, and the runs that inherit must write the
+artifacts a fresh build per bisection wrote.
 """
 
 from __future__ import annotations
@@ -45,6 +46,19 @@ def _edges(sub: Subgraph) -> set[int]:
     return {eid for row in sub.nbrs for eid in row.values()}
 
 
+def _connected(g: Graph, members) -> bool:
+    """A plain search of the subgraph of `g` induced by `members`."""
+    members = set(members)
+    start = min(members)
+    seen, stack = {start}, [start]
+    while stack:
+        for w, _ in g.adj[stack.pop()]:
+            if w in members and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == members
+
+
 @pytest.mark.parametrize("runner", [engine.run_ccr, engine.run_ccr_ebr])
 @pytest.mark.parametrize("measure", [CLUSTERING_G3, CLUSTERING_G4])
 @pytest.mark.parametrize(
@@ -59,8 +73,12 @@ def test_inherited_state_equals_a_fresh_build_at_every_dequeue(
         g = Graph(*_generated(name, gen))
     real = engine.bisect_community
     inherited = []
+    proven = []
 
-    def checked(g, sub, measure, table=None):
+    def checked(g, sub, measure, table=None, connected=False):
+        if connected:
+            assert _connected(g, sub)
+            proven.append(len(sub))
         if table is not None:
             fresh = Subgraph(g, sub)
             want = compute_scores(measure, g, fresh)
@@ -74,10 +92,11 @@ def test_inherited_state_equals_a_fresh_build_at_every_dequeue(
             assert len(table.heap) <= 2 * len(table.scores)
             assert table.removal_candidate() == want.removal_candidate()
             inherited.append(len(sub))
-        return real(g, sub, measure, table)
+        return real(g, sub, measure, table, connected)
 
     monkeypatch.setattr(engine, "bisect_community", checked)
     runner(g, engine.EngineConfig(measure=measure))
+    assert proven
     if name == "ring40":
         assert len(inherited) == 30
     elif name in ("karate", "lesmis") and measure == CLUSTERING_G3:

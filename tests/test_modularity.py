@@ -13,7 +13,7 @@ from moddiv import (
     move_q,
     partition_to_tsv,
 )
-from moddiv.modularity import partition_to_json_obj
+from moddiv.modularity import _community, partition_to_json_obj
 from moddiv.oracles import gnp_graph, random_dense_assignment
 
 
@@ -124,6 +124,88 @@ def test_split_community_requires_exact_partition(barbell):
     p = Partition(barbell, [0] * barbell.n)
     with pytest.raises(ValueError):
         p.split_community(0, [0, 1], [3, 4, 5])  # vertex 2 missing
+
+
+@pytest.mark.parametrize("sides", [
+    ([0, 0, 1, 2], [3, 4]),  # duplicate on the larger side
+    ([0, 1], [2, 3, 3, 4, 5]),  # duplicate on the larger side, one too long
+    ([0, 1, 2], [2, 3, 4, 5]),  # a vertex on both sides
+    ([0, 1, 6], [2, 3, 4, 5]),  # foreign vertex on the smaller side
+    ([0, 1, 2], [3, 4, 6]),  # foreign vertex on the larger side, 5 missing
+    ([0, 1, 2], [3, 4, 4]),  # duplicate on a side of the right length
+])
+def test_split_community_rejects_duplicate_and_foreign_vertices(sides):
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+    p = Partition(g, [0] * 6 + [1])
+    with pytest.raises(ValueError):
+        p.split_community(0, *sides)
+    assert p.assignment == [0] * 6 + [1] and p._next_id == 2
+
+
+def _state(p: Partition):
+    return (
+        list(p.assignment),
+        {c: (set(st.members), st.internal_twice, st.total_degree)
+         for c, st in p.communities.items()},
+        p._next_id,
+    )
+
+
+def test_split_totals_equal_a_fresh_count():
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(3, 30)
+        g = gnp_graph(rng, n, rng.choice((0.1, 0.3, 0.6)))
+        p = Partition(g, random_dense_assignment(rng, n, rng.randint(1, 4)))
+        splittable = [c for c, st in p.communities.items() if len(st.members) > 1]
+        if not splittable:
+            continue
+        cid = rng.choice(splittable)
+        members = sorted(p.communities[cid].members)
+        side = set(rng.sample(members, rng.randint(1, len(members) - 1)))
+        a, b = p.split_community(
+            cid, [v for v in members if v in side], [v for v in members if v not in side]
+        )
+        for c in (a, b):
+            fresh = _community(g, set(p.communities[c].members))
+            assert (p.communities[c].internal_twice, p.communities[c].total_degree) == (
+                fresh.internal_twice, fresh.total_degree)
+            assert all(p.assignment[v] == c for v in fresh.members)
+
+
+def test_undoing_moves_and_a_split_restores_the_partition_exactly():
+    rng = random.Random(31)
+    emptied = 0
+    for _ in range(80):
+        n = rng.randint(3, 25)
+        g = gnp_graph(rng, n, rng.choice((0.2, 0.4)))
+        p = Partition(g, random_dense_assignment(rng, n, rng.randint(1, 5)))
+        splittable = [c for c, st in p.communities.items() if len(st.members) > 1]
+        if not splittable:
+            continue
+        cid = rng.choice(splittable)
+        before = _state(p)
+        parent = p.communities[cid]
+        members = sorted(parent.members)
+        cut = rng.randint(1, len(members) - 1)
+        children = p.split_community(cid, members[:cut], members[cut:])
+        moves = []
+        for _ in range(rng.randint(0, 8)):
+            v = rng.randrange(n)
+            source = p.assignment[v]
+            targets = [c for c in sorted(p.communities) if c != source]
+            if not targets:
+                break
+            target = rng.choice(targets)
+            p.move(v, target, *edge_counts(p, v, target))
+            emptied += source not in p.communities
+            moves.append((v, source))
+        for v, source in reversed(moves):
+            p.undo_move(v, source)
+        p.unsplit(cid, parent, children)
+        assert _state(p) == before
+        assert p.communities[cid] is parent
+    assert emptied  # some moves emptied a community that the undo recreated
 
 
 def test_partition_requires_dense_ids(k3):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from moddiv import EdgeScoreTable, Graph, Subgraph, edge_betweenness
-from moddiv.modularity import move_q
+from moddiv.modularity import Partition, move_q
 from moddiv.oracles import (
     SUITE_CHECKS,
     OracleReport,
@@ -13,6 +13,7 @@ from moddiv.oracles import (
     check_betweenness_sum_law,
     check_betweenness_vs_naive,
     check_engine_vs_exhaustive,
+    check_engine_vs_reference,
     check_moveq_vs_recompute,
     check_q_fast_vs_pairwise,
     check_rescore_vs_full,
@@ -87,10 +88,24 @@ def test_all_checks_pass_on_a_small_sample():
         check_betweenness_sum_law(13, cases=20),
         check_rescore_vs_full(14, cases=10),
         check_engine_vs_exhaustive(15, cases=20),
+        check_engine_vs_reference(16, cases=10),
     ]
     assert [r.name for r in reports] == list(SUITE_CHECKS)
     for r in reports:
         assert r.passed, r.to_obj()
+
+
+def test_engine_vs_reference_reports_a_broken_undo(monkeypatch):
+    real = Partition.undo_move
+
+    def broken(self, v, source):  # leaves v where it is when `source` was emptied
+        if source in self.communities:
+            real(self, v, source)
+
+    monkeypatch.setattr(Partition, "undo_move", broken)
+    report = check_engine_vs_reference(4134, cases=3)
+    assert not report.passed
+    assert "case=0 graph=ring" in report.failures[0][0]
 
 
 # -- exhaustive reference ----------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
@@ -28,6 +29,7 @@ from moddiv import (
 )
 from moddiv.cli import main
 from moddiv.graph import reachable_within
+from moddiv.oracles import engine_reference_mismatch, reference_corpus_graph
 
 
 @st.composite
@@ -105,3 +107,12 @@ def test_relabelled_gml_round_trip_keeps_the_result(g, data):
         want, got = runner(g), runner(back)
         assert got.best_q == want.best_q
         assert got.best_partition.assignment == want.best_partition.assignment
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_engine_equals_the_plain_reference(seed):
+    _, g = reference_corpus_graph(random.Random(seed))
+    for algo in ("ccr", "ccr-ebr"):
+        for measure in (CLUSTERING_G3, CLUSTERING_G4):
+            assert engine_reference_mismatch(g, algo, measure) is None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from moddiv import cli
+from moddiv import cli, engine
 
 from conftest import require_dataset
 
@@ -20,6 +20,17 @@ def test_traced_detect_counts_one_search_per_bisection_and_removal(tmp_path, mon
     karate = require_dataset("karate")
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
+
+    # wrapped before the tracer installs, so its uninstall leaves this one
+    # for monkeypatch to undo
+    proven = []
+    real = engine.bisect_community
+
+    def bisect(g, sub, measure, table=None, connected=False):
+        proven.append(connected)
+        return real(g, sub, measure, table, connected)
+
+    monkeypatch.setattr(engine, "bisect_community", bisect)
 
     tracer = Tracer()
     tracer.install()
@@ -33,5 +44,8 @@ def test_traced_detect_counts_one_search_per_bisection_and_removal(tmp_path, mon
     finally:
         tracer.uninstall()
     assert code == 0
-    assert metrics["graph.reach_calls"] == metrics["engine.removals"] + metrics["engine.bisections"]
+    assert metrics["engine.bisections"] == len(proven)
+    unproven = len(proven) - sum(proven)
+    assert metrics["graph.reach_calls"] == metrics["engine.removals"] + unproven
+    assert sum(proven) > 0
     assert (metrics["engine.removals"], metrics["engine.bisections"]) == (66, 11)
