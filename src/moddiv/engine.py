@@ -77,14 +77,17 @@ class RefinementMove:
 
 @dataclass(frozen=True)
 class Bisection:
-    """Outcome of one divisive split: two sides plus the removals that caused it.
+    """Outcome of one divisive split: one side plus the removals that caused it.
 
+    `side` is the side the split test walked, as sorted global ids; the
+    other side is the rest of the community.  `side_is_a` tells whether
+    `side` is side a, the one holding the community's smallest vertex.
     `table` is the score table the removals were picked from, as it stood
     at the last removal (None for a split that needed no scores).
     """
 
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
+    side: tuple[int, ...]
+    side_is_a: bool
     removals: tuple[tuple[int, float], ...]  # (edge id, score at removal time)
     table: EdgeScoreTable | None = field(default=None, repr=False, compare=False)
 
@@ -257,16 +260,11 @@ class DetectionResult:
 
 
 def _bisection(sub: Subgraph, side: set[int], removals, table) -> Bisection:
-    """Bisection of `sub` into the local ids in `side` and the rest."""
-    inside: list[int] = []
-    outside: list[int] = []
-    for v, i in sub.local.items():
-        (inside if i in side else outside).append(v)
-    inside.sort()
-    outside.sort()
-    if outside[0] < inside[0]:
-        inside, outside = outside, inside
-    return Bisection(tuple(inside), tuple(outside), tuple(removals), table)
+    """Bisection of `sub` into the local ids in `side` and the rest; only
+    `side` is mapped back to global ids."""
+    verts = sub.verts
+    walked = sorted([verts[i] for i in side])
+    return Bisection(tuple(walked), walked[0] == min(sub.local), tuple(removals), table)
 
 
 def bisect_community(
@@ -282,22 +280,24 @@ def bisect_community(
     smallest vertex against the rest.  Cross-community refinement moves can
     leave a community disconnected, and peeling off a component always
     raises Q.  The search for that component is skipped when the caller
-    passes `connected`, having proven the community connected.  A connected
-    community loses edges until it falls apart:
+    passes `connected`, having proven the community connected; the
+    bisection carries the smaller of that component and the rest.  A
+    connected community loses edges until it falls apart:
     clustering measures remove the lowest-scoring edge, betweenness the
     highest; after each removal the scores are brought back in line with a
     full recomputation.  `table` may hold the scores of `sub` already (an
     inherited clustering table); otherwise they are computed.  The removals
     are made on `sub` itself, and the table comes back with the bisection,
-    not yet rescored after the last removal.
-
-    `side_a` is the side containing the smallest vertex id.
+    not yet rescored after the last removal.  The bisection carries the
+    side the split test ran out of, and the other side is never walked.
     """
     if len(sub) < 2:
         raise ValueError("community must contain at least two vertices")
     if not connected:
         side = reachable_within(sub, sub.local[min(sub.local)])
         if len(side) < len(sub):
+            if 2 * len(side) > len(sub):
+                side = set(sub.local.values()) - side
             return _bisection(sub, side, (), table)
 
     if table is None:
@@ -310,28 +310,31 @@ def bisect_community(
         removals.append((eid, table.scores[eid]))
         u, v = g.edges[eid]
         sub.remove_edge(u, v)
-        target = sub.local[v]
-        side = reachable_within(sub, sub.local[u], stop_at=target)
-        if target not in side:
+        start, target = sub.local[u], sub.local[v]
+        side = reachable_within(sub, start, stop_at=target)
+        if start not in side or target not in side:
             return _bisection(sub, side, removals, table)
         table = rescore_after_removal(table, g, sub, eid)
 
 
-def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, community) -> bool:
+def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed,
+               community) -> bool:
     """Bring the `sub` and clustering `table` a bisection left behind (with
     its `removals`) to a fresh build of `community`'s current members.
 
-    Vertices no longer in the community go with their edges: the peeled
-    side, and any vertex a refinement move took out.  The last removal,
-    never rescored, is forgotten; the removed edges with both ends kept
-    come back; members that moved in are inserted; and one rescore covers
-    every vertex those edits touched.  Returns False, with nothing changed,
-    when that rescoring would cost more than half the community's edges:
-    a fresh table then costs less.
+    `changed` holds every vertex whose membership may differ between `sub`
+    and `community`: the peeled side, and every vertex a refinement move
+    took into or out of the community since.  Vertices no longer in the
+    community go with their edges.  The last removal, never rescored, is
+    forgotten; the removed edges with both ends kept come back; members
+    that moved in are inserted; and one rescore covers every vertex those
+    edits touched.  Returns False, with nothing changed, when that
+    rescoring would cost more than half the community's edges: a fresh
+    table then costs less.
     """
     members, local, nbrs = community.members, sub.local, sub.nbrs
-    extra = local.keys() - members
-    new = members - local.keys()
+    extra = [v for v in changed if v in local and v not in members]
+    new = [v for v in changed if v in members and v not in local]
     readd = [eid for eid, _ in removals if members.issuperset(g.edges[eid])]
     gone = {local[v] for v in extra}
     touched = {j for i in gone for j in nbrs[i]} - gone
@@ -463,14 +466,17 @@ class _DivisiveRun:
 
         In a clustering phase the larger child of an accepted split keeps
         the subgraph, score table and removals its parent's bisection left
-        in `kept`, and `_reconcile` brings them to the child's members when
-        it is dequeued, so only smaller children are usually built fresh.
+        in `kept`, with the vertices its membership may have changed by:
+        the peeled side, then every vertex an accepted split's refinement
+        moves into or out of it.  `_reconcile` brings the state to the
+        child's members when it is dequeued, so only smaller children are
+        usually built fresh.
         Betweenness tables are recomputed after every removal anyway, and
         Brandes' float sums follow ascending local ids, so the betweenness
         phase builds every subgraph fresh.
         """
         g, p, proven = self.g, self.partition, self.proven
-        kept: dict[int, tuple[Subgraph, EdgeScoreTable, tuple]] = {}
+        kept: dict[int, tuple[Subgraph, EdgeScoreTable, tuple, set[int]]] = {}
         queue = deque(self._queue_order(p.communities))
         while queue:
             cid = queue.popleft()
@@ -480,7 +486,7 @@ class _DivisiveRun:
                 continue  # retired by refinement moves, or too small to split
 
             if state is not None and _reconcile(g, *state, community):
-                sub, table, _ = state
+                sub, table = state[:2]
             else:
                 sub, table = Subgraph(g, community.members), None
             bis = bisect_community(g, sub, measure, table, connected=cid in proven)
@@ -498,7 +504,7 @@ class _DivisiveRun:
                     self.q,
                 )
 
-            new_a, new_b = p.split_community(cid, bis.side_a, bis.side_b)
+            new_a, new_b = p.split_community(cid, bis.side, bis.side_is_a)
             proven.update((new_a, new_b) if bis.removals else (new_a,))
             candidates = {x for eid, _ in bis.removals for x in g.edges[eid]}
 
@@ -526,9 +532,20 @@ class _DivisiveRun:
                     self.q,
                 )
                 self._trace("split")
-                larger = new_b if len(bis.side_b) > len(bis.side_a) else new_a
+                for mv in mvs:
+                    for c in (mv.source, mv.target):
+                        if c in kept:
+                            kept[c][3].add(mv.vertex)
+                size = len(community.members)
+                size_a = len(bis.side) if bis.side_is_a else size - len(bis.side)
+                larger = new_b if size - size_a > size_a else new_a
                 if measure != BETWEENNESS and bis.table is not None and larger in children:
-                    kept[larger] = (sub, bis.table, bis.removals)
+                    if (larger == new_a) == bis.side_is_a:  # the walked side is kept
+                        changed = community.members.difference(bis.side)
+                    else:
+                        changed = set(bis.side)
+                    changed.update(mv.vertex for mv in mvs)
+                    kept[larger] = (sub, bis.table, bis.removals, changed)
                 live = [c for c in (new_a, new_b) if c in children]
                 for child in self._queue_order(live):
                     queue.append(child)

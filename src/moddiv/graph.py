@@ -95,20 +95,22 @@ class Subgraph:
     """Mutable copy of the subgraph induced by one vertex set.
 
     Bisection deletes edges from this object alone.  `local` maps each
-    live global vertex to its local id, and `nbrs[i]` maps each local
-    neighbour of i to the edge id joining them.  In a fresh subgraph local
-    ids follow ascending global id and rows are filled in ascending
-    neighbour order, which dicts keep through deletions; an inserted vertex
-    takes the next local id, and a dropped one keeps its id with an empty
-    row.  Iterating a subgraph yields its live global vertex ids.
+    live global vertex to its local id, `verts[i]` is the global vertex of
+    local id i, and `nbrs[i]` maps each local neighbour of i to the edge id
+    joining them.  In a fresh subgraph local ids follow ascending global id
+    and rows are filled in ascending neighbour order, which dicts keep
+    through deletions; an inserted vertex takes the next local id, and a
+    dropped one keeps its id, its `verts` entry and an empty row.
+    Iterating a subgraph yields its live global vertex ids.
     """
 
-    __slots__ = ("local", "nbrs")
+    __slots__ = ("local", "verts", "nbrs")
 
     def __init__(self, graph: Graph, members):
         verts = sorted(set(members))
         if not verts:
             raise ValueError("vertex subset must be nonempty")
+        self.verts = verts
         self.local = local = {v: i for i, v in enumerate(verts)}
         self.nbrs: list[dict[int, int]] = []
         for v in verts:
@@ -157,6 +159,7 @@ class Subgraph:
                 row[j] = eid
                 self.nbrs[j][i] = eid
         self.local[v] = i
+        self.verts.append(v)
         self.nbrs.append(row)
         return i
 
@@ -201,11 +204,9 @@ def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> s
     endpoints, the search runs from both ends (Pohl 1971): each step grows
     the smaller frontier by one level.  It stops when the two searches
     meet, returning a partial set that holds both ends, or when one side
-    runs out of vertices.  That side is a whole component, so the result
-    is exactly the component of `start`: that side itself, or the live
-    vertices outside the exhausted side of `stop_at`, which assumes the
-    subgraph has at most two components, as it does after one removal
-    from a connected one.
+    runs out of vertices, returning that side: the whole component of
+    whichever end it holds, and only that end.  The other component is
+    never walked.
     """
     nbrs = sub.nbrs
     if stop_at is None:
@@ -234,7 +235,7 @@ def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> s
                     mine.add(w)
                     grown.append(w)
         if not grown:
-            return mine if side == 0 else set(sub.local.values()) - mine
+            return mine
         fronts[side] = grown
 
 

@@ -9,6 +9,7 @@ removals performed during bisection do not affect modularity.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -43,9 +44,15 @@ class Partition:
 
     Community ids are dense at construction; ids retired by moves are not
     reused, and `renumbered()` restores density for export.
+
+    `modularity_q` keeps its running sum here: the ascending community ids
+    and the partial sums as of its last read, and the ids every mutation
+    since has touched (created, changed or retired).  The next read re-adds
+    only the terms from the smallest touched id on.
     """
 
-    __slots__ = ("graph", "assignment", "communities", "_next_id")
+    __slots__ = ("graph", "assignment", "communities", "_next_id",
+                 "_q_ids", "_q_sums", "_touched")
 
     def __init__(self, graph: Graph, assignment: list[int]):
         if len(assignment) != graph.n:
@@ -60,6 +67,9 @@ class Partition:
             members[c].add(v)
         self.communities = {c: _community(graph, side) for c, side in members.items()}
         self._next_id = len(ids)
+        self._q_ids: list[int] = []
+        self._q_sums: list[float] = []
+        self._touched = set(ids)
 
     @property
     def n_communities(self) -> int:
@@ -79,6 +89,9 @@ class Partition:
             for c, s in self.communities.items()
         }
         clone._next_id = self._next_id
+        clone._q_ids = list(self._q_ids)
+        clone._q_sums = list(self._q_sums)
+        clone._touched = set(self._touched)
         return clone
 
     def renumbered(self) -> "Partition":
@@ -89,40 +102,35 @@ class Partition:
 
     # -- engine-facing mutations --------------------------------------------
 
-    def split_community(self, cid: int, side_a, side_b) -> tuple[int, int]:
+    def split_community(self, cid: int, side, side_is_a: bool) -> tuple[int, int]:
         """Replace community `cid` by two new communities; returns their ids.
 
-        The two sides must partition the community's member set exactly.
-        Only the smaller side's edges are walked: the larger side's totals
-        follow from the parent's by integer subtraction, and its members are
-        the parent's less the smaller side.  The parent's record is left as
-        it was, so `unsplit` can put it back.
+        `side` is one side of the split: a nonempty proper subset of the
+        community, without duplicates.  The other side is the rest of the
+        community.  The first id goes to side a, the side holding the
+        community's smallest vertex, which `side` is when `side_is_a`.
+        Only `side`'s edges are walked: the rest's totals follow from the
+        parent's by integer subtraction, and its members are the parent's
+        less `side`.  The parent's record is left as it was, so `unsplit`
+        can put it back.
         """
         parent = self.communities[cid]
-        swap = len(side_b) < len(side_a)
-        small_side, large_side = (side_b, side_a) if swap else (side_a, side_b)
-        small = set(small_side)
-        large = parent.members - small
-        if (
-            len(small) != len(small_side)
-            or len(large) != len(large_side)
-            or len(small) + len(large) != len(parent.members)
-            or large != set(large_side)
-        ):
-            raise ValueError("sides must partition the community exactly")
+        walked = set(side)
+        if not walked or len(walked) != len(side) or not walked < parent.members:
+            raise ValueError("side must be a nonempty proper subset of the community")
         assignment, adj, degrees = self.assignment, self.graph.adj, self.graph.degrees
         internal_twice = total_degree = cut = 0
-        for v in small:
+        for v in walked:
             total_degree += degrees[v]
             for w, _ in adj[v]:
-                if w in small:
+                if w in walked:
                     internal_twice += 1
                 elif assignment[w] == cid:
                     cut += 1
         records = (
-            Community(small, internal_twice, total_degree),
+            Community(walked, internal_twice, total_degree),
             Community(
-                large,
+                parent.members - walked,
                 parent.internal_twice - internal_twice - 2 * cut,
                 parent.total_degree - total_degree,
             ),
@@ -131,10 +139,11 @@ class Partition:
         id_b = self._next_id + 1
         self._next_id += 2
         del self.communities[cid]
-        for new_id, record in zip((id_a, id_b), reversed(records) if swap else records):
+        for new_id, record in zip((id_a, id_b), records if side_is_a else reversed(records)):
             for v in record.members:
                 assignment[v] = new_id
             self.communities[new_id] = record
+        self._touched.update((cid, id_a, id_b))
         return id_a, id_b
 
     def unsplit(self, cid: int, parent: Community, children: tuple[int, int]) -> None:
@@ -149,6 +158,7 @@ class Partition:
             self.assignment[v] = cid
         self.communities[cid] = parent
         self._next_id = children[0]
+        self._touched.update((cid, *children))
 
     def move(self, v: int, target: int, to_source: int, to_target: int) -> None:
         """Move vertex `v` into community `target` with O(1) stats updates.
@@ -174,6 +184,8 @@ class Partition:
         self.assignment[v] = target
         if not src.members:
             del self.communities[source]
+        self._touched.add(source)
+        self._touched.add(target)
 
     def undo_move(self, v: int, source: int) -> None:
         """Move `v` back into `source`, the community a `move` took it out
@@ -193,17 +205,32 @@ class Partition:
 
 
 def modularity_q(g: Graph, p: Partition) -> float:
-    """Exact modularity of the partition, from the per-community totals."""
+    """Exact modularity of the partition, from the per-community totals.
+
+    The terms are added left to right in ascending community id.  The
+    partial sums of the last read stand for every id below the smallest one
+    touched since, so only the terms from there on are added again: the
+    result is the same float a full sum gives.
+    """
     if p.graph is not g:
         raise ValueError("partition was built for a different graph")
     if g.m < 1:
         raise ValueError("modularity requires at least one edge")
-    two_m = 2.0 * g.m
-    q = 0.0
-    for c in sorted(p.communities):
-        st = p.communities[c]
-        q += st.internal_twice / two_m - (st.total_degree / two_m) ** 2
-    return q
+    ids, sums, touched = p._q_ids, p._q_sums, p._touched
+    if touched:
+        communities = p.communities
+        i = bisect_left(ids, min(touched))
+        tail = sorted(c for c in touched.union(ids[i:]) if c in communities)
+        del ids[i:], sums[i:]
+        two_m = 2.0 * g.m
+        q = sums[-1] if sums else 0.0
+        for c in tail:
+            st = communities[c]
+            q += st.internal_twice / two_m - (st.total_degree / two_m) ** 2
+            ids.append(c)
+            sums.append(q)
+        touched.clear()
+    return sums[-1]
 
 
 def modularity_q_pairwise(g: Graph, p: Partition) -> float:
@@ -250,9 +277,19 @@ def move_q(degree: int, to_source: int, to_target: int, source_degree: int,
 # Export
 
 
+def _dense(p: Partition) -> Partition:
+    """`p` itself when its ids are already dense and ordered by smallest
+    member, as a run's best partition is; otherwise `p.renumbered()`."""
+    ids = sorted(p.communities)
+    firsts = [min(p.communities[c].members) for c in ids]
+    if ids == list(range(len(ids))) and firsts == sorted(firsts):
+        return p
+    return p.renumbered()
+
+
 def partition_to_tsv(p: Partition) -> str:
     """Vertex label and community id, one row per vertex."""
-    dense = p.renumbered()
+    dense = _dense(p)
     lines = ["# vertex\tcommunity"]
     for v in range(dense.graph.n):
         lines.append(f"{dense.graph.labels[v]}\t{dense.assignment[v]}")
@@ -261,7 +298,7 @@ def partition_to_tsv(p: Partition) -> str:
 
 def partition_to_json_obj(p: Partition) -> dict:
     """JSON-ready summary with per-community stats and modularity."""
-    dense = p.renumbered()
+    dense = _dense(p)
     g = dense.graph
     communities = []
     for c in sorted(dense.communities):

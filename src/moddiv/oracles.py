@@ -122,12 +122,16 @@ def gnp_connected(rng: random.Random, n: int, p: float) -> Graph:
 def reference_corpus_graph(rng: random.Random) -> tuple[str, Graph]:
     """A small graph for the engine-vs-reference check, with its kind: G(n, p),
     a planted partition, a ring of cliques, blocks of random cycles, G(n, p)
-    with isolated vertices, or small cliques hanging off a core clique.
+    with isolated vertices, small cliques hanging off a core clique, or two
+    dense cores bridged by edges whose ends hang off one core each.
     Refinement moves of the hanging cliques' hubs leave communities in three
     or more pieces, whose free splits leave a disconnected rest; the other
-    kinds almost never do.  Vertex ids are shuffled, so no kind hands the
-    engine its blocks in id order."""
-    kind = rng.choice(("gnp", "planted", "ring", "cycles", "isolated", "hanging"))
+    kinds almost never do.  Splitting a bridged graph's pieces moves bridge
+    ends into a kept core before it is dequeued, so its kept state is
+    reconciled with a member from outside; no other kind reaches that.
+    Vertex ids are shuffled, so no kind hands the engine its blocks in id
+    order."""
+    kind = rng.choice(("gnp", "planted", "ring", "cycles", "isolated", "hanging", "bridged"))
     if kind in ("gnp", "isolated"):
         n = rng.randint(4, 30)
         pairs = gnp_graph(rng, n, rng.choice((0.1, 0.2, 0.4))).edges
@@ -160,6 +164,17 @@ def reference_corpus_graph(rng: random.Random) -> tuple[str, Graph]:
             if rng.random() < 0.5:
                 pairs.append((rng.randrange(core), n + size - 1))
             n += size
+    elif kind == "bridged":
+        a, b = rng.randint(6, 10), rng.randint(6, 10)
+        n = a + b
+        pairs = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if (u < a) == (v < a) and rng.random() < 0.85
+        ]
+        for _ in range(rng.randint(3, 7)):
+            pairs += [(n, n + 1), (rng.randrange(a), n), (rng.randrange(a, a + b), n + 1)]
+            n += 2
+        pairs += [(rng.randrange(a), rng.randrange(a, a + b)) for _ in range(rng.randint(1, 2))]
     else:
         blocks, size = rng.randint(2, 4), rng.randint(5, 9)
         n = blocks * size

@@ -9,6 +9,7 @@ import pytest
 
 from moddiv import cli
 from moddiv.cli import main
+from moddiv.modularity import Partition
 from moddiv.oracles import SUITE_CHECKS
 
 from conftest import dataset_path, require_dataset
@@ -160,6 +161,24 @@ def test_detect_artifacts_match_pinned_sha256(tmp_path, dataset, algo, measure):
     assert code == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
     assert got == dict(zip(ARTIFACTS, PINNED_SHA256[dataset, algo, measure]))
+
+
+def test_detect_renumbers_the_partition_once(tmp_path, monkeypatch):
+    # the run's best partition is dense already; both partition exports use it
+    calls = []
+    real = Partition.renumbered
+
+    def renumbered(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Partition, "renumbered", renumbered)
+    out = tmp_path / "out"
+    for algo in ("ccr", "ccr-ebr"):
+        calls.clear()
+        code = run_cli("detect", "--input", require_dataset("karate"), "--algo", algo,
+                       "--out-dir", out, "--no-timestamps")
+        assert code == 0 and len(calls) == 1
 
 
 def test_detect_timestamps_on_by_default(tmp_path, barbell_file):

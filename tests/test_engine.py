@@ -55,8 +55,7 @@ def test_config_rejects_betweenness_for_phase_one():
 def test_bisect_barbell_cuts_the_bridge(barbell):
     sub = Subgraph(barbell, range(6))
     bis = bisect_community(barbell, sub, CLUSTERING_G3)
-    assert bis.side_a == (0, 1, 2)
-    assert bis.side_b == (3, 4, 5)
+    assert (bis.side, bis.side_is_a) == ((0, 1, 2), True)  # the rest is side b
     assert [eid for eid, _ in bis.removals] == [3]
     assert bis.removals[0][1] == 0.5
     # the removals are made on the subgraph, not on the graph
@@ -67,8 +66,7 @@ def test_bisect_barbell_cuts_the_bridge(barbell):
 def test_bisect_path_betweenness_tie_breaks_low_edge_id(path3):
     bis = bisect_community(path3, Subgraph(path3, range(3)), BETWEENNESS)
     assert [eid for eid, _ in bis.removals] == [0]
-    assert bis.side_a == (0,)
-    assert bis.side_b == (1, 2)
+    assert (bis.side, bis.side_is_a) == ((0,), True)  # the side that ran out
 
 
 def test_bisect_k3_walks_through_infinities(k3):
@@ -76,22 +74,23 @@ def test_bisect_k3_walks_through_infinities(k3):
     assert [eid for eid, _ in bis.removals] == [0, 1]
     assert bis.removals[0][1] == 2.0
     assert math.isinf(bis.removals[1][1])
-    assert bis.side_a == (0,)
-    assert bis.side_b == (1, 2)
+    assert (bis.side, bis.side_is_a) == ((0,), True)
 
 
 def test_bisect_preconditions(barbell, two_triangles):
     with pytest.raises(ValueError):
         bisect_community(barbell, Subgraph(barbell, [0]), CLUSTERING_G3)
     # a disconnected community splits off the smallest vertex's component
-    # without removing an edge
+    # without removing an edge, and carries the smaller of it and the rest
     bis = bisect_community(two_triangles, Subgraph(two_triangles, range(6)), CLUSTERING_G3)
-    assert (bis.side_a, bis.side_b, bis.removals) == ((0, 1, 2), (3, 4, 5), ())
+    assert (bis.side, bis.side_is_a, bis.removals) == ((0, 1, 2), True, ())
     bis = bisect_community(two_triangles, Subgraph(two_triangles, [0, 1, 2, 4]), CLUSTERING_G3)
-    assert (bis.side_a, bis.side_b, bis.removals) == ((0, 1, 2), (4,), ())
+    assert (bis.side, bis.side_is_a, bis.removals) == ((4,), False, ())
+    bis = bisect_community(two_triangles, Subgraph(two_triangles, [0, 3, 4, 5]), CLUSTERING_G3)
+    assert (bis.side, bis.side_is_a, bis.removals) == ((0,), True, ())
     lone = Graph(3, [(0, 1)])
     bis = bisect_community(lone, Subgraph(lone, [0, 2]), CLUSTERING_G3)
-    assert (bis.side_a, bis.side_b, bis.removals) == ((0,), (2,), ())
+    assert (bis.side, bis.side_is_a, bis.removals) == ((0,), True, ())
 
 
 def test_split_test_runs_one_search_per_bisection_and_removal(monkeypatch, gen):
@@ -285,7 +284,7 @@ def _chain_run(depth: int):
     history = []
     cid = 0
     for v in range(depth):
-        a, b = p.split_community(cid, [v], range(v + 1, depth + 1))
+        a, b = p.split_community(cid, [v], True)
         history.append({"type": "accept", "phase": 1, "community": cid,
                         "children": [a, b], "sizes": [1, depth - v], "q_after": 0.0})
         cid = b
@@ -314,9 +313,20 @@ def test_deep_ring_run_matches_pinned_history(gen):
     assert result.best_partition.n_communities == 125
 
 
+def test_deeper_ring_run_matches_pinned_history(gen):
+    # 1200 K4s: 531 accepted and 532 rejected splits, dendrogram depth 530,
+    # and communities of thousands of vertices judged split after split
+    n, edges, _ = gen.ring_of_cliques(1200, 4)
+    result = run_ccr(Graph(n, edges))
+    got = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+    assert got == "f62761b13a56c6d0e9761231a95a4a76b4352e77d5265b5ad8cec30a53a3faaf"
+    assert result.best_q == 0.9112277777777799
+    assert result.best_partition.n_communities == 532
+
+
 def test_dendrogram_drops_moves_of_rejected_splits(barbell):
     p = Partition(barbell, [0] * barbell.n)
-    a, b = p.split_community(0, [0, 1, 2], [3, 4, 5])
+    a, b = p.split_community(0, [0, 1, 2], True)
     move = {"type": "move", "phase": 1, "vertex": "3", "source": b, "target": a,
             "gain": -0.1, "q_after": 0.2}
     history = [
@@ -380,9 +390,10 @@ def test_reconcile_equals_a_fresh_build(measure, case):
     sub = Subgraph(g, range(32))  # the ring, without the outsider 32
     bis = bisect_community(g, sub, measure)
     # the two lowest ring edges go: clique 1 is peeled off the ring
-    assert bis.side_b == (4, 5, 6, 7) and [e for e, _ in bis.removals] == [48, 49]
+    assert (bis.side, bis.side_is_a) == ((4, 5, 6, 7), False)
+    assert [e for e, _ in bis.removals] == [48, 49]
     assert 49 in bis.table.scores  # the last removal is never rescored
-    members = set(bis.side_a)
+    members = set(range(32)) - set(bis.side)
     if case == "inserted":
         members.add(32)
     elif case == "dropped":
@@ -390,7 +401,8 @@ def test_reconcile_equals_a_fresh_build(measure, case):
     else:
         members.add(7)  # both ends of the last removal, (7, 8), are kept
     community = Partition(g, [0 if v in members else 1 for v in range(g.n)]).communities[0]
-    assert engine._reconcile(g, sub, bis.table, bis.removals, community)
+    changed = set(bis.side) | {32, 13, 7}
+    assert engine._reconcile(g, sub, bis.table, bis.removals, changed, community)
     fresh = Subgraph(g, members)
     want = compute_scores(measure, g, fresh)
     assert sorted(sub) == sorted(members)

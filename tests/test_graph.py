@@ -337,11 +337,12 @@ def test_reachable_within_start_side_runs_out_first():
 
 
 def test_reachable_within_stop_side_runs_out_first():
-    # the small side is stop_at's: the start's whole component comes back
+    # the small side is stop_at's: stop_at's whole component comes back,
+    # and the start's is never walked
     g = _triangle_and_clique(8)
     sub = Subgraph(g, range(g.n))
     sub.remove_edge(2, 3)
-    assert reachable_within(sub, 3, stop_at=0) == set(range(3, 11))
+    assert reachable_within(sub, 3, stop_at=0) == {0, 1, 2}
 
 
 def test_reachable_within_skips_dropped_and_keeps_inserted_vertices():
@@ -353,9 +354,20 @@ def test_reachable_within_skips_dropped_and_keeps_inserted_vertices():
     sub.drop_vertex(6)  # local 5 stays behind with an empty row
     sub.insert_vertex(g, 4)  # takes local 9
     sub.remove_edge(5, 7)
+    # the triangle runs out first: the clique side, with its dropped id and
+    # its inserted vertex, is never walked
     side = reachable_within(sub, sub.local[5], stop_at=sub.local[7])
-    assert side == {sub.local[v] for v in range(6)}
-    assert 5 not in side and 9 in side
+    assert side == {sub.local[v] for v in (7, 8, 9)}
+    side = reachable_within(sub, sub.local[7], stop_at=sub.local[5])
+    assert side == {sub.local[v] for v in (7, 8, 9)}
+    sub.drop_vertex(8)
+    sub.drop_vertex(9)
+    sub.drop_vertex(7)
+    sub.insert_vertex(g, 7)  # takes local 10, a lone vertex once 5-7 goes
+    sub.remove_edge(5, 7)
+    side = reachable_within(sub, sub.local[0], stop_at=sub.local[7])
+    assert side == {sub.local[7]}
+    assert [sub.verts[i] for i in sorted(sub.local.values())] == [0, 1, 2, 3, 5, 4, 7]
 
 
 def _component(sub: Subgraph, start: int) -> set:
@@ -402,9 +414,10 @@ def test_reachable_within_agrees_with_a_plain_search_under_removals():
             i, j = sub.local[u], sub.local[v]
             side = reachable_within(sub, i, stop_at=j)
             want = _component(sub, i)
-            assert (j in side) == (j in want)
-            assert {i, j} <= side if j in want else side == want
-            if j not in want:
+            if j in want:
+                assert {i, j} <= side
+            else:  # exactly the component of whichever end it holds
+                assert side == (want if i in side else _component(sub, j))
                 splits += 1
                 gone = want if rng.random() < 0.5 else _component(sub, j)
                 for w in [w for w, x in sub.local.items() if x in gone]:

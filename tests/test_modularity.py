@@ -13,7 +13,7 @@ from moddiv import (
     move_q,
     partition_to_tsv,
 )
-from moddiv.modularity import _community, partition_to_json_obj
+from moddiv.modularity import _community, _dense, partition_to_json_obj
 from moddiv.oracles import gnp_graph, random_dense_assignment
 
 
@@ -108,13 +108,17 @@ def test_apply_move_retires_emptied_community():
     assert (p.communities[0].internal_twice, p.communities[0].total_degree) == (4, 4)
 
 
-def test_split_community_stats(barbell):
+@pytest.mark.parametrize("side, side_is_a", [([0, 1, 2], True), ([5, 3, 4], False)])
+def test_split_community_stats(barbell, side, side_is_a):
+    # either side may be the one given; side a takes the first new id
     p = Partition(barbell, [0] * barbell.n)
-    a, b = p.split_community(0, [0, 1, 2], [3, 4, 5])
+    a, b = p.split_community(0, side, side_is_a)
+    assert (a, b) == (1, 2)
     assert p.n_communities == 2
     assert p.members(a) == [0, 1, 2]
     assert p.members(b) == [3, 4, 5]
     assert p.communities[a].internal_twice == 6
+    assert p.communities[b].internal_twice == 6
     assert p.communities[a].total_degree == 7  # bridge endpoint has degree 3
     assert p.communities[b].total_degree == 7
     assert abs(modularity_q(barbell, p) - 5.0 / 14.0) < 1e-12
@@ -123,22 +127,22 @@ def test_split_community_stats(barbell):
 def test_split_community_requires_exact_partition(barbell):
     p = Partition(barbell, [0] * barbell.n)
     with pytest.raises(ValueError):
-        p.split_community(0, [0, 1], [3, 4, 5])  # vertex 2 missing
+        p.split_community(0, range(6), True)  # the whole community: no other side
 
 
-@pytest.mark.parametrize("sides", [
-    ([0, 0, 1, 2], [3, 4]),  # duplicate on the larger side
-    ([0, 1], [2, 3, 3, 4, 5]),  # duplicate on the larger side, one too long
-    ([0, 1, 2], [2, 3, 4, 5]),  # a vertex on both sides
-    ([0, 1, 6], [2, 3, 4, 5]),  # foreign vertex on the smaller side
-    ([0, 1, 2], [3, 4, 6]),  # foreign vertex on the larger side, 5 missing
-    ([0, 1, 2], [3, 4, 4]),  # duplicate on a side of the right length
+@pytest.mark.parametrize("side", [
+    [0, 0, 1, 2],  # a duplicate
+    [],  # empty
+    [0, 1, 6],  # a foreign vertex
+    [6],  # only a foreign vertex
+    [2, 2],  # a duplicate and nothing else
+    [5, 4, 3, 2, 1, 0, 0],  # the whole community with a duplicate
 ])
-def test_split_community_rejects_duplicate_and_foreign_vertices(sides):
+def test_split_community_rejects_duplicate_and_foreign_vertices(side):
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
     p = Partition(g, [0] * 6 + [1])
     with pytest.raises(ValueError):
-        p.split_community(0, *sides)
+        p.split_community(0, side, True)
     assert p.assignment == [0] * 6 + [1] and p._next_id == 2
 
 
@@ -162,10 +166,9 @@ def test_split_totals_equal_a_fresh_count():
             continue
         cid = rng.choice(splittable)
         members = sorted(p.communities[cid].members)
-        side = set(rng.sample(members, rng.randint(1, len(members) - 1)))
-        a, b = p.split_community(
-            cid, [v for v in members if v in side], [v for v in members if v not in side]
-        )
+        side = rng.sample(members, rng.randint(1, len(members) - 1))
+        a, b = p.split_community(cid, side, members[0] in side)
+        assert members[0] in p.communities[a].members
         for c in (a, b):
             fresh = _community(g, set(p.communities[c].members))
             assert (p.communities[c].internal_twice, p.communities[c].total_degree) == (
@@ -188,7 +191,10 @@ def test_undoing_moves_and_a_split_restores_the_partition_exactly():
         parent = p.communities[cid]
         members = sorted(parent.members)
         cut = rng.randint(1, len(members) - 1)
-        children = p.split_community(cid, members[:cut], members[cut:])
+        if rng.random() < 0.5:
+            children = p.split_community(cid, members[:cut], True)
+        else:
+            children = p.split_community(cid, members[cut:], False)
         moves = []
         for _ in range(rng.randint(0, 8)):
             v = rng.randrange(n)
@@ -231,6 +237,20 @@ def test_partition_to_tsv_uses_labels_and_dense_ids():
     lines = partition_to_tsv(p).strip().splitlines()
     assert lines[0] == "# vertex\tcommunity"
     assert lines[1:] == ["w\t0", "x\t0", "y\t1", "z\t1"]
+
+
+def test_exports_renumber_only_a_partition_that_needs_it():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    dense = Partition(g, [0, 0, 1, 1])
+    assert _dense(dense) is dense
+    for p in (Partition(g, [1, 1, 0, 0]), Partition(g, [1, 0, 0, 1])):
+        assert _dense(p) is not p
+        assert _dense(p).assignment == p.renumbered().assignment
+    gapped = Partition(g, [0] * 4)
+    gapped.split_community(0, [2, 3], False)  # ids 1 and 2
+    assert _dense(gapped).assignment == [0, 0, 1, 1]
+    assert partition_to_tsv(gapped) == partition_to_tsv(dense)
+    assert partition_to_json_obj(gapped) == partition_to_json_obj(dense)
 
 
 def test_partition_json_reports_q_and_stats(barbell):

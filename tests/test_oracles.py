@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from moddiv import EdgeScoreTable, Graph, Subgraph, edge_betweenness
+from moddiv import EdgeScoreTable, Graph, Subgraph, edge_betweenness, engine
 from moddiv.modularity import Partition, move_q
 from moddiv.oracles import (
+    DEFAULT_SEED,
     SUITE_CHECKS,
     OracleReport,
     betweenness_naive,
@@ -106,6 +107,32 @@ def test_engine_vs_reference_reports_a_broken_undo(monkeypatch):
     report = check_engine_vs_reference(4134, cases=3)
     assert not report.passed
     assert "case=0 graph=ring" in report.failures[0][0]
+
+
+def test_engine_vs_reference_reaches_the_rare_engine_states(monkeypatch):
+    """The suite's corpus reconciles a kept state with a member moved in
+    from outside, and ends a split test on `stop_at`'s side of a subgraph
+    with dropped ids, so a fault in either path fails the check."""
+    reached = {"moved-in": 0, "stop-side-dropped": 0}
+    real_reconcile, real_reach = engine._reconcile, engine.reachable_within
+
+    def reconcile(g, sub, table, removals, changed, community):
+        moved_in = not community.members <= sub.local.keys()
+        done = real_reconcile(g, sub, table, removals, changed, community)
+        reached["moved-in"] += done and moved_in
+        return done
+
+    def reach(sub, start, stop_at=None):
+        side = real_reach(sub, start, stop_at)
+        dropped = len(sub.local) < len(sub.nbrs)
+        reached["stop-side-dropped"] += stop_at is not None and start not in side and dropped
+        return side
+
+    monkeypatch.setattr(engine, "_reconcile", reconcile)
+    monkeypatch.setattr(engine, "reachable_within", reach)
+    report = check_engine_vs_reference(DEFAULT_SEED + 5)
+    assert report.cases == 150 and report.passed
+    assert min(reached.values()) > 0, reached
 
 
 # -- exhaustive reference ----------------------------------------------------

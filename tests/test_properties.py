@@ -116,3 +116,66 @@ def test_engine_equals_the_plain_reference(seed):
     for algo in ("ccr", "ccr-ebr"):
         for measure in (CLUSTERING_G3, CLUSTERING_G4):
             assert engine_reference_mismatch(g, algo, measure) is None
+
+
+def _full_q(g: Graph, p: Partition) -> float:
+    """Modularity summed afresh over every community, in ascending id."""
+    two_m = 2.0 * g.m
+    q = 0.0
+    for c in sorted(p.communities):
+        record = p.communities[c]
+        q += record.internal_twice / two_m - (record.total_degree / two_m) ** 2
+    return q
+
+
+def _move(p: Partition, v: int, target: int) -> None:
+    source = p.assignment[v]
+    tally = [p.assignment[w] for w, _ in p.graph.adj[v]]
+    p.move(v, target, tally.count(source), tally.count(target))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.data())
+def test_running_q_equals_a_full_sum(g, data):
+    """Splits, moves, and their undoing in reverse order, as a judged split
+    makes them; a drain moves every member of a community out, retiring it,
+    so that undoing it recreates it.  Q is read after a random subset of the
+    steps, so the touched ids of several steps pile up between reads."""
+    k = data.draw(st.integers(1, min(4, g.n)))
+    p = Partition(g, [v if v < k else data.draw(st.integers(0, k - 1)) for v in range(g.n)])
+    undo: list[tuple] = []  # ("split", cid, parent, children) or ("move", v, source)
+    for _ in range(data.draw(st.integers(1, 30))):
+        kind = data.draw(st.sampled_from(("split", "move", "drain", "undo")))
+        ids = sorted(p.communities)
+        if kind == "split":
+            splittable = [c for c in ids if len(p.communities[c].members) > 1]
+            if not splittable:
+                continue
+            cid = data.draw(st.sampled_from(splittable))
+            members = sorted(p.communities[cid].members)
+            side = data.draw(st.lists(st.sampled_from(members), min_size=1,
+                                      max_size=len(members) - 1, unique=True))
+            parent = p.communities[cid]
+            undo.append(("split", cid, parent, p.split_community(cid, side, members[0] in side)))
+        elif kind in ("move", "drain") and len(ids) > 1:
+            source = data.draw(st.sampled_from(ids))
+            target = data.draw(st.sampled_from([c for c in ids if c != source]))
+            movers = sorted(p.communities[source].members)
+            if kind == "move":
+                movers = [data.draw(st.sampled_from(movers))]
+            for v in movers:
+                _move(p, v, target)
+                undo.append(("move", v, source))
+            if kind == "drain":
+                assert source not in p.communities
+        elif kind == "undo" and undo:
+            step = undo.pop()
+            if step[0] == "move":
+                p.undo_move(step[1], step[2])
+            else:
+                p.unsplit(*step[1:])
+        if data.draw(st.booleans()):
+            got, want = modularity_q(g, p), _full_q(g, p)
+            assert got == want and repr(got) == repr(want)
+    got, want = modularity_q(g, p), _full_q(g, p)
+    assert got == want and repr(got) == repr(want)
