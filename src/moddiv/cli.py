@@ -31,6 +31,7 @@ from pathlib import Path
 from .bench import ALGORITHMS, RUNNERS as _RUNNERS, rows_to_json_obj, rows_to_tsv, run_bench
 from .engine import ConfigError, EngineConfig, history_to_jsonl
 from .graph import GraphLoadError, Subgraph, load_edge_list, load_gml
+from .jsontext import dumps_indented
 from .measures import BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4, compute_scores
 from .modularity import partition_to_json_obj, partition_to_tsv
 from .oracles import DEFAULT_SEED, run_verification_suite
@@ -88,7 +89,7 @@ def _timestamp() -> str:
 def _write_json(path: Path, obj: dict, stamped: bool) -> None:
     if stamped:
         obj = {"generated_at": _timestamp(), **obj}
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    path.write_text(dumps_indented(obj) + "\n", encoding="utf-8")
 
 
 def cmd_detect(args) -> int:

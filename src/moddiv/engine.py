@@ -368,19 +368,31 @@ def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
     Stops after a pass with no moves, or at the pass cap.  Mutates the
     partition and `candidates`; returns the partition, together with the
     applied moves.
+
+    `outside[v]` counts the edges from a tallied candidate v that leave its
+    community.  It is set from v's tally and kept exact by every move: the
+    mover's own count is reset from its tally, a neighbour left in the
+    source gains an outside edge and one in the target loses one.  A vertex
+    with none offers no target and cannot move, so a sweep skips it without
+    tallying it again.
     """
     moves: list[RefinementMove] = []
     m = g.m
+    assignment = p.assignment
+    outside: dict[int, int] = {}
     for _ in range(max_passes):
         moved = False
         for v in sorted(candidates):
-            source = p.assignment[v]
+            if outside.get(v) == 0:
+                continue
+            source = assignment[v]
             tally: dict[int, int] = {}
             for w, _ in g.adj[v]:
-                cw = p.assignment[w]
+                cw = assignment[w]
                 tally[cw] = tally.get(cw, 0) + 1
             to_source = tally.get(source, 0)
             degree = g.degrees[v]
+            outside[v] = degree - to_source
             source_degree = p.communities[source].total_degree
             best_gain = -math.inf
             best_target = None
@@ -393,8 +405,17 @@ def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
                     best_gain = gain
                     best_target = target
             if best_target is not None and best_gain > Q_IMPROVEMENT_EPS:
-                p.move(v, best_target, to_source, tally[best_target])
-                candidates.update(w for w, _ in g.adj[v] if p.assignment[w] == source)
+                to_target = tally[best_target]
+                p.move(v, best_target, to_source, to_target)
+                outside[v] = degree - to_target
+                for w, _ in g.adj[v]:
+                    cw = assignment[w]
+                    if cw == source:
+                        candidates.add(w)
+                        if w in outside:
+                            outside[w] += 1
+                    elif cw == best_target and w in outside:
+                        outside[w] -= 1
                 moves.append(RefinementMove(v, source, best_target, best_gain))
                 moved = True
         if not moved:

@@ -8,11 +8,11 @@ removals performed during bisection do not affect modularity.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import Graph
+from .jsontext import dumps_indented
 
 
 @dataclass
@@ -320,4 +320,4 @@ def partition_to_json_obj(p: Partition) -> dict:
 
 
 def partition_to_json(p: Partition) -> str:
-    return json.dumps(partition_to_json_obj(p), indent=2) + "\n"
+    return dumps_indented(partition_to_json_obj(p)) + "\n"

@@ -19,7 +19,6 @@ from .engine import (
     Q_IMPROVEMENT_EPS,
     EngineConfig,
     RefinementMove,
-    refine,
     run_ccr,
     run_ccr_ebr,
 )
@@ -265,8 +264,44 @@ def betweenness_naive(g: Graph, within) -> EdgeScoreTable:
     return EdgeScoreTable(BETWEENNESS, scores)
 
 
+def refine_naive(g: Graph, p: Partition, candidates: set, max_passes: int):
+    """`engine.refine` without its kept counts: every sweep tallies every
+    candidate's neighbours afresh, interior vertices included.  Mutates `p`
+    and `candidates` as `refine` does; returns the partition and the moves.
+    """
+    moves: list[RefinementMove] = []
+    for _ in range(max_passes):
+        moved = False
+        for v in sorted(candidates):
+            source = p.assignment[v]
+            tally: dict[int, int] = {}
+            for w, _ in g.adj[v]:
+                cw = p.assignment[w]
+                tally[cw] = tally.get(cw, 0) + 1
+            to_source = tally.get(source, 0)
+            best_gain = -math.inf
+            best_target = None
+            for target in sorted(tally):
+                if target == source:
+                    continue
+                gain = move_q(g.degrees[v], to_source, tally[target],
+                              p.communities[source].total_degree,
+                              p.communities[target].total_degree, g.m)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_target = target
+            if best_target is not None and best_gain > Q_IMPROVEMENT_EPS:
+                p.move(v, best_target, to_source, tally[best_target])
+                candidates.update(w for w, _ in g.adj[v] if p.assignment[w] == source)
+                moves.append(RefinementMove(v, source, best_target, best_gain))
+                moved = True
+        if not moved:
+            break
+    return p, moves
+
+
 def _reference_refine(g: Graph, assignment: list, candidates: set, max_passes: int):
-    """`refine` on a fresh `Partition` of `assignment`.  Its dense ids keep
+    """`refine_naive` on a fresh `Partition` of `assignment`.  Its dense ids keep
     the order of the run's ids, so tie-breaks and Q's summation order are the
     run's; moves come back in the run's ids.  Returns the new assignment, Q
     before and after, and the moves."""
@@ -274,7 +309,7 @@ def _reference_refine(g: Graph, assignment: list, candidates: set, max_passes: i
     dense = {c: i for i, c in enumerate(ids)}
     p = Partition(g, [dense[c] for c in assignment])
     q_before = modularity_q(g, p)
-    p, moves = refine(g, p, candidates, max_passes)
+    p, moves = refine_naive(g, p, candidates, max_passes)
     moves = [RefinementMove(mv.vertex, ids[mv.source], ids[mv.target], mv.gain) for mv in moves]
     return [ids[c] for c in p.assignment], q_before, modularity_q(g, p), moves
 

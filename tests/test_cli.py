@@ -82,7 +82,9 @@ def test_detect_artifacts_are_byte_identical_without_timestamps(
 
 # sha256 of ARTIFACTS, in that order, written by `detect --no-timestamps`.
 # They pin every tie-break of the engine: a change that alters one of these
-# files has to say why and update the hash.
+# files has to say why and update the hash.  "ring-200" is the ring of 200
+# K4 cliques of `perfbench/gen.py`, labelled `str(v)`: 249 dendrogram nodes
+# and 606 refinement moves under ccr.
 PINNED_SHA256 = {
     ("karate", "ccr", "g3"): (
         "7d385b840edcf7faf942e790cf5fa46a4aeff694c3370e300f645175ee704065",
@@ -140,16 +142,54 @@ PINNED_SHA256 = {
         "86dac5ba9eb7a867d85a4f10dfe05b48a03f99c22bc9ee5a2b7d693401ea0ea0",
         "211ced8aa97423fad71f4758abbabc33cb4ffae3ab3d8c0e71b863fed4d83610",
     ),
+    ("ring-200", "ccr", "g3"): (
+        "2808959b225c16d485d71795a6bf4bb6a8b9a755e96b188a09a0aed1919bd69d",
+        "79b2304ac550f7d0162953ad4cf3d29d2e1e0a177b57b73bc25e9e84dee7aa3b",
+        "862e2a94c415a80987c2ceebaffc560e7323a294aeb4ef731f63b25655af0543",
+        "fa421db7bc92959966884cec70eeafe52ff7fcf659b2ece14cef49527e935ada",
+        "14d17a40d6023ed76c15eb192815357ab86ee553755c271c88eefcd77604bfdb",
+    ),
+    ("ring-200", "ccr", "g4"): (
+        "2808959b225c16d485d71795a6bf4bb6a8b9a755e96b188a09a0aed1919bd69d",
+        "79b2304ac550f7d0162953ad4cf3d29d2e1e0a177b57b73bc25e9e84dee7aa3b",
+        "862e2a94c415a80987c2ceebaffc560e7323a294aeb4ef731f63b25655af0543",
+        "fa421db7bc92959966884cec70eeafe52ff7fcf659b2ece14cef49527e935ada",
+        "7411ca1fc9aa853469ae7a57cdaaf07b830e5cf9f710ff70a8785075555511e0",
+    ),
+    ("ring-200", "ccr-ebr", "g3"): (
+        "2adea9ea5b2d3e39fd2fd3abf7225d2181dce2a731992a2312869463df424aa5",
+        "58c4c17e49f7df170a93f8b648e367e8a56b08241dd78669944b0fbe218c4914",
+        "498590c656a4f7fc474e969a491e25a25e74580e60fed2e37e6ef9da353fe51e",
+        "f6860ba45f92b2c724d82c7e512f89b39376184a943a25592204cf7058ef9900",
+        "40f24aef9bbf1b766bee51a5118a444b1897f05187607850ed766e3f16251689",
+    ),
+    ("ring-200", "ccr-ebr", "g4"): (
+        "2adea9ea5b2d3e39fd2fd3abf7225d2181dce2a731992a2312869463df424aa5",
+        "58c4c17e49f7df170a93f8b648e367e8a56b08241dd78669944b0fbe218c4914",
+        "498590c656a4f7fc474e969a491e25a25e74580e60fed2e37e6ef9da353fe51e",
+        "f6860ba45f92b2c724d82c7e512f89b39376184a943a25592204cf7058ef9900",
+        "007f173503b4db3368f098692b34ebae5fa0dd3563e10eac1514e8cc8dd09b90",
+    ),
 }
 
 
+def _pinned_input(dataset: str, tmp_path: Path, request) -> Path:
+    if dataset != "ring-200":
+        return require_dataset(dataset)
+    gen = request.getfixturevalue("gen")
+    n, edges, _ = gen.ring_of_cliques(200, 4)
+    path = tmp_path / "ring-200.gml"
+    gen.write_gml(path, [str(v) for v in range(n)], edges)
+    return path
+
+
 @pytest.mark.parametrize("dataset, algo, measure", sorted(PINNED_SHA256))
-def test_detect_artifacts_match_pinned_sha256(tmp_path, dataset, algo, measure):
+def test_detect_artifacts_match_pinned_sha256(tmp_path, request, dataset, algo, measure):
     out = tmp_path / "out"
     code = run_cli(
         "detect",
         "--input",
-        require_dataset(dataset),
+        _pinned_input(dataset, tmp_path, request),
         "--algo",
         algo,
         "--measure",

@@ -176,6 +176,38 @@ def test_refine_offers_abandoned_neighbors_on_the_next_pass():
     assert candidates == {2, 3, 4}
 
 
+class _CountedRows(list):
+    """Adjacency rows that count how often each vertex's row is read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = [0] * len(rows)
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return super().__getitem__(v)
+
+
+def test_refine_skips_interior_candidates_until_they_return_to_the_boundary():
+    # a path of two K4s {0..3} and {4..7} joined by the (3, 4) bridge; the
+    # boundary between communities 1 and 2 walks from 5|6 to 3|4
+    g = Graph(8, [(i, j) for b in (0, 4) for i in range(b, b + 4) for j in range(i + 1, b + 4)]
+              + [(3, 4)])
+    p = Partition(g, [0, 1, 1, 1, 1, 1, 2, 2])
+    g.adj = _CountedRows(g.adj)
+    candidates = {0, 2, 3, 5, 6}
+    p, moves = refine(g, p, candidates, 100)
+    # pass 1: 0 joins 1, making 3 interior; 5 joins 2, making 4 a candidate;
+    # 6 has 4 outside.  Pass 2: 4 joins 2, making 5 and 6 interior and
+    # putting 3 back on the boundary.  Pass 3 moves nothing.
+    assert [(m.vertex, m.source, m.target) for m in moves] == [(0, 0, 1), (5, 1, 2), (4, 1, 2)]
+    assert p.assignment == [1, 1, 1, 1, 2, 2, 2, 2]
+    assert candidates == {0, 2, 3, 4, 5, 6}
+    # one read per tally and one per move: 3 is tallied in passes 1 and 3
+    # and skipped in pass 2; 0, 2, 5 and 6 are skipped once interior
+    assert g.adj.reads == [2, 0, 1, 2, 3, 2, 1, 0]
+
+
 # -- pipelines ---------------------------------------------------------------
 
 

@@ -23,13 +23,14 @@ from moddiv import (
     Subgraph,
     load_gml,
     modularity_q,
+    refine,
     run_ccr,
     run_ccr_ebr,
     write_gml,
 )
 from moddiv.cli import main
 from moddiv.graph import reachable_within
-from moddiv.oracles import engine_reference_mismatch, reference_corpus_graph
+from moddiv.oracles import engine_reference_mismatch, reference_corpus_graph, refine_naive
 
 
 @st.composite
@@ -116,6 +117,27 @@ def test_engine_equals_the_plain_reference(seed):
     for algo in ("ccr", "ccr-ebr"):
         for measure in (CLUSTERING_G3, CLUSTERING_G4):
             assert engine_reference_mismatch(g, algo, measure) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(), st.integers(0, 2**32 - 1).map(
+    lambda seed: reference_corpus_graph(random.Random(seed))[1])), st.data())
+def test_refine_equals_the_naive_refine(g, data):
+    """The kept outside counts skip only vertices that could not move: the
+    moves, the partition and the candidates left behind are the naive
+    sweep's, on random partitions and candidate sets, under any pass cap."""
+    k = data.draw(st.integers(1, min(6, g.n)))
+    assignment = [v if v < k else data.draw(st.integers(0, k - 1)) for v in range(g.n)]
+    candidates = set(data.draw(st.lists(st.integers(0, g.n - 1), min_size=1)))
+    max_passes = data.draw(st.sampled_from((1, 2, 3, 100)))
+    fast, naive = Partition(g, assignment), Partition(g, assignment)
+    fast_candidates, naive_candidates = set(candidates), set(candidates)
+    _, got = refine(g, fast, fast_candidates, max_passes)
+    _, want = refine_naive(g, naive, naive_candidates, max_passes)
+    assert got == want
+    assert fast.assignment == naive.assignment
+    assert fast_candidates == naive_candidates
+    assert fast.communities == naive.communities
 
 
 def _full_q(g: Graph, p: Partition) -> float:
