@@ -79,7 +79,7 @@ class RefinementMove:
 class Bisection:
     """Outcome of one divisive split: one side plus the removals that caused it.
 
-    `side` is the side the split test walked, as sorted global ids; the
+    `side` is the side the split test walked, as sorted vertex ids; the
     other side is the rest of the community.  `side_is_a` tells whether
     `side` is side a, the one holding the community's smallest vertex.
     `table` is the score table the removals were picked from, as it stood
@@ -260,11 +260,9 @@ class DetectionResult:
 
 
 def _bisection(sub: Subgraph, side: set[int], removals, table) -> Bisection:
-    """Bisection of `sub` into the local ids in `side` and the rest; only
-    `side` is mapped back to global ids."""
-    verts = sub.verts
-    walked = sorted([verts[i] for i in side])
-    return Bisection(tuple(walked), walked[0] == min(sub.local), tuple(removals), table)
+    """Bisection of `sub` into the vertices in `side` and the rest."""
+    walked = sorted(side)
+    return Bisection(tuple(walked), walked[0] == min(sub.nbrs), tuple(removals), table)
 
 
 def bisect_community(
@@ -294,10 +292,10 @@ def bisect_community(
     if len(sub) < 2:
         raise ValueError("community must contain at least two vertices")
     if not connected:
-        side = reachable_within(sub, sub.local[min(sub.local)])
+        side = reachable_within(sub, min(sub.nbrs))
         if len(side) < len(sub):
             if 2 * len(side) > len(sub):
-                side = set(sub.local.values()) - side
+                side = sub.nbrs.keys() - side
             return _bisection(sub, side, (), table)
 
     if table is None:
@@ -310,9 +308,8 @@ def bisect_community(
         removals.append((eid, table.scores[eid]))
         u, v = g.edges[eid]
         sub.remove_edge(u, v)
-        start, target = sub.local[u], sub.local[v]
-        side = reachable_within(sub, start, stop_at=target)
-        if start not in side or target not in side:
+        side = reachable_within(sub, u, stop_at=v)
+        if u not in side or v not in side:
             return _bisection(sub, side, removals, table)
         table = rescore_after_removal(table, g, sub, eid)
 
@@ -332,18 +329,17 @@ def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed
     rescoring would cost more than half the community's edges: a fresh
     table then costs less.
     """
-    members, local, nbrs = community.members, sub.local, sub.nbrs
-    extra = [v for v in changed if v in local and v not in members]
-    new = [v for v in changed if v in members and v not in local]
+    members, nbrs = community.members, sub.nbrs
+    extra = [v for v in changed if v in nbrs and v not in members]
+    new = [v for v in changed if v in members and v not in nbrs]
     readd = [eid for eid, _ in removals if members.issuperset(g.edges[eid])]
-    gone = {local[v] for v in extra}
-    touched = {j for i in gone for j in nbrs[i]} - gone
-    touched.update(local[x] for eid in readd for x in g.edges[eid])
+    touched = {w for v in extra for w in nbrs[v]}.difference(extra)
+    touched.update(x for eid in readd for x in g.edges[eid])
     if removals:
         last = removals[-1][0]
-        touched.update(local[x] for x in g.edges[last] if x in members)
-    touched.update(local[w] for v in new for w, _ in g.adj[v] if w in members and w in local)
-    work = sum(len(nbrs[i]) for i in touched) + 2 * len(readd) + sum(g.degrees[v] for v in new)
+        touched.update(x for x in g.edges[last] if x in members)
+    touched.update(w for v in new for w, _ in g.adj[v] if w in members and w in nbrs)
+    work = sum(len(nbrs[v]) for v in touched) + 2 * len(readd) + sum(g.degrees[v] for v in new)
     if 2 * work > community.internal_twice // 2:
         return False
     for v in extra:
@@ -352,7 +348,9 @@ def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed
         table.forget((last,))
     for eid in readd:
         sub.add_edge(*g.edges[eid], eid)
-    touched.update(sub.insert_vertex(g, v) for v in sorted(new))
+    for v in sorted(new):
+        sub.insert_vertex(g, v)
+    touched.update(new)
     rescore_around(table, sub, touched)
     return True
 
@@ -493,8 +491,9 @@ class _DivisiveRun:
         child's members when it is dequeued, so only smaller children are
         usually built fresh.
         Betweenness tables are recomputed after every removal anyway, and
-        Brandes' float sums follow ascending local ids, so the betweenness
-        phase builds every subgraph fresh.
+        Brandes' float sums follow the subgraph's vertex order, ascending
+        ids only in a fresh build, so the betweenness phase builds every
+        subgraph fresh.
         """
         g, p, proven = self.g, self.partition, self.proven
         kept: dict[int, tuple[Subgraph, EdgeScoreTable, tuple, set[int]]] = {}

@@ -94,74 +94,61 @@ class Graph:
 class Subgraph:
     """Mutable copy of the subgraph induced by one vertex set.
 
-    Bisection deletes edges from this object alone.  `local` maps each
-    live global vertex to its local id, `verts[i]` is the global vertex of
-    local id i, and `nbrs[i]` maps each local neighbour of i to the edge id
-    joining them.  In a fresh subgraph local ids follow ascending global id
-    and rows are filled in ascending neighbour order, which dicts keep
-    through deletions; an inserted vertex takes the next local id, and a
-    dropped one keeps its id, its `verts` entry and an empty row.
-    Iterating a subgraph yields its live global vertex ids.
+    Bisection deletes edges from this object alone.  `nbrs[v]` maps each
+    neighbour of the live vertex v to the edge id joining them.  A fresh
+    subgraph holds its vertices in ascending id order and fills each row
+    in ascending neighbour order, which dicts keep through deletions; an
+    inserted vertex comes last.  Iterating a subgraph yields its live
+    vertex ids in that order.
     """
 
-    __slots__ = ("local", "verts", "nbrs")
+    __slots__ = ("nbrs",)
 
     def __init__(self, graph: Graph, members):
         verts = sorted(set(members))
         if not verts:
             raise ValueError("vertex subset must be nonempty")
-        self.verts = verts
-        self.local = local = {v: i for i, v in enumerate(verts)}
-        self.nbrs: list[dict[int, int]] = []
+        if verts[0] < 0 or verts[-1] >= graph.n:
+            raise ValueError(f"vertex subset reaches outside 0..{graph.n - 1}")
+        self.nbrs = nbrs = dict.fromkeys(verts)
         for v in verts:
-            row = {}
+            row = nbrs[v] = {}
             for w, eid in graph.adj[v]:
-                j = local.get(w)
-                if j is not None:
-                    row[j] = eid
-            self.nbrs.append(row)
+                if w in nbrs:
+                    row[w] = eid
 
     def __len__(self) -> int:
-        return len(self.local)
+        return len(self.nbrs)
 
     def __iter__(self):
-        return iter(self.local)
+        return iter(self.nbrs)
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete the edge between global vertices u and v."""
-        i, j = self.local[u], self.local[v]
-        del self.nbrs[i][j]
-        del self.nbrs[j][i]
+        """Delete the edge between vertices u and v."""
+        del self.nbrs[u][v]
+        del self.nbrs[v][u]
 
     def add_edge(self, u: int, v: int, eid: int) -> None:
-        """Add edge `eid` between global vertices u and v."""
-        i, j = self.local[u], self.local[v]
-        self.nbrs[i][j] = eid
-        self.nbrs[j][i] = eid
+        """Add edge `eid` between vertices u and v."""
+        self.nbrs[u][v] = eid
+        self.nbrs[v][u] = eid
 
     def drop_vertex(self, v: int) -> dict[int, int]:
-        """Remove global vertex v with its edges; returns its former row."""
-        i = self.local.pop(v)
-        row = self.nbrs[i]
-        self.nbrs[i] = {}
-        for j in row:
-            del self.nbrs[j][i]
+        """Remove vertex v with its edges; returns its former row."""
+        row = self.nbrs.pop(v)
+        for w in row:
+            del self.nbrs[w][v]
         return row
 
-    def insert_vertex(self, graph: Graph, v: int) -> int:
-        """Add global vertex v with its edges to the live vertices; returns
-        its local id."""
-        i = len(self.nbrs)
+    def insert_vertex(self, graph: Graph, v: int) -> None:
+        """Add vertex v with its edges to the live vertices."""
         row = {}
         for w, eid in graph.adj[v]:
-            j = self.local.get(w)
-            if j is not None:
-                row[j] = eid
-                self.nbrs[j][i] = eid
-        self.local[v] = i
-        self.verts.append(v)
-        self.nbrs.append(row)
-        return i
+            other = self.nbrs.get(w)
+            if other is not None:
+                row[w] = eid
+                other[v] = eid
+        self.nbrs[v] = row
 
 
 @dataclass(frozen=True)
@@ -198,7 +185,7 @@ def connected_components(g: Graph) -> ComponentLabeling:
 
 
 def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> set[int]:
-    """Local ids reachable from local vertex `start` in the subgraph.
+    """Vertices reachable from vertex `start` in the subgraph.
 
     With `stop_at`, bisection's test of whether an edge removal split its
     endpoints, the search runs from both ends (Pohl 1971): each step grows
@@ -301,26 +288,29 @@ _GML_KNOWN_NODE_KEYS = {"id", "label"}
 _GML_KNOWN_EDGE_KEYS = {"source", "target"}
 
 
-def _gml_value(tok: str) -> object:
-    if tok.startswith('"'):
-        # A closed string is one token; a lone quote starts a bare token.
-        if len(tok) < 2 or not tok.endswith('"'):
-            raise GraphLoadError(f"malformed GML: unterminated string {tok!r}")
-        return tok[1:-1]
+def _gml_value(tok: str) -> str:
+    """A value token exactly as written, quotes included, so that a quoted
+    string never reads as a number and a bare one keeps its text."""
+    # A closed string is one token; a lone quote starts a bare token.
+    if tok.startswith('"') and (len(tok) < 2 or not tok.endswith('"')):
+        raise GraphLoadError(f"malformed GML: unterminated string {tok!r}")
+    return tok
+
+
+def _gml_int(value) -> int | None:
+    """The integer a bare value token spells; None for anything else."""
     try:
-        return int(tok)
-    except ValueError:
-        try:
-            return float(tok)
-        except ValueError:
-            return tok
+        return int(value)  # a quoted token or a block raises
+    except (TypeError, ValueError):
+        return None
 
 
 def _gml_parse_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, object]], int]:
     """Parse tokens after '[' until the matching ']'; returns (entries, next pos).
 
-    The enclosing blocks of a nested one wait on an explicit stack, so any
-    nesting depth parses.
+    A value is a list of entries for a block, else its token (see
+    `_gml_value`).  The enclosing blocks of a nested one wait on an
+    explicit stack, so any nesting depth parses.
     """
     entries: list[tuple[str, object]] = []
     outer: list[list[tuple[str, object]]] = []
@@ -382,12 +372,14 @@ def load_gml(path) -> Graph:
             label = None
             for k, v in value:
                 if k == "id":
-                    node_id = v
+                    node_id = _gml_int(v)
                 elif k == "label":
-                    label = str(v)
+                    if isinstance(v, list):
+                        raise GraphLoadError(f"{path}: node label is a block")
+                    label = v[1:-1] if v.startswith('"') else v
                 elif k not in _GML_KNOWN_NODE_KEYS and k not in unknown:
                     unknown.append(k)
-            if not isinstance(node_id, int):
+            if node_id is None:
                 raise GraphLoadError(f"{path}: node without an integer id")
             if node_id in index:
                 raise GraphLoadError(f"{path}: duplicate node id {node_id}")
@@ -399,12 +391,12 @@ def load_gml(path) -> Graph:
             source = target = None
             for k, v in value:
                 if k == "source":
-                    source = v
+                    source = _gml_int(v)
                 elif k == "target":
-                    target = v
+                    target = _gml_int(v)
                 elif k not in _GML_KNOWN_EDGE_KEYS and k not in unknown:
                     unknown.append(k)
-            if not isinstance(source, int) or not isinstance(target, int):
+            if source is None or target is None:
                 raise GraphLoadError(f"{path}: edge without integer source/target")
             raw_edges.append((source, target))
         elif key not in _GML_KNOWN_GRAPH_KEYS and key not in unknown:

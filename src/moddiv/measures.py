@@ -90,19 +90,18 @@ def edge_betweenness(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     (Brandes 2001), and the dependency back-propagation walks only those;
     each pair is visited from both endpoints, so totals are halved.
     """
-    # Local edge indices in row order, and rows of (neighbour, (self, edge
-    # index)) lists: the second item is the predecessor entry the neighbour
-    # records, built once instead of once per source.  Iterating lists keeps
-    # the rows' ascending order, so the float sums accumulate in a fixed
-    # order.
-    eids: list[int] = []
+    # Dense vertex and edge indices in the subgraph's order, and rows of
+    # (neighbour, (self, edge index)) lists: the second item is the
+    # predecessor entry the neighbour records, built once instead of once
+    # per source.  Sources run and rows are iterated in the subgraph's
+    # order, so the float sums accumulate in a fixed order.
+    pos = {v: i for i, v in enumerate(sub.nbrs)}
     index: dict[int, int] = {}
-    for i, row in enumerate(sub.nbrs):
-        for j, eid in row.items():
-            if i < j:
-                index[eid] = len(eids)
-                eids.append(eid)
-    rows = [[(j, (i, index[eid])) for j, eid in row.items()] for i, row in enumerate(sub.nbrs)]
+    rows = [
+        [(pos[w], (i, index.setdefault(eid, len(index)))) for w, eid in row.items()]
+        for i, row in enumerate(sub.nbrs.values())
+    ]
+    eids = list(index)
     k = len(rows)
     acc = [0.0] * len(eids)
     unseen = [-1] * k
@@ -142,7 +141,7 @@ def edge_betweenness(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     return EdgeScoreTable(BETWEENNESS, {eid: a / 2.0 for eid, a in zip(eids, acc)})
 
 
-def _g4_score(nbrs: list[dict[int, int]], u: int, v: int, cycles: int) -> float:
+def _g4_score(nbrs: dict[int, dict[int, int]], u: int, v: int, cycles: int) -> float:
     """(cycles + 1) over the most 4-cycles the edge u-v could close: every
     pairing of distinct non-shared neighbours of u and v; shared neighbours
     close triangles, not 4-cycles, so they cannot be paired with themselves.
@@ -152,7 +151,7 @@ def _g4_score(nbrs: list[dict[int, int]], u: int, v: int, cycles: int) -> float:
     return (cycles + 1) / denom if denom > 0 else math.inf
 
 
-def _four_cycles(nbrs: list[dict[int, int]], u: int, v: int) -> int:
+def _four_cycles(nbrs: dict[int, dict[int, int]], u: int, v: int) -> int:
     """4-cycles u-v-b-a through the edge u-v: pairs a ~ b with a in N(u),
     b in N(v), a != v, b != u and a != b."""
     nv = nbrs[v].keys()
@@ -171,7 +170,7 @@ def edge_clustering_g3(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     inf = math.inf
     scores: dict[int, float] = {}
     triangles: dict[int, int] = {}
-    for i, row in enumerate(nbrs):
+    for i, row in nbrs.items():
         keys = row.keys()
         di = len(row)
         for j, eid in row.items():
@@ -195,7 +194,7 @@ def edge_clustering_g4(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     nbrs = sub.nbrs
     scores: dict[int, float] = {}
     cycles: dict[int, int] = {}
-    for i, row in enumerate(nbrs):
+    for i, row in nbrs.items():
         for j, eid in row.items():
             if i < j:
                 f = cycles[eid] = _four_cycles(nbrs, i, j)
@@ -243,25 +242,24 @@ def rescore_after_removal(
         return edge_betweenness(g, sub)
 
     u, v = g.edges[removed_edge]
-    i, j = sub.local[u], sub.local[v]
     prev.forget((removed_edge,))
     nbrs = sub.nbrs
     scores, heap, cycles = prev.scores, prev.heap, prev.cycles
     if prev.kind == CLUSTERING_G4:
-        ni, nj = nbrs[i], nbrs[j]
-        nj_keys = nj.keys()
+        nu, nv = nbrs[u], nbrs[v]
+        nv_keys = nv.keys()
         far: dict[int, tuple[int, int]] = {}
-        for a, ea in ni.items():
+        for a, ea in nu.items():
             na = nbrs[a]
-            ended = na.keys() & nj_keys
+            ended = na.keys() & nv_keys
             if ended:
                 cycles[ea] -= len(ended)
                 for b in ended:
-                    cycles[nj[b]] -= 1
+                    cycles[nv[b]] -= 1
                     eab = na[b]
                     cycles[eab] -= 1
                     far[eab] = (a, b)
-        for x in (i, j):
+        for x in (u, v):
             for y, eid in nbrs[x].items():
                 far[eid] = (x, y)
         for eid, (x, y) in far.items():
@@ -273,8 +271,8 @@ def rescore_after_removal(
         return prev
 
     inf = math.inf
-    common = nbrs[i].keys() & nbrs[j].keys()
-    for a in (i, j):
+    common = nbrs[u].keys() & nbrs[v].keys()
+    for a in (u, v):
         row = nbrs[a]
         da = len(row)
         for x, eid in row.items():
@@ -296,13 +294,13 @@ def rescore_after_removal(
 
 def rescore_around(table: EdgeScoreTable, sub: Subgraph, vertices) -> None:
     """Bring a clustering table in line with a full recomputation after
-    edges were added to or removed from `sub` at the local `vertices`.
+    edges were added to or removed from `sub` at the live `vertices`.
 
     This is the general form of `rescore_after_removal`: it rescores every
     edge at `vertices`, plus (for 4-cycles) every edge at their neighbours,
     recounting the triangles or 4-cycles of each from the neighbour sets.
-    A dropped vertex passes its former neighbours, an inserted one itself
-    and its neighbours.
+    A dropped vertex passes its former neighbours, not itself; an inserted
+    one passes itself and its neighbours.
     """
     nbrs = sub.nbrs
     scores, heap, cycles = table.scores, table.heap, table.cycles

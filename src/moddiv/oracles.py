@@ -351,7 +351,7 @@ def reference_run(g: Graph, algo: str, measure: str, max_passes: int = 100):
             if len(verts) < 2:
                 continue
             sub = Subgraph(g, verts)
-            side = reachable_within(sub, 0)
+            side = reachable_within(sub, verts[0])
             removals = []
             while len(side) == len(sub):
                 table = compute_scores(kind, g, sub)
@@ -359,15 +359,14 @@ def reference_run(g: Graph, algo: str, measure: str, max_passes: int = 100):
                 removals.append(eid)
                 u, v = g.edges[eid]
                 sub.remove_edge(u, v)
-                side = reachable_within(sub, sub.local[u])
+                side = reachable_within(sub, u)
                 score = table.scores[eid]
                 history.append({
                     "type": "remove", "phase": phase, "community": cid, "edge_id": eid,
                     "edge": list(g.edge_label_pair(eid)),
                     "score": "inf" if math.isinf(score) else score, "q_after": q,
                 })
-            sides = ([v for v in verts if sub.local[v] in side],
-                     [v for v in verts if sub.local[v] not in side])
+            sides = ([v for v in verts if v in side], [v for v in verts if v not in side])
             children = (next_id, next_id + 1)
             trial = list(assignment)
             for c, part in zip(children, sorted(sides)):
@@ -467,7 +466,7 @@ def cycle_count_naive(g: Graph, sub: Subgraph, edge_id: int, order: int) -> int:
         raise ValueError("naive cycle counting is capped at 60 vertices")
     if order not in (3, 4):
         raise ValueError("order must be 3 or 4")
-    present = {g.edges[eid] for row in sub.nbrs for eid in row.values()}
+    present = {g.edges[eid] for row in sub.nbrs.values() for eid in row.values()}
     if g.edges[edge_id] not in present:
         raise ValueError("edge is not in the subgraph")
     u, v = g.edges[edge_id]
@@ -627,7 +626,7 @@ def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
             eid = rng.choice(sorted(removed))
             u, v = g.edges[eid]
             sub.add_edge(u, v, eid)
-            touched.update((sub.local[u], sub.local[v]))
+            touched.update((u, v))
             removed.discard(eid)
             edits.append(f"readd={eid}")
         elif op == "drop" and len(sub) > 2:
@@ -636,13 +635,14 @@ def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
             row = sub.drop_vertex(v)
             table.forget(row.values())
             touched.update(row)
+            touched.discard(v)
             edits.append(f"drop={v}")
         elif op == "insert":
-            outside = [v for v in range(g.n) if v not in sub.local]
+            outside = [v for v in range(g.n) if v not in sub.nbrs]
             if outside:
                 v = rng.choice(outside)
-                i = sub.insert_vertex(g, v)
-                touched.update((i, *sub.nbrs[i]))
+                sub.insert_vertex(g, v)
+                touched.update((v, *sub.nbrs[v]))
                 edits.append(f"insert={v}")
     if not edits:
         return None

@@ -438,7 +438,7 @@ def test_reconcile_equals_a_fresh_build(measure, case):
     fresh = Subgraph(g, members)
     want = compute_scores(measure, g, fresh)
     assert sorted(sub) == sorted(members)
-    edges = [{eid for row in s.nbrs for eid in row.values()} for s in (sub, fresh)]
+    edges = [{eid for row in s.nbrs.values() for eid in row.values()} for s in (sub, fresh)]
     assert edges[0] == edges[1]
     assert bis.table.scores == want.scores
     assert bis.table.cycles == want.cycles

@@ -123,6 +123,43 @@ def test_gml_labels_with_spaces(tmp_path):
     assert g.m == 1
 
 
+def test_gml_bare_labels_keep_their_text(tmp_path):
+    # bare labels used to be read as numbers: 007 and 7 both became "7",
+    # and 1e3 became "1000.0"
+    path = tmp_path / "numeric.gml"
+    path.write_text(
+        'graph [\n'
+        '  node [ id 0 label 007 ]\n'
+        '  node [ id 1 label 7 ]\n'
+        '  node [ id 2 label 1e3 ]\n'
+        '  node [ id 03 label "007" ]\n'
+        '  edge [ source 0 target 1 ]\n'
+        '  edge [ source 1 target 2 ]\n'
+        '  edge [ source 2 target 3 ]\n'
+        ']\n',
+        encoding="utf-8",
+    )
+    g = load_gml(path)
+    assert g.labels == ["007", "7", "1e3", "007"]
+    assert g.edges == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("node, message", [
+    ('id "0"', "integer id"),
+    ("id 0.0", "integer id"),
+    ("id [ x 0 ]", "integer id"),
+    ("id 0 label [ x 0 ]", "label is a block"),
+])
+def test_gml_ids_stay_integers_and_labels_values(tmp_path, node, message):
+    path = tmp_path / "bad.gml"
+    path.write_text(
+        f"graph [ node [ {node} ] node [ id 1 ] edge [ source 0 target 1 ] ]\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(GraphLoadError, match=message):
+        load_gml(path)
+
+
 def test_gml_unknown_keys_warn(tmp_path):
     path = tmp_path / "extra.gml"
     path.write_text(
@@ -220,13 +257,12 @@ def test_subgraph_remove_edge(barbell):
         sub.remove_edge(2, 3)
 
 
-def test_subgraph_uses_local_ids_in_ascending_order(barbell):
+def test_subgraph_rows_follow_ascending_vertex_ids(barbell):
     sub = Subgraph(barbell, [5, 4, 0, 2, 1, 4])
-    assert sorted(sub) == [0, 1, 2, 4, 5]
-    assert sub.local == {0: 0, 1: 1, 2: 2, 4: 3, 5: 4}
+    assert list(sub) == [0, 1, 2, 4, 5]
     # edges leaving the vertex set are left out
-    assert sub.nbrs == [{1: 0, 2: 1}, {0: 0, 2: 2}, {0: 1, 1: 2}, {4: 6}, {3: 6}]
-    assert all(list(row) == sorted(row) for row in sub.nbrs)
+    assert sub.nbrs == {0: {1: 0, 2: 1}, 1: {0: 0, 2: 2}, 2: {0: 1, 1: 2}, 4: {5: 6}, 5: {4: 6}}
+    assert all(list(row) == sorted(row) for row in sub.nbrs.values())
     sub.remove_edge(0, 1)
     assert list(sub.nbrs[2]) == [0, 1]
 
@@ -235,17 +271,21 @@ def test_subgraph_drop_insert_and_add_edge(barbell):
     sub = Subgraph(barbell, [0, 1, 2, 3])
     assert sub.drop_vertex(2) == {0: 1, 1: 2, 3: 3}
     assert list(sub) == [0, 1, 3] and len(sub) == 3
-    assert sub.nbrs == [{1: 0}, {0: 0}, {}, {}]  # local 2 keeps its id, empty
-    assert sub.insert_vertex(barbell, 4) == 4  # the next local id, not a reuse
-    assert sub.local[4] == 4
+    assert sub.nbrs == {0: {1: 0}, 1: {0: 0}, 3: {}}
+    sub.insert_vertex(barbell, 4)
     assert sub.nbrs[3] == {4: 4} and sub.nbrs[4] == {3: 4}
     assert list(sub) == [0, 1, 3, 4]
     sub.remove_edge(0, 1)
     sub.add_edge(1, 0, 0)
     assert sub.nbrs[0] == {1: 0} and sub.nbrs[1] == {0: 0}
     # an inserted vertex only sees live vertices: 2 was dropped
-    assert sub.insert_vertex(barbell, 5) == 5
+    sub.insert_vertex(barbell, 5)
     assert sub.nbrs[5] == {3: 5, 4: 6}
+    # a reinserted vertex comes last
+    sub.insert_vertex(barbell, 2)
+    assert list(sub) == [0, 1, 3, 4, 5, 2]
+    assert sub.nbrs[2] == {0: 1, 1: 2, 3: 3}
+    sub.drop_vertex(2)
     with pytest.raises(KeyError):
         sub.drop_vertex(2)
 
@@ -300,6 +340,14 @@ def test_subgraph_rejects_empty_subset(barbell):
         Subgraph(barbell, [])
 
 
+@pytest.mark.parametrize("members", [[-1, 2], [2, 4], [0, 1, 2, 3, 4]])
+def test_subgraph_rejects_members_outside_the_graph(members):
+    # -1 used to alias vertex 3 of the path and leave one-sided rows
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="outside"):
+        Subgraph(path, members)
+
+
 def test_reachable_within_early_stop(barbell):
     sub = Subgraph(barbell, range(6))
     side = reachable_within(sub, 0, stop_at=3)
@@ -308,9 +356,8 @@ def test_reachable_within_early_stop(barbell):
     side = reachable_within(sub, 0, stop_at=5)
     assert 5 not in side
     assert side == {0, 1, 2}
-    # local ids: vertex 5 is local 3 once vertex 2 is left out
     sub = Subgraph(barbell, [0, 1, 3, 4, 5])
-    assert reachable_within(sub, 2) == {2, 3, 4}
+    assert reachable_within(sub, 4) == {3, 4, 5}
 
 
 def test_reachable_within_meets_at_a_common_neighbour():
@@ -351,23 +398,20 @@ def test_reachable_within_skips_dropped_and_keeps_inserted_vertices():
     pairs += [(0, 6), (1, 6), (5, 7), (7, 8), (7, 9), (8, 9)]
     g = Graph(10, pairs)
     sub = Subgraph(g, [v for v in range(10) if v != 4])
-    sub.drop_vertex(6)  # local 5 stays behind with an empty row
-    sub.insert_vertex(g, 4)  # takes local 9
+    sub.drop_vertex(6)
+    sub.insert_vertex(g, 4)
     sub.remove_edge(5, 7)
-    # the triangle runs out first: the clique side, with its dropped id and
-    # its inserted vertex, is never walked
-    side = reachable_within(sub, sub.local[5], stop_at=sub.local[7])
-    assert side == {sub.local[v] for v in (7, 8, 9)}
-    side = reachable_within(sub, sub.local[7], stop_at=sub.local[5])
-    assert side == {sub.local[v] for v in (7, 8, 9)}
+    # the triangle runs out first: the clique side, with its dropped vertex
+    # and its inserted one, is never walked
+    assert reachable_within(sub, 5, stop_at=7) == {7, 8, 9}
+    assert reachable_within(sub, 7, stop_at=5) == {7, 8, 9}
     sub.drop_vertex(8)
     sub.drop_vertex(9)
     sub.drop_vertex(7)
-    sub.insert_vertex(g, 7)  # takes local 10, a lone vertex once 5-7 goes
+    sub.insert_vertex(g, 7)  # a lone vertex once 5-7 goes
     sub.remove_edge(5, 7)
-    side = reachable_within(sub, sub.local[0], stop_at=sub.local[7])
-    assert side == {sub.local[7]}
-    assert [sub.verts[i] for i in sorted(sub.local.values())] == [0, 1, 2, 3, 5, 4, 7]
+    assert reachable_within(sub, 0, stop_at=7) == {7}
+    assert list(sub) == [0, 1, 2, 3, 5, 4, 7]
 
 
 def _component(sub: Subgraph, start: int) -> set:
@@ -382,9 +426,7 @@ def _component(sub: Subgraph, start: int) -> set:
 
 
 def _live_edges(g: Graph, sub: Subgraph) -> list:
-    local, nbrs = sub.local, sub.nbrs
-    return [(u, v) for u, v in g.edges
-            if u in local and v in local and local[v] in nbrs[local[u]]]
+    return [(u, v) for u, v in g.edges if u in sub.nbrs and v in sub.nbrs[u]]
 
 
 def test_reachable_within_agrees_with_a_plain_search_under_removals():
@@ -399,28 +441,24 @@ def test_reachable_within_agrees_with_a_plain_search_under_removals():
         g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
         members = rng.sample(range(n), rng.randint(2, n))
         sub = Subgraph(g, members)
-        first = sub.local[members[0]]
-        keep = {v for v, i in sub.local.items() if i in _component(sub, first)}
-        for v in set(sub) - keep:
+        for v in set(sub) - _component(sub, members[0]):
             sub.drop_vertex(v)
         while _live_edges(g, sub):
             if rng.random() < 0.2:
-                outside = [v for v in range(n) if v not in sub.local
-                           and any(w in sub.local for w, _ in g.adj[v])]
+                outside = [v for v in range(n) if v not in sub.nbrs
+                           and any(w in sub.nbrs for w, _ in g.adj[v])]
                 if outside:
                     sub.insert_vertex(g, rng.choice(outside))
             u, v = rng.choice(_live_edges(g, sub))
             sub.remove_edge(u, v)
-            i, j = sub.local[u], sub.local[v]
-            side = reachable_within(sub, i, stop_at=j)
-            want = _component(sub, i)
-            if j in want:
-                assert {i, j} <= side
+            side = reachable_within(sub, u, stop_at=v)
+            want = _component(sub, u)
+            if v in want:
+                assert {u, v} <= side
             else:  # exactly the component of whichever end it holds
-                assert side == (want if i in side else _component(sub, j))
+                assert side == (want if u in side else _component(sub, v))
                 splits += 1
-                gone = want if rng.random() < 0.5 else _component(sub, j)
-                for w in [w for w, x in sub.local.items() if x in gone]:
+                for w in want if rng.random() < 0.5 else _component(sub, v):
                     sub.drop_vertex(w)
     assert splits > 50
 

@@ -43,7 +43,7 @@ def _generated(name: str, gen) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _edges(sub: Subgraph) -> set[int]:
-    return {eid for row in sub.nbrs for eid in row.values()}
+    return {eid for row in sub.nbrs.values() for eid in row.values()}
 
 
 def _connected(g: Graph, members) -> bool:

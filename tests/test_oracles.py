@@ -111,20 +111,24 @@ def test_engine_vs_reference_reports_a_broken_undo(monkeypatch):
 
 def test_engine_vs_reference_reaches_the_rare_engine_states(monkeypatch):
     """The suite's corpus reconciles a kept state with a member moved in
-    from outside, and ends a split test on `stop_at`'s side of a subgraph
-    with dropped ids, so a fault in either path fails the check."""
+    from outside, and ends a split test on `stop_at`'s side of a reconciled
+    subgraph that lost vertices, so a fault in either path fails the check."""
     reached = {"moved-in": 0, "stop-side-dropped": 0}
     real_reconcile, real_reach = engine._reconcile, engine.reachable_within
+    shrunk = set()  # reconciled subgraphs that lost vertices
 
     def reconcile(g, sub, table, removals, changed, community):
-        moved_in = not community.members <= sub.local.keys()
+        moved_in = not community.members <= sub.nbrs.keys()
+        lost = not sub.nbrs.keys() <= community.members
         done = real_reconcile(g, sub, table, removals, changed, community)
         reached["moved-in"] += done and moved_in
+        if done and lost:
+            shrunk.add(sub)
         return done
 
     def reach(sub, start, stop_at=None):
         side = real_reach(sub, start, stop_at)
-        dropped = len(sub.local) < len(sub.nbrs)
+        dropped = sub in shrunk
         reached["stop-side-dropped"] += stop_at is not None and start not in side and dropped
         return side
 

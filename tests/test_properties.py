@@ -58,7 +58,7 @@ def test_every_final_community_is_connected(g):
         best = r.best_partition
         for cid in best.communities:
             members = best.members(cid)
-            assert len(reachable_within(Subgraph(g, members), 0)) == len(members)
+            assert len(reachable_within(Subgraph(g, members), members[0])) == len(members)
 
 
 @settings(max_examples=60, deadline=None)
