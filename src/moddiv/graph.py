@@ -283,6 +283,10 @@ def load_edge_list(path) -> Graph:
 
 _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
 
+# A label holding one of these would break a row of the TSV outputs; of the
+# input formats, only a quoted GML label can.
+_TSV_BREAK = re.compile(r"[\t\r\n]")
+
 _GML_KNOWN_GRAPH_KEYS = {"node", "edge", "directed", "id", "label", "comment"}
 _GML_KNOWN_NODE_KEYS = {"id", "label"}
 _GML_KNOWN_EDGE_KEYS = {"source", "target"}
@@ -342,7 +346,9 @@ def load_gml(path) -> Graph:
     Supports the common subset `graph [ node [ id N label "..." ] edge [
     source N target N ] ]`.  Unknown keys are ignored and reported through
     `Graph.warnings`; a `directed 1` flag is accepted but edges are
-    symmetrized and deduplicated.  Node labels are preserved for output.
+    symmetrized and deduplicated.  Node labels are preserved for output;
+    one holding a tab, CR or LF raises `GraphLoadError`, since it would
+    break the rows of the TSV outputs.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -402,6 +408,13 @@ def load_gml(path) -> Graph:
         elif key not in _GML_KNOWN_GRAPH_KEYS and key not in unknown:
             unknown.append(key)
 
+    if _TSV_BREAK.search("".join(labels)):  # one search, not one per label
+        label = next(label for label in labels if _TSV_BREAK.search(label))
+        raise GraphLoadError(
+            f"{path}: node label {label!r} holds a tab or line break,"
+            " which the TSV outputs cannot hold"
+        )
+
     pairs = []
     for source, target in raw_edges:
         for ref in (source, target):
@@ -434,11 +447,18 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 def write_gml(g: Graph, path) -> None:
-    """Write the graph in the GML subset understood by `load_gml`."""
+    """Write the graph in the GML subset understood by `load_gml`.
+
+    Raises ValueError if a label would not read back: one that holds a
+    `"`, which GML strings cannot escape, or a tab, CR or LF, which
+    `load_gml` rejects.
+    """
+    for label in g.labels:
+        if '"' in label or _TSV_BREAK.search(label):
+            raise ValueError(f"label {label!r} cannot be written to GML")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("graph [\n")
-        for v in range(g.n):
-            label = g.labels[v].replace('"', "'")
+        for v, label in enumerate(g.labels):
             fh.write(f'  node [\n    id {v}\n    label "{label}"\n  ]\n')
         for u, v in g.edges:
             fh.write(f"  edge [\n    source {u}\n    target {v}\n  ]\n")

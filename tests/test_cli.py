@@ -360,6 +360,22 @@ def test_detect_rejects_an_unterminated_gml_string_with_exit_2(tmp_path, capsys)
     assert not (out / "partition.tsv").exists()
 
 
+def test_a_gml_label_that_breaks_a_tsv_row_exits_2_before_running(tmp_path, capsys):
+    # "a<TAB>b" used to write the partition.tsv row "a<TAB>b<TAB>0"
+    gml = tmp_path / "tab.gml"
+    gml.write_text(
+        'graph [ node [ id 0 label "a\tb" ] node [ id 1 ] edge [ source 0 target 1 ] ]\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli("detect", "--input", gml, "--out-dir", out) == 2
+    assert "tab or line break" in capsys.readouterr().err
+    assert not (out / "partition.tsv").exists()
+    assert run_cli("measures", "--input", gml) == 2
+    captured = capsys.readouterr()
+    assert "tab or line break" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("name", ["bad.txt", "bad.gml"])
 def test_detect_rejects_a_non_utf8_input_with_exit_2(tmp_path, capsys, name):
     path = tmp_path / name

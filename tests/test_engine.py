@@ -19,6 +19,7 @@ from moddiv import (
     Subgraph,
     bisect_community,
     compute_scores,
+    load_gml,
     modularity_q,
     refine,
     run_ccr,
@@ -27,6 +28,8 @@ from moddiv import (
 from moddiv import engine
 from moddiv.engine import Dendrogram, TraceEntry, history_to_jsonl
 from moddiv.oracles import exhaustive_best_partition, gnp_connected
+
+from conftest import require_dataset
 
 
 def _cfg(**kw) -> EngineConfig:
@@ -93,12 +96,26 @@ def test_bisect_preconditions(barbell, two_triangles):
     assert (bis.side, bis.side_is_a, bis.removals) == ((0,), True, ())
 
 
+def _keeps_a_cycle(kind: str, sub: Subgraph, u: int, v: int) -> bool:
+    """Whether the edge u-v, just removed from `sub`, lay on a triangle (g3)
+    or a 4-cycle (g4), counted from the neighbour sets of what is left."""
+    nu, nv = sub.nbrs[u], sub.nbrs[v]
+    if kind == CLUSTERING_G3:
+        return bool(nu.keys() & nv.keys())
+    return any(b in sub.nbrs[a] for a in nu for b in nv if a != b)
+
+
 def test_split_test_runs_one_search_per_bisection_and_removal(monkeypatch, gen):
-    """One search per removal, plus one opening search per bisection of a
-    community not proven connected; proven bisections skip it."""
+    """One search per removal that left no triangle (g3) or 4-cycle (g4)
+    of the removed edge, and per betweenness removal, plus one opening
+    search per bisection of a community not proven connected; proven
+    bisections skip it.  Every removal but a bisection's last is rescored,
+    and the last one split the community, so it lay on no cycle."""
     calls = []
     proven = []
+    skipped = []
     real_reach, real_bisect = engine.reachable_within, engine.bisect_community
+    real_rescore = engine.rescore_after_removal
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -108,22 +125,65 @@ def test_split_test_runs_one_search_per_bisection_and_removal(monkeypatch, gen):
         proven.append(connected)
         return real_bisect(g, sub, measure, table, connected)
 
+    def rescore(prev, g, sub, eid):
+        if prev.kind != BETWEENNESS:
+            skipped.append(_keeps_a_cycle(prev.kind, sub, *g.edges[eid]))
+        return real_rescore(prev, g, sub, eid)
+
     monkeypatch.setattr(engine, "reachable_within", counted)
     monkeypatch.setattr(engine, "bisect_community", bisect)
+    monkeypatch.setattr(engine, "rescore_after_removal", rescore)
     rng = random.Random(61)
     graphs = [("gnp", gnp_connected(rng, rng.randint(10, 30), 0.25)) for _ in range(5)]
     graphs += [("ring", Graph(*gen.ring_of_cliques(k, 4)[:2])) for k in (12, 40)]
     for kind, g in graphs:
         for runner in (run_ccr, run_ccr_ebr):
-            calls.clear()
-            proven.clear()
-            r = runner(g)
-            removals = sum(e["type"] == "remove" for e in r.history)
-            bisections = sum(e["type"] in ("accept", "reject") for e in r.history)
-            assert bisections == len(proven) > 0
-            assert len(calls) == removals + bisections - sum(proven)
-            if kind == "ring":
-                assert sum(proven) > 0
+            for measure in (CLUSTERING_G3, CLUSTERING_G4):
+                calls.clear()
+                proven.clear()
+                skipped.clear()
+                r = runner(g, _cfg(measure=measure))
+                removals = sum(e["type"] == "remove" for e in r.history)
+                bisections = sum(e["type"] in ("accept", "reject") for e in r.history)
+                assert bisections == len(proven) > 0
+                assert len(calls) == removals + bisections - sum(proven) - sum(skipped)
+                if kind == "ring":
+                    assert sum(proven) > 0
+                if kind == "gnp":
+                    assert sum(skipped) > 0
+
+
+@pytest.mark.parametrize("measure", [CLUSTERING_G3, CLUSTERING_G4])
+def test_a_removal_with_a_kept_cycle_leaves_its_ends_connected(monkeypatch, gen, measure):
+    """The split test is skipped for a removal whose kept count is above 0;
+    a plain search from one end must then reach the other, on freshly
+    built tables and on tables `_reconcile` brought up to date."""
+    reconciled = {}  # id -> table, for every table a reconcile took over
+    seen = {"fresh": 0, "reconciled": 0}
+    real_reconcile, real_rescore = engine._reconcile, engine.rescore_after_removal
+
+    def reconcile(g, sub, table, removals, changed, community):
+        done = real_reconcile(g, sub, table, removals, changed, community)
+        if done:
+            reconciled[id(table)] = table
+        return done
+
+    def rescore(prev, g, sub, eid):
+        if prev.cycles[eid] > 0:
+            u, v = g.edges[eid]
+            assert v in engine.reachable_within(sub, u)
+            seen["reconciled" if reconciled.get(id(prev)) is prev else "fresh"] += 1
+        return real_rescore(prev, g, sub, eid)
+
+    monkeypatch.setattr(engine, "_reconcile", reconcile)
+    monkeypatch.setattr(engine, "rescore_after_removal", rescore)
+    rng = random.Random(1504)
+    for _ in range(6):
+        n, edges, _ = gen.planted_partition(rng, 96, 6, 8.0, 1.5)
+        run_ccr(Graph(n, edges), _cfg(measure=measure))
+        n, edges, _ = gen.cycle_blocks(rng, 120, 6, 3, 12)
+        run_ccr(Graph(n, edges), _cfg(measure=measure))
+    assert min(seen.values()) > 0, seen
 
 
 # -- refine ------------------------------------------------------------------
@@ -383,6 +443,70 @@ def test_history_serializes_as_json_lines(barbell):
     assert events == r.history
     assert all("q_after" in e and "type" in e for e in events)
     assert {e["type"] for e in events} <= {"remove", "move", "accept", "reject"}
+
+
+def _jsonl_per_event(history: list[dict]) -> str:
+    return "".join(json.dumps(event) + "\n" for event in history)
+
+
+@pytest.mark.parametrize("name", ["karate", "lesmis", "ring"])
+def test_history_jsonl_equals_one_dumps_per_event_on_real_runs(gen, name):
+    if name == "ring":
+        g = Graph(*gen.ring_of_cliques(40, 4)[:2])
+    else:
+        g = load_gml(require_dataset(name))
+    for runner in (run_ccr, run_ccr_ebr):
+        history = runner(g).history
+        assert history_to_jsonl(history) == _jsonl_per_event(history)
+
+
+def _awkward_history(labels: list[str]) -> list[dict]:
+    """Events of every type whose string values are `labels`."""
+    history = []
+    for i, label in enumerate(labels):
+        other = labels[(i + 1) % len(labels)]
+        history += [
+            {"type": "remove", "phase": 1, "community": i, "edge_id": i,
+             "edge": [label, other], "score": "inf" if i % 2 else 0.25, "q_after": 0.0},
+            {"type": "move", "phase": 2, "stage": "final-refine", "vertex": label,
+             "source": i, "target": i + 1, "gain": 1e-17, "q_after": -0.5},
+            {"type": "accept", "phase": 1, "community": i, "children": [i, i + 1],
+             "sizes": [1, 0], "q_after": 1 / 3},
+            {"type": "reject", "phase": 2, "community": i, "q_tentative": -1e300,
+             "q_after": 2.5},
+        ]
+    return history
+
+
+def test_history_jsonl_equals_one_dumps_per_event_on_awkward_labels():
+    labels = [
+        'a"b', "\\", 'x\\"', '}, {"type": ', '"}, {"type": "move"', "\u00e9\u4e2d\U0001f600",
+        "\x00\x01\x1f\x7f", "\t\r\n", "\ud800", "\udfff", "", "type", ", ",
+    ]
+    # the long history spans several `json.dumps` calls
+    cases = [[], _awkward_history(labels), _awkward_history(labels * 10)]
+    cases += [_awkward_history([label]) for label in labels]
+    rng = random.Random(1502)
+    pool = '"\\{}[],: type\n\u00e9\ud83d'
+    for _ in range(200):
+        cases.append(_awkward_history([
+            "".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+            for _ in range(rng.randint(1, 4))
+        ]))
+    for history in cases:
+        assert history_to_jsonl(history) == _jsonl_per_event(history)
+
+
+PER_CALL = engine._EVENTS_PER_CALL
+
+
+# the last two events fall at the start and end of the second `json.dumps` call
+@pytest.mark.parametrize("at", [0, 1, 2, PER_CALL, PER_CALL + 2])
+def test_history_jsonl_rejects_an_event_that_does_not_start_with_its_type(at):
+    history = _awkward_history(['a"b'] * PER_CALL)[:PER_CALL + 3]
+    history[at] = {"phase": 1, **history[at]}
+    with pytest.raises(ValueError):
+        history_to_jsonl(history)
 
 
 def test_dendrogram_exports(barbell):

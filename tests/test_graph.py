@@ -108,6 +108,27 @@ def test_edge_list_writer_rejects_labels_that_do_not_read_back(tmp_path, label):
         write_edge_list(g, tmp_path / "out.txt")
 
 
+@pytest.mark.parametrize("label", ['a"b', "a\tb", "a\nb", "a\rb"])
+def test_gml_writer_rejects_labels_that_do_not_read_back(tmp_path, label):
+    # a quote used to be written as an apostrophe, changing the label
+    g = Graph(2, [(0, 1)], labels=[label, "c"])
+    with pytest.raises(ValueError) as err:
+        write_gml(g, tmp_path / "out.gml")
+    assert repr(label) in str(err.value)
+    assert not (tmp_path / "out.gml").exists()
+
+
+@pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb", "\t"])
+def test_gml_labels_that_break_a_tsv_row_are_an_error(tmp_path, label):
+    path = tmp_path / "tab.gml"
+    path.write_text(
+        f'graph [ node [ id 0 label "{label}" ] node [ id 1 ] edge [ source 0 target 1 ] ]\n',
+        encoding="utf-8", newline="",
+    )
+    with pytest.raises(GraphLoadError, match="tab or line break"):
+        load_gml(path)
+
+
 def test_gml_labels_with_spaces(tmp_path):
     path = tmp_path / "spaces.gml"
     path.write_text(

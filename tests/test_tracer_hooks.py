@@ -21,16 +21,22 @@ def test_traced_detect_counts_one_search_per_bisection_and_removal(tmp_path, mon
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
-    # wrapped before the tracer installs, so its uninstall leaves this one
+    # wrapped before the tracer installs, so its uninstall leaves these
     # for monkeypatch to undo
     proven = []
-    real = engine.bisect_community
+    skipped = []  # clustering removals whose kept cycle count skips the search
+    real, real_rescore = engine.bisect_community, engine.rescore_after_removal
 
     def bisect(g, sub, measure, table=None, connected=False):
         proven.append(connected)
         return real(g, sub, measure, table, connected)
 
+    def rescore(prev, g, sub, eid):
+        skipped.append(prev.cycles is not None and prev.cycles[eid] > 0)
+        return real_rescore(prev, g, sub, eid)
+
     monkeypatch.setattr(engine, "bisect_community", bisect)
+    monkeypatch.setattr(engine, "rescore_after_removal", rescore)
 
     tracer = Tracer()
     tracer.install()
@@ -46,6 +52,7 @@ def test_traced_detect_counts_one_search_per_bisection_and_removal(tmp_path, mon
     assert code == 0
     assert metrics["engine.bisections"] == len(proven)
     unproven = len(proven) - sum(proven)
-    assert metrics["graph.reach_calls"] == metrics["engine.removals"] + unproven
+    assert metrics["graph.reach_calls"] == metrics["engine.removals"] + unproven - sum(skipped)
+    assert sum(skipped) > 0
     assert sum(proven) > 0
     assert (metrics["engine.removals"], metrics["engine.bisections"]) == (66, 11)
