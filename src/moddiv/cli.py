@@ -29,7 +29,7 @@ from pathlib import Path
 # `_RUNNERS` is the one pipeline table, shared with `bench`; perfbench's
 # tracer wraps the pipelines by patching it in place under this name.
 from .bench import ALGORITHMS, RUNNERS as _RUNNERS, rows_to_json_obj, rows_to_tsv, run_bench
-from .engine import ConfigError, EngineConfig, history_to_jsonl
+from .engine import ConfigError, EngineConfig
 from .graph import GraphLoadError, Subgraph, load_edge_list, load_gml
 from .jsontext import dumps_indented
 from .measures import BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4, compute_scores
@@ -128,9 +128,7 @@ def cmd_detect(args) -> int:
         (out_dir / "dendrogram.newick").write_text(
             result.dendrogram.to_newick(), encoding="utf-8"
         )
-        (out_dir / "trace.jsonl").write_text(
-            history_to_jsonl(result.history), encoding="utf-8"
-        )
+        (out_dir / "trace.jsonl").write_text("".join(result.jsonl), encoding="utf-8")
 
     print(f"Q={result.best_q:.4f} communities={result.best_partition.n_communities}")
     return EXIT_OK

@@ -23,6 +23,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .graph import Graph, Subgraph, connected_components, reachable_within
 from .measures import (
@@ -116,7 +117,8 @@ def _move_obj(event: dict) -> dict:
 
 
 class Dendrogram:
-    """Split tree of a finished run, derived from its event log.
+    """Split tree of a finished run, derived from its `history`: the
+    `move`, `accept` and `reject` events in the order they happened.
 
     Node 0 is the root; a disconnected input gives it one child per
     component.  Every `accept` event turns its community's node into an
@@ -243,12 +245,18 @@ class DetectionResult:
 
     Splits are kept only when Q strictly rises and refinement applies only
     positive moves, so the final state is the best one along the trace.
+
+    `jsonl` holds the lines of `trace.jsonl`, `json.dumps(event) + "\n"`
+    for every removal, move, accept and reject in run order.  `history`
+    holds the move, accept and reject events as dicts: all the dendrogram
+    reads.  Removals exist only as lines.
     """
 
     best_partition: Partition
     best_q: float
     dendrogram: Dendrogram
     history: list[dict] = field(repr=False, default_factory=list)
+    jsonl: list[str] = field(repr=False, default_factory=list)
 
     @property
     def trace(self) -> list[TraceEntry]:
@@ -447,21 +455,35 @@ class _DivisiveRun:
         # ids of communities known to be connected; see `run_phase`
         self.proven = set(self.partition.communities)
         self.q = modularity_q(g, self.partition)
-        self.history: list[dict] = []
+        self.history: list[dict] = []  # move, accept and reject events
+        self.jsonl: list[str] = []  # one trace.jsonl line per event of any type
+        # `json.dumps` of each label (the encoder it calls for a str); with
+        # `repr` for floats, lines built from these are `json.dumps(event)`
+        self.label_json = list(map(encode_basestring_ascii, g.labels))
         self.trace: list[TraceEntry] = []
         self._trace("init")
 
     def _trace(self, step: str) -> None:
         self.trace.append(TraceEntry(step, self.q, self.partition.n_communities))
 
+    def _log(self, event: dict) -> None:
+        self.history.append(event)
+        self.jsonl.append(json.dumps(event) + "\n")
+
     def _log_moves(self, mvs, q: float, phase: int, stage: str | None = None) -> None:
         """One `move` event per applied move, with Q running on from `q`."""
-        labels, append = self.g.labels, self.history.append
+        labels, label_json = self.g.labels, self.label_json
+        append, write = self.history.append, self.jsonl.append
         staged = {} if stage is None else {"stage": stage}
+        head = f'{{"type": "move", "phase": {phase}, '
+        if stage is not None:
+            head += f'"stage": {json.dumps(stage)}, '
         for mv in mvs:
             q += mv.gain
             append({"type": "move", "phase": phase, **staged, "vertex": labels[mv.vertex],
                     "source": mv.source, "target": mv.target, "gain": mv.gain, "q_after": q})
+            write(f'{head}"vertex": {label_json[mv.vertex]}, "source": {mv.source},'
+                  f' "target": {mv.target}, "gain": {mv.gain!r}, "q_after": {q!r}}}\n')
 
     def _queue_order(self, cids) -> list[int]:
         communities = self.partition.communities
@@ -493,8 +515,8 @@ class _DivisiveRun:
         ids only in a fresh build, so the betweenness phase builds every
         subgraph fresh.
         """
-        g, p, proven, history = self.g, self.partition, self.proven, self.history
-        labels, inf = g.labels, math.inf
+        g, p, proven, write = self.g, self.partition, self.proven, self.jsonl.append
+        label_json, inf = self.label_json, math.inf
         kept: dict[int, tuple[Subgraph, EdgeScoreTable, tuple, set[int]]] = {}
         queue = deque(self._queue_order(p.communities))
         while queue:
@@ -510,11 +532,13 @@ class _DivisiveRun:
                 sub, table = Subgraph(g, community.members), None
             bis = bisect_community(g, sub, measure, table, connected=cid in proven)
             q = self.q
+            head = f'{{"type": "remove", "phase": {phase}, "community": {cid}, "edge_id": '
+            tail = f', "q_after": {q!r}}}\n'
             for eid, score in bis.removals:
                 u, v = g.edges[eid]
-                history.append({"type": "remove", "phase": phase, "community": cid,
-                                "edge_id": eid, "edge": [labels[u], labels[v]],
-                                "score": "inf" if score == inf else score, "q_after": q})
+                score_json = '"inf"' if score == inf else repr(score)
+                write(f'{head}{eid}, "edge": [{label_json[u]}, {label_json[v]}],'
+                      f' "score": {score_json}{tail}')
 
             new_a, new_b = p.split_community(cid, bis.side, bis.side_is_a)
             proven.update((new_a, new_b) if bis.removals else (new_a,))
@@ -530,17 +554,9 @@ class _DivisiveRun:
                 self.q = q_new
                 proven.discard(cid)
                 children = p.communities
-                history.append({
-                    "type": "accept",
-                    "phase": phase,
-                    "community": cid,
-                    "children": [new_a, new_b],
-                    "sizes": [
-                        len(children[c].members) if c in children else 0
-                        for c in (new_a, new_b)
-                    ],
-                    "q_after": q_new,
-                })
+                sizes = [len(children[c].members) if c in children else 0 for c in (new_a, new_b)]
+                self._log({"type": "accept", "phase": phase, "community": cid,
+                           "children": [new_a, new_b], "sizes": sizes, "q_after": q_new})
                 self._trace("split")
                 for mv in mvs:
                     for c in (mv.source, mv.target):
@@ -565,8 +581,8 @@ class _DivisiveRun:
                     proven.discard(mv.target)
                 p.unsplit(cid, community, (new_a, new_b))
                 proven.difference_update((new_a, new_b))
-                history.append({"type": "reject", "phase": phase, "community": cid,
-                                "q_tentative": q_new, "q_after": q})
+                self._log({"type": "reject", "phase": phase, "community": cid,
+                           "q_tentative": q_new, "q_after": q})
 
     def global_refine(self) -> None:
         """Final refinement over every vertex with an inter-community edge."""
@@ -585,7 +601,8 @@ class _DivisiveRun:
     def result(self) -> DetectionResult:
         best = self.partition.renumbered()
         dendrogram = Dendrogram(self.g, self.history, self.partition, self.trace)
-        return DetectionResult(best, modularity_q(self.g, best), dendrogram, self.history)
+        return DetectionResult(best, modularity_q(self.g, best), dendrogram, self.history,
+                               self.jsonl)
 
 
 def run_ccr(g: Graph, cfg: EngineConfig | None = None) -> DetectionResult:
@@ -605,31 +622,3 @@ def run_ccr_ebr(g: Graph, cfg: EngineConfig | None = None) -> DetectionResult:
     run.run_phase(2, BETWEENNESS)
     run.global_refine()
     return run.result()
-
-
-_EVENT_HEAD = '{"type": '  # how every encoded event starts
-# Events encoded per `json.dumps` call.  The encoder holds every token of
-# its input until it joins them: one call for a whole 742-event log peaked
-# at 0.94 MB of allocations, against 0.25 MB for one call per event and
-# 0.32 MB in slices of 128, which encode as fast as the single call.
-_EVENTS_PER_CALL = 128
-
-
-def history_to_jsonl(history: list[dict]) -> str:
-    """The events as JSON lines, `json.dumps(event)` each.
-
-    Each `json.dumps` call encodes a slice of the list, which is split
-    where one event ends and the next begins: at `, {"type": `.  That text
-    cannot occur inside an event, whose values are scalars and lists of
-    scalars, since a `"` inside a JSON string is always escaped.  An event
-    whose first key is not `type` raises ValueError.
-    """
-    boundary = ", " + _EVENT_HEAD
-    lines = []
-    for start in range(0, len(history), _EVENTS_PER_CALL):
-        batch = history[start:start + _EVENTS_PER_CALL]
-        body = json.dumps(batch)[1:-1]
-        if not body.startswith(_EVENT_HEAD) or body.count(boundary) != len(batch) - 1:
-            raise ValueError("every event must be a flat dict whose first key is 'type'")
-        lines.append(body.replace(boundary, "\n" + _EVENT_HEAD))
-    return "\n".join(lines) + "\n" if lines else ""

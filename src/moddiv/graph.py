@@ -229,6 +229,21 @@ def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> s
 # ---------------------------------------------------------------------------
 # Loading
 
+# The label rule keeps a label one field of one TSV row, also for readers
+# that split with `str.splitlines` and skip `#` comment lines: no tab, no
+# character `splitlines` breaks at, no leading `#`.
+_BAD_LABEL = re.compile(r"^#|[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _check_labels(path, labels: list[str]) -> None:
+    """Raise GraphLoadError naming the first label that breaks the rule."""
+    for label in labels:
+        if _BAD_LABEL.search(label):
+            raise GraphLoadError(
+                f"{path}: label {label!r} holds a tab or line break or starts with '#',"
+                " which the TSV outputs cannot hold"
+            )
+
 
 def load_edge_list(path) -> Graph:
     """Load a graph from a text edge list.
@@ -237,7 +252,8 @@ def load_edge_list(path) -> Graph:
     whitespace, optionally followed by a numeric weight; lines starting
     with `#` are ignored.  Tokens become vertex labels; ids are assigned in
     first-appearance order.  Weights, self-loops and duplicate edges are
-    dropped and counted in `Graph.warnings`.
+    dropped and counted in `Graph.warnings`.  A label starting with `#`
+    (`a #c`) raises `GraphLoadError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -275,6 +291,7 @@ def load_edge_list(path) -> Graph:
             ids.append(index[tok])
         pairs.append((ids[0], ids[1]))
 
+    _check_labels(path, labels)
     g = Graph(len(labels), pairs, labels, LoadWarnings(weights=weights))
     if g.m == 0:
         raise GraphLoadError(f"{path}: no edges left after canonicalization")
@@ -282,10 +299,6 @@ def load_edge_list(path) -> Graph:
 
 
 _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
-
-# A label holding one of these would break a row of the TSV outputs; of the
-# input formats, only a quoted GML label can.
-_TSV_BREAK = re.compile(r"[\t\r\n]")
 
 _GML_KNOWN_GRAPH_KEYS = {"node", "edge", "directed", "id", "label", "comment"}
 _GML_KNOWN_NODE_KEYS = {"id", "label"}
@@ -347,8 +360,8 @@ def load_gml(path) -> Graph:
     source N target N ] ]`.  Unknown keys are ignored and reported through
     `Graph.warnings`; a `directed 1` flag is accepted but edges are
     symmetrized and deduplicated.  Node labels are preserved for output;
-    one holding a tab, CR or LF raises `GraphLoadError`, since it would
-    break the rows of the TSV outputs.
+    one that breaks the label rule (a tab, a line break, a leading `#`)
+    raises `GraphLoadError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -408,12 +421,7 @@ def load_gml(path) -> Graph:
         elif key not in _GML_KNOWN_GRAPH_KEYS and key not in unknown:
             unknown.append(key)
 
-    if _TSV_BREAK.search("".join(labels)):  # one search, not one per label
-        label = next(label for label in labels if _TSV_BREAK.search(label))
-        raise GraphLoadError(
-            f"{path}: node label {label!r} holds a tab or line break,"
-            " which the TSV outputs cannot hold"
-        )
+    _check_labels(path, labels)
 
     pairs = []
     for source, target in raw_edges:
@@ -436,10 +444,10 @@ def write_edge_list(g: Graph, path) -> None:
     """Write one `label<TAB>label` line per edge, in edge-id order.
 
     Raises ValueError if a label would not read back as one token: one that
-    holds whitespace or a comma, or starts a `#` comment.
+    holds whitespace or a comma, or breaks the label rule.
     """
     for label in g.labels:
-        if len(label.replace(",", " ").split()) != 1 or label.startswith("#"):
+        if len(label.replace(",", " ").split()) != 1 or _BAD_LABEL.search(label):
             raise ValueError(f"label {label!r} cannot be written to an edge list")
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in g.edges:
@@ -450,11 +458,11 @@ def write_gml(g: Graph, path) -> None:
     """Write the graph in the GML subset understood by `load_gml`.
 
     Raises ValueError if a label would not read back: one that holds a
-    `"`, which GML strings cannot escape, or a tab, CR or LF, which
-    `load_gml` rejects.
+    `"`, which GML strings cannot escape, or breaks the label rule, which
+    `load_gml` enforces.
     """
     for label in g.labels:
-        if '"' in label or _TSV_BREAK.search(label):
+        if '"' in label or _BAD_LABEL.search(label):
             raise ValueError(f"label {label!r} cannot be written to GML")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("graph [\n")

@@ -10,6 +10,7 @@ and is what the `verify` CLI subcommand runs.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import deque
@@ -322,7 +323,8 @@ def reference_run(g: Graph, algo: str, measure: str, max_passes: int = 100):
     is judged on a fresh `Partition`.  The queue, tie-breaks and events are
     the engine's.  Returns the event log, the best Q and the renumbered
     assignment, as `run_ccr` or `run_ccr_ebr` (`algo` "ccr" or "ccr-ebr")
-    would.
+    would.  The log holds every event as a dict, removals included, and
+    `json.dumps` of each is the line the engine writes to `trace.jsonl`.
     """
     assignment = list(connected_components(g).labels)
     next_id = max(assignment) + 1
@@ -740,20 +742,22 @@ def check_engine_vs_exhaustive(seed: int, cases: int = 100) -> OracleReport:
 
 def engine_reference_mismatch(g: Graph, algo: str, measure: str):
     """First difference between the engine's run of `algo` with `measure` and
-    `reference_run`'s, as (where, expected, got); None when the event log,
-    the best Q and the assignment are all identical."""
+    `reference_run`'s, as (where, expected, got); None when the trace lines
+    (the engine's `jsonl` against `json.dumps` of each reference event), the
+    best Q and the assignment are all identical."""
     runner = run_ccr if algo == "ccr" else run_ccr_ebr
     try:
         got = runner(g, EngineConfig(measure=measure))
     except Exception as exc:  # a crashing engine fails the check, not the suite
         return "raised", None, repr(exc)
     history, best_q, assignment = reference_run(g, algo, measure)
-    for i, (want, event) in enumerate(zip(history, got.history)):
-        if want != event:
-            return f"event={i}", want, event
-    if len(history) != len(got.history):
-        i = min(len(history), len(got.history))
-        return f"event={i}", history[i:i + 1], got.history[i:i + 1]
+    lines = [json.dumps(event) + "\n" for event in history]
+    for i, (want, line) in enumerate(zip(lines, got.jsonl)):
+        if want != line:
+            return f"event={i}", want, line
+    if len(lines) != len(got.jsonl):
+        i = min(len(lines), len(got.jsonl))
+        return f"event={i}", lines[i:i + 1], got.jsonl[i:i + 1]
     if got.best_q != best_q:
         return "best_q", best_q, got.best_q
     if got.best_partition.assignment != assignment:

@@ -360,20 +360,38 @@ def test_detect_rejects_an_unterminated_gml_string_with_exit_2(tmp_path, capsys)
     assert not (out / "partition.tsv").exists()
 
 
-def test_a_gml_label_that_breaks_a_tsv_row_exits_2_before_running(tmp_path, capsys):
-    # "a<TAB>b" used to write the partition.tsv row "a<TAB>b<TAB>0"
-    gml = tmp_path / "tab.gml"
+@pytest.mark.parametrize("label", ["a\tb", "a\u0085b", "#c"])
+def test_a_gml_label_that_breaks_a_tsv_row_exits_2_before_running(tmp_path, capsys, label):
+    # "a<TAB>b" used to write the partition.tsv row "a<TAB>b<TAB>0", "a\x85b"
+    # a row that `splitlines` breaks in two, and "#c" one that a reader
+    # skipping comment lines drops
+    gml = tmp_path / "rule.gml"
     gml.write_text(
-        'graph [ node [ id 0 label "a\tb" ] node [ id 1 ] edge [ source 0 target 1 ] ]\n',
+        f'graph [ node [ id 0 label "{label}" ] node [ id 1 ] edge [ source 0 target 1 ] ]\n',
         encoding="utf-8",
     )
     out = tmp_path / "out"
     assert run_cli("detect", "--input", gml, "--out-dir", out) == 2
-    assert "tab or line break" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "tab or line break" in err and repr(label) in err
     assert not (out / "partition.tsv").exists()
     assert run_cli("measures", "--input", gml) == 2
     captured = capsys.readouterr()
-    assert "tab or line break" in captured.err and captured.out == ""
+    assert "tab or line break" in captured.err and repr(label) in captured.err
+    assert captured.out == ""
+
+
+def test_an_edge_list_label_starting_with_hash_exits_2_before_running(tmp_path, capsys):
+    # the line "a #c" used to load the label "#c", and `detect` exited 0
+    path = tmp_path / "hash.txt"
+    path.write_text(BARBELL_EDGES + "a #c\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("detect", "--input", path, "--out-dir", out) == 2
+    assert "'#c'" in capsys.readouterr().err
+    assert not (out / "partition.tsv").exists()
+    assert run_cli("measures", "--input", path) == 2
+    captured = capsys.readouterr()
+    assert "'#c'" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("name", ["bad.txt", "bad.gml"])

@@ -26,14 +26,19 @@ from moddiv import (
     run_ccr_ebr,
 )
 from moddiv import engine
-from moddiv.engine import Dendrogram, TraceEntry, history_to_jsonl
-from moddiv.oracles import exhaustive_best_partition, gnp_connected
+from moddiv.engine import Dendrogram, TraceEntry
+from moddiv.oracles import exhaustive_best_partition, gnp_connected, reference_run
 
 from conftest import require_dataset
 
 
 def _cfg(**kw) -> EngineConfig:
     return EngineConfig(**kw)
+
+
+def _events(result) -> list[dict]:
+    """Every event of a run, removals included, read back from its trace lines."""
+    return [json.loads(line) for line in result.jsonl]
 
 
 # -- config ------------------------------------------------------------------
@@ -143,8 +148,9 @@ def test_split_test_runs_one_search_per_bisection_and_removal(monkeypatch, gen):
                 proven.clear()
                 skipped.clear()
                 r = runner(g, _cfg(measure=measure))
-                removals = sum(e["type"] == "remove" for e in r.history)
-                bisections = sum(e["type"] in ("accept", "reject") for e in r.history)
+                events = _events(r)
+                removals = sum(e["type"] == "remove" for e in events)
+                bisections = sum(e["type"] in ("accept", "reject") for e in events)
                 assert bisections == len(proven) > 0
                 assert len(calls) == removals + bisections - sum(proven) - sum(skipped)
                 if kind == "ring":
@@ -290,7 +296,7 @@ def test_barbell_both_pipelines(barbell):
         r = runner(barbell)
         assert abs(r.best_q - 5.0 / 14.0) < 1e-12
         assert r.best_partition.n_communities == 2
-        first_remove = next(e for e in r.history if e["type"] == "remove")
+        first_remove = next(e for e in _events(r) if e["type"] == "remove")
         assert first_remove["edge_id"] == 3
 
 
@@ -314,7 +320,7 @@ def test_trace_is_strictly_increasing_and_deterministic():
             r1 = runner(g)
             r2 = runner(g)
             assert r1.best_partition.assignment == r2.best_partition.assignment
-            assert r1.history == r2.history
+            assert r1.jsonl == r2.jsonl
             qs = [t.q for t in r1.trace]
             assert all(b > a for a, b in zip(qs, qs[1:]))
 
@@ -399,7 +405,7 @@ def test_deep_ring_run_matches_pinned_history(gen):
     # 125 communities from 124 accepted splits of one ring
     n, edges, _ = gen.ring_of_cliques(200, 4)
     result = run_ccr(Graph(n, edges))
-    got = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+    got = hashlib.sha256("".join(result.jsonl).encode()).hexdigest()
     assert got == "14d17a40d6023ed76c15eb192815357ab86ee553755c271c88eefcd77604bfdb"
     assert result.best_q == 0.8804642857142856
     assert result.best_partition.n_communities == 125
@@ -410,7 +416,7 @@ def test_deeper_ring_run_matches_pinned_history(gen):
     # and communities of thousands of vertices judged split after split
     n, edges, _ = gen.ring_of_cliques(1200, 4)
     result = run_ccr(Graph(n, edges))
-    got = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+    got = hashlib.sha256("".join(result.jsonl).encode()).hexdigest()
     assert got == "f62761b13a56c6d0e9761231a95a4a76b4352e77d5265b5ad8cec30a53a3faaf"
     assert result.best_q == 0.9112277777777799
     assert result.best_partition.n_communities == 532
@@ -438,75 +444,67 @@ def test_dendrogram_drops_moves_of_rejected_splits(barbell):
 
 def test_history_serializes_as_json_lines(barbell):
     r = run_ccr(barbell)
-    text = history_to_jsonl(r.history)
-    events = [json.loads(line) for line in text.strip().splitlines()]
-    assert events == r.history
+    assert all(line.endswith("\n") and "\n" not in line[:-1] for line in r.jsonl)
+    events = _events(r)
+    assert [e for e in events if e["type"] != "remove"] == r.history
     assert all("q_after" in e and "type" in e for e in events)
     assert {e["type"] for e in events} <= {"remove", "move", "accept", "reject"}
 
 
-def _jsonl_per_event(history: list[dict]) -> str:
-    return "".join(json.dumps(event) + "\n" for event in history)
-
-
 @pytest.mark.parametrize("name", ["karate", "lesmis", "ring"])
-def test_history_jsonl_equals_one_dumps_per_event_on_real_runs(gen, name):
+def test_trace_lines_are_json_dumps_of_their_events_on_real_runs(gen, name):
     if name == "ring":
         g = Graph(*gen.ring_of_cliques(40, 4)[:2])
     else:
         g = load_gml(require_dataset(name))
     for runner in (run_ccr, run_ccr_ebr):
-        history = runner(g).history
-        assert history_to_jsonl(history) == _jsonl_per_event(history)
+        r = runner(g)
+        assert r.jsonl == [json.dumps(json.loads(line)) + "\n" for line in r.jsonl]
+        assert [e for e in _events(r) if e["type"] != "remove"] == r.history
 
 
-def _awkward_history(labels: list[str]) -> list[dict]:
-    """Events of every type whose string values are `labels`."""
-    history = []
-    for i, label in enumerate(labels):
-        other = labels[(i + 1) % len(labels)]
-        history += [
-            {"type": "remove", "phase": 1, "community": i, "edge_id": i,
-             "edge": [label, other], "score": "inf" if i % 2 else 0.25, "q_after": 0.0},
-            {"type": "move", "phase": 2, "stage": "final-refine", "vertex": label,
-             "source": i, "target": i + 1, "gain": 1e-17, "q_after": -0.5},
-            {"type": "accept", "phase": 1, "community": i, "children": [i, i + 1],
-             "sizes": [1, 0], "q_after": 1 / 3},
-            {"type": "reject", "phase": 2, "community": i, "q_tentative": -1e300,
-             "q_after": 2.5},
-        ]
-    return history
+AWKWARD_LABELS = [
+    'a"b', "\\", 'x\\"', '}, {"type": ', '"}, {"type": "move"', "\u00e9\u4e2d\U0001f600",
+    "\x00\x01\x1f\x7f", "\t\r\n", "\ud800", "\udfff", "", "type", ", ",
+]
 
 
-def test_history_jsonl_equals_one_dumps_per_event_on_awkward_labels():
-    labels = [
-        'a"b', "\\", 'x\\"', '}, {"type": ', '"}, {"type": "move"', "\u00e9\u4e2d\U0001f600",
-        "\x00\x01\x1f\x7f", "\t\r\n", "\ud800", "\udfff", "", "type", ", ",
-    ]
-    # the long history spans several `json.dumps` calls
-    cases = [[], _awkward_history(labels), _awkward_history(labels * 10)]
-    cases += [_awkward_history([label]) for label in labels]
+def _awkward_graphs():
+    """Small seeded graphs whose labels are `AWKWARD_LABELS` or random strings
+    of JSON-significant characters, repeated as often as the graph needs."""
     rng = random.Random(1502)
     pool = '"\\{}[],: type\n\u00e9\ud83d'
-    for _ in range(200):
-        cases.append(_awkward_history([
-            "".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
-            for _ in range(rng.randint(1, 4))
-        ]))
-    for history in cases:
-        assert history_to_jsonl(history) == _jsonl_per_event(history)
+    for i in range(10):
+        g = gnp_connected(rng, rng.randint(12, 26), rng.choice((0.2, 0.35)))
+        if i < 2:
+            labels = AWKWARD_LABELS
+        else:
+            labels = ["".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+                      for _ in range(5)]
+        yield Graph(g.n, g.edges, [labels[v % len(labels)] for v in range(g.n)])
 
 
-PER_CALL = engine._EVENTS_PER_CALL
-
-
-# the last two events fall at the start and end of the second `json.dumps` call
-@pytest.mark.parametrize("at", [0, 1, 2, PER_CALL, PER_CALL + 2])
-def test_history_jsonl_rejects_an_event_that_does_not_start_with_its_type(at):
-    history = _awkward_history(['a"b'] * PER_CALL)[:PER_CALL + 3]
-    history[at] = {"phase": 1, **history[at]}
-    with pytest.raises(ValueError):
-        history_to_jsonl(history)
+def test_trace_lines_equal_the_reference_dumps_on_awkward_labels():
+    """`remove` and `move` lines are f-strings; on labels holding quotes,
+    backslashes, event boundaries, non-ASCII, control characters, lone
+    surrogates and the empty string they must still be the text of
+    `json.dumps` on each event of `reference_run`."""
+    removed: set[str] = set()
+    kinds: set[str] = set()  # line shapes the runs reached
+    for g in _awkward_graphs():
+        for algo, runner in (("ccr", run_ccr), ("ccr-ebr", run_ccr_ebr)):
+            for measure in (CLUSTERING_G3, CLUSTERING_G4):
+                r = runner(g, _cfg(measure=measure))
+                history, _, _ = reference_run(g, algo, measure)
+                assert "".join(r.jsonl) == "".join(json.dumps(e) + "\n" for e in history)
+                for e in history:
+                    if e["type"] == "remove":
+                        removed.update(e["edge"])
+                        kinds.add("remove inf" if e["score"] == "inf" else "remove")
+                    else:
+                        kinds.add(e.get("stage", e["type"]))
+    assert removed.issuperset(AWKWARD_LABELS)
+    assert kinds == {"remove", "remove inf", "move", "final-refine", "accept", "reject"}
 
 
 def test_dendrogram_exports(barbell):

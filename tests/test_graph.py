@@ -100,7 +100,13 @@ def test_edge_list_round_trip(tmp_path, barbell):
     assert back.edges == barbell.edges
 
 
-@pytest.mark.parametrize("label", ["1 2", "a,b", "#c", ""])
+# One character of each class the label rule refuses: a tab, and every
+# character `str.splitlines` breaks at; then a leading `#`.
+RULE_BREAKS = ["\t", "\n", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+RULE_LABELS = [f"a{ch}b" for ch in RULE_BREAKS] + ["#c"]
+
+
+@pytest.mark.parametrize("label", ["1 2", "a,b", ""] + RULE_LABELS)
 def test_edge_list_writer_rejects_labels_that_do_not_read_back(tmp_path, label):
     # "1 2\t3" would read back as the edge 1-2 with an ignored weight 3
     g = Graph(2, [(0, 1)], labels=[label, "3"])
@@ -108,9 +114,10 @@ def test_edge_list_writer_rejects_labels_that_do_not_read_back(tmp_path, label):
         write_edge_list(g, tmp_path / "out.txt")
 
 
-@pytest.mark.parametrize("label", ['a"b', "a\tb", "a\nb", "a\rb"])
+@pytest.mark.parametrize("label", ['a"b'] + RULE_LABELS)
 def test_gml_writer_rejects_labels_that_do_not_read_back(tmp_path, label):
-    # a quote used to be written as an apostrophe, changing the label
+    # a quote used to be written as an apostrophe, changing the label, and
+    # "a\x85b" or "#c" was written for `partition.tsv` to break or drop
     g = Graph(2, [(0, 1)], labels=[label, "c"])
     with pytest.raises(ValueError) as err:
         write_gml(g, tmp_path / "out.gml")
@@ -118,7 +125,7 @@ def test_gml_writer_rejects_labels_that_do_not_read_back(tmp_path, label):
     assert not (tmp_path / "out.gml").exists()
 
 
-@pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb", "\t"])
+@pytest.mark.parametrize("label", RULE_LABELS + ["\t"])
 def test_gml_labels_that_break_a_tsv_row_are_an_error(tmp_path, label):
     path = tmp_path / "tab.gml"
     path.write_text(
@@ -127,6 +134,28 @@ def test_gml_labels_that_break_a_tsv_row_are_an_error(tmp_path, label):
     )
     with pytest.raises(GraphLoadError, match="tab or line break"):
         load_gml(path)
+
+
+def test_label_rule_keeps_other_labels(tmp_path):
+    # `#` only counts at the start, and U+001F is no line break to `splitlines`
+    path = tmp_path / "ok.gml"
+    path.write_text(
+        'graph [ node [ id 0 label c# ] node [ id 1 label "a\x1fb" ]'
+        " edge [ source 0 target 1 ] ]\n",
+        encoding="utf-8",
+    )
+    g = load_gml(path)
+    assert g.labels == ["c#", "a\x1fb"]
+    write_gml(g, tmp_path / "back.gml")
+    assert load_gml(tmp_path / "back.gml").labels == g.labels
+
+
+def test_edge_list_label_starting_with_hash_is_an_error(tmp_path):
+    # the line "a #c" used to load the label "#c"
+    path = tmp_path / "hash.txt"
+    path.write_text("a b\na #c\n", encoding="utf-8")
+    with pytest.raises(GraphLoadError, match="'#c'"):
+        load_edge_list(path)
 
 
 def test_gml_labels_with_spaces(tmp_path):

@@ -25,7 +25,6 @@ from moddiv import (
     rescore_after_removal,
 )
 from moddiv.cli import main
-from moddiv.engine import history_to_jsonl
 from moddiv.oracles import (
     betweenness_naive,
     clustering_pick_naive,
@@ -387,7 +386,7 @@ def test_g4_run_on_a_planted_n400_graph_matches_pinned_history(gen):
     # about 50 s when every removal recounted the 4-cycles around it
     n, edges, _ = gen.planted_partition(random.Random(1), 400, 8, 16, 4)
     result = engine.run_ccr(Graph(n, edges), engine.EngineConfig(measure=CLUSTERING_G4))
-    got = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+    got = hashlib.sha256("".join(result.jsonl).encode()).hexdigest()
     assert got == "540e0fa285ed987546af310fe745975597c3188efffda52a8ced6e718b57cf3a"
     assert result.best_q == 0.6684360517158535
     assert result.best_partition.n_communities == 8
@@ -397,7 +396,7 @@ def test_g3_run_on_a_planted_n800_graph_matches_pinned_history(gen):
     # m=16386; the split test and the g3 rescoring dominate this run
     n, edges, _ = gen.planted_partition(random.Random(1), 800, 8, 33, 8)
     result = engine.run_ccr(Graph(n, edges))
-    got = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+    got = hashlib.sha256("".join(result.jsonl).encode()).hexdigest()
     assert got == "04df2bcf9bae4ae731ba97edb9bd3c3afe0834afcf59bfb1e6f58044bc618eec"
     assert result.best_q == 0.68200430437137
     assert result.best_partition.n_communities == 8
