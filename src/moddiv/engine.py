@@ -23,7 +23,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 
 from .graph import Graph, Subgraph, connected_components, reachable_within
 from .measures import (
@@ -457,9 +456,8 @@ class _DivisiveRun:
         self.q = modularity_q(g, self.partition)
         self.history: list[dict] = []  # move, accept and reject events
         self.jsonl: list[str] = []  # one trace.jsonl line per event of any type
-        # `json.dumps` of each label (the encoder it calls for a str); with
-        # `repr` for floats, lines built from these are `json.dumps(event)`
-        self.label_json = list(map(encode_basestring_ascii, g.labels))
+        # with `repr` for floats, lines built from these equal json.dumps(event)
+        self.label_json = [json.dumps(label) for label in g.labels]
         self.trace: list[TraceEntry] = []
         self._trace("init")
 
@@ -472,18 +470,12 @@ class _DivisiveRun:
 
     def _log_moves(self, mvs, q: float, phase: int, stage: str | None = None) -> None:
         """One `move` event per applied move, with Q running on from `q`."""
-        labels, label_json = self.g.labels, self.label_json
-        append, write = self.history.append, self.jsonl.append
+        labels, log = self.g.labels, self._log
         staged = {} if stage is None else {"stage": stage}
-        head = f'{{"type": "move", "phase": {phase}, '
-        if stage is not None:
-            head += f'"stage": {json.dumps(stage)}, '
         for mv in mvs:
             q += mv.gain
-            append({"type": "move", "phase": phase, **staged, "vertex": labels[mv.vertex],
-                    "source": mv.source, "target": mv.target, "gain": mv.gain, "q_after": q})
-            write(f'{head}"vertex": {label_json[mv.vertex]}, "source": {mv.source},'
-                  f' "target": {mv.target}, "gain": {mv.gain!r}, "q_after": {q!r}}}\n')
+            log({"type": "move", "phase": phase, **staged, "vertex": labels[mv.vertex],
+                 "source": mv.source, "target": mv.target, "gain": mv.gain, "q_after": q})
 
     def _queue_order(self, cids) -> list[int]:
         communities = self.partition.communities
