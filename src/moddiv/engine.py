@@ -289,8 +289,8 @@ def bisect_community(
     bisection carries the smaller of that component and the rest.  A
     connected community loses edges until it falls apart:
     clustering measures remove the lowest-scoring edge, betweenness the
-    highest; after each removal the scores are brought back in line with a
-    full recomputation.  After each removal a two-ended search tests
+    highest; after each removal the table is rescored so that its pick
+    is a full recomputation's.  After each removal a two-ended search tests
     whether the edge's endpoints are still connected; a clustering table
     skips the search when the removed edge's kept count of triangles (g3)
     or 4-cycles (g4) is above 0, since any one of them leaves a path

@@ -27,6 +27,12 @@ class LoadWarnings:
     weights: int = 0  # edge-list weights, ignored: the graph is unweighted
 
 
+# The label rule keeps a label one field of one TSV row, also for readers
+# that split with `str.splitlines` and skip `#` comment lines: no tab, no
+# character `splitlines` breaks at, no leading `#`.
+_BAD_LABEL = re.compile(r"^#|[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
+
+
 class Graph:
     """Immutable simple undirected graph.
 
@@ -34,6 +40,8 @@ class Graph:
         n: vertex count.
         m: edge count.
         labels: per-vertex display label (defaults to the vertex id as text).
+            A label that holds a tab or a line break, or starts with `#`,
+            raises ValueError (the label rule, `_BAD_LABEL`).
         edges: edge id -> (u, v) with u < v.
         adj: per-vertex list of (neighbor, edge id), sorted by neighbor.
         degrees: per-vertex degree.
@@ -49,8 +57,15 @@ class Graph:
         labels: list[str] | None = None,
         extra_warnings: LoadWarnings | None = None,
     ):
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length must equal vertex count")
+        if labels is not None:
+            if len(labels) != n:
+                raise ValueError("labels length must equal vertex count")
+            for label in labels:
+                if _BAD_LABEL.search(label):
+                    raise ValueError(
+                        f"label {label!r} holds a tab or line break or starts with '#',"
+                        " which the TSV outputs cannot hold"
+                    )
         self.n = n
         self.labels = list(labels) if labels is not None else [str(v) for v in range(n)]
 
@@ -229,20 +244,13 @@ def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> s
 # ---------------------------------------------------------------------------
 # Loading
 
-# The label rule keeps a label one field of one TSV row, also for readers
-# that split with `str.splitlines` and skip `#` comment lines: no tab, no
-# character `splitlines` breaks at, no leading `#`.
-_BAD_LABEL = re.compile(r"^#|[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
 
-
-def _check_labels(path, labels: list[str]) -> None:
-    """Raise GraphLoadError naming the first label that breaks the rule."""
-    for label in labels:
-        if _BAD_LABEL.search(label):
-            raise GraphLoadError(
-                f"{path}: label {label!r} holds a tab or line break or starts with '#',"
-                " which the TSV outputs cannot hold"
-            )
+def _loaded_graph(path, labels: list[str], pairs, warnings: LoadWarnings) -> Graph:
+    """The loaded `Graph`; a label that breaks the rule is a GraphLoadError."""
+    try:
+        return Graph(len(labels), pairs, labels, warnings)
+    except ValueError as exc:
+        raise GraphLoadError(f"{path}: {exc}") from None
 
 
 def load_edge_list(path) -> Graph:
@@ -291,8 +299,7 @@ def load_edge_list(path) -> Graph:
             ids.append(index[tok])
         pairs.append((ids[0], ids[1]))
 
-    _check_labels(path, labels)
-    g = Graph(len(labels), pairs, labels, LoadWarnings(weights=weights))
+    g = _loaded_graph(path, labels, pairs, LoadWarnings(weights=weights))
     if g.m == 0:
         raise GraphLoadError(f"{path}: no edges left after canonicalization")
     return g
@@ -421,8 +428,6 @@ def load_gml(path) -> Graph:
         elif key not in _GML_KNOWN_GRAPH_KEYS and key not in unknown:
             unknown.append(key)
 
-    _check_labels(path, labels)
-
     pairs = []
     for source, target in raw_edges:
         for ref in (source, target):
@@ -430,7 +435,7 @@ def load_gml(path) -> Graph:
                 raise GraphLoadError(f"{path}: edge references unknown node id {ref}")
         pairs.append((index[source], index[target]))
 
-    g = Graph(len(labels), pairs, labels, LoadWarnings(unknown_keys=tuple(unknown)))
+    g = _loaded_graph(path, labels, pairs, LoadWarnings(unknown_keys=tuple(unknown)))
     if g.m == 0:
         raise GraphLoadError(f"{path}: no edges left after canonicalization")
     return g
@@ -444,10 +449,11 @@ def write_edge_list(g: Graph, path) -> None:
     """Write one `label<TAB>label` line per edge, in edge-id order.
 
     Raises ValueError if a label would not read back as one token: one that
-    holds whitespace or a comma, or breaks the label rule.
+    is empty or holds whitespace or a comma.  `Graph` already refuses a
+    label that breaks the label rule.
     """
     for label in g.labels:
-        if len(label.replace(",", " ").split()) != 1 or _BAD_LABEL.search(label):
+        if len(label.replace(",", " ").split()) != 1:
             raise ValueError(f"label {label!r} cannot be written to an edge list")
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in g.edges:
@@ -458,11 +464,11 @@ def write_gml(g: Graph, path) -> None:
     """Write the graph in the GML subset understood by `load_gml`.
 
     Raises ValueError if a label would not read back: one that holds a
-    `"`, which GML strings cannot escape, or breaks the label rule, which
-    `load_gml` enforces.
+    `"`, which GML strings cannot escape.  `Graph` already refuses a label
+    that breaks the label rule, which `load_gml` enforces.
     """
     for label in g.labels:
-        if '"' in label or _BAD_LABEL.search(label):
+        if '"' in label:
             raise ValueError(f"label {label!r} cannot be written to GML")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("graph [\n")

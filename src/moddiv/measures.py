@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .graph import Graph, Subgraph
 
@@ -29,24 +29,48 @@ class EdgeScoreTable:
 
     `scores` maps edge id to a finite non-negative value, or `math.inf` for
     clustering kinds when the denominator degenerates.  Clustering tables
-    also keep `heap`, a min-heap of `(score, edge id)` entries holding the
-    current score of every edge of `scores`, plus stale entries of changed
+    also keep `heap`, a min-heap of `(score, edge id)` entries holding
+    `scores[eid]` of every edge of `scores`, plus stale entries of changed
     or removed edges that the pick discards lazily, at most as many as the
     live ones.  Clustering tables also keep `cycles`, the count of every
     edge's triangles (g3, its common neighbours) or 4-cycles (g4), so
     rescoring can adjust the counts instead of recounting them.
+
+    Betweenness and g4 scores are exact.  A g3 score can only fall when
+    the edge loses a triangle, and rescoring updates exactly those edges;
+    every other change lowers a degree and so can only raise the score.
+    A g3 table therefore keeps `scores[eid]` (and its heap key) as a lower
+    bound of the edge's score: exact when the table is built, after the
+    edge lost a triangle and after `rescore_around` touched it, and at
+    most the true score otherwise.  It keeps references to the subgraph's
+    rows (`nbrs`) and the graph's `edges`, from which `score` and the pick
+    compute the exact score of an edge on demand.
     """
 
     kind: str
     scores: dict[int, float]
     heap: list[tuple[float, int]] | None = field(default=None, repr=False, compare=False)
     cycles: dict[int, int] | None = field(default=None, repr=False, compare=False)
+    nbrs: dict[int, dict[int, int]] | None = field(default=None, repr=False, compare=False)
+    edges: list[tuple[int, int]] | None = field(default=None, repr=False, compare=False)
+
+    def score(self, eid: int) -> float:
+        """Exact score of the live edge `eid`."""
+        if self.nbrs is None:
+            return self.scores[eid]
+        u, v = self.edges[eid]
+        return _g3_score(self.nbrs, u, v, self.cycles[eid])
 
     def removal_candidate(self) -> int:
         """Edge id the divisive step should remove next.
 
         Clustering kinds remove the lowest score, betweenness the highest;
-        ties break toward the smallest edge id.
+        ties break toward the smallest edge id.  A g3 pick recomputes the
+        score of the top heap entry; while that is above its key, the entry
+        goes back with the exact score and the next top is tried.  A top
+        entry whose key is exact is the true minimum, since every other key
+        is at most its edge's score, so the picked edge's `scores[eid]` is
+        exact when this returns.
         """
         scores = self.scores
         if not scores:
@@ -55,12 +79,21 @@ class EdgeScoreTable:
         if heap is None:
             best = max(scores.values())
             return min(eid for eid, s in scores.items() if s == best)
+        nbrs, edges, cycles = self.nbrs, self.edges, self.cycles
         # Tuple order is the tie-break: lowest score, then smallest edge id.
         while True:
-            score, eid = heap[0]
-            if scores.get(eid) == score:
+            key, eid = heap[0]
+            if scores.get(eid) != key:
+                heappop(heap)  # the edge is gone, or has a newer key
+                continue
+            if nbrs is None:
                 return eid
-            heappop(heap)
+            u, v = edges[eid]
+            s = _g3_score(nbrs, u, v, cycles[eid])
+            if s == key:
+                return eid
+            scores[eid] = s
+            heapreplace(heap, (s, eid))
 
     def forget(self, eids) -> None:
         """Drop the scores of edges gone from the subgraph; their heap
@@ -71,11 +104,13 @@ class EdgeScoreTable:
                 del self.cycles[eid]
 
     def to_tsv(self, graph) -> str:
-        """TSV dump (label, label, score) sorted by score then edge id."""
+        """TSV dump (label, label, score) of the exact scores, sorted by
+        score then edge id."""
+        exact = {eid: self.score(eid) for eid in self.scores}
         lines = ["# u\tv\tscore"]
-        for eid in sorted(self.scores, key=lambda e: (self.scores[e], e)):
+        for eid in sorted(exact, key=lambda e: (exact[e], e)):
             lu, lv = graph.edge_label_pair(eid)
-            s = self.scores[eid]
+            s = exact[eid]
             text = "inf" if math.isinf(s) else repr(s)
             lines.append(f"{lu}\t{lv}\t{text}")
         return "\n".join(lines) + "\n"
@@ -141,6 +176,13 @@ def edge_betweenness(g: Graph, sub: Subgraph) -> EdgeScoreTable:
     return EdgeScoreTable(BETWEENNESS, {eid: a / 2.0 for eid, a in zip(eids, acc)})
 
 
+def _g3_score(nbrs: dict[int, dict[int, int]], u: int, v: int, triangles: int) -> float:
+    """(triangles + 1) over the most triangles the edge u-v could close:
+    the smaller endpoint degree less the edge itself."""
+    denom = min(len(nbrs[u]), len(nbrs[v])) - 1
+    return (triangles + 1) / denom if denom > 0 else math.inf
+
+
 def _g4_score(nbrs: dict[int, dict[int, int]], u: int, v: int, cycles: int) -> float:
     """(cycles + 1) over the most 4-cycles the edge u-v could close: every
     pairing of distinct non-shared neighbours of u and v; shared neighbours
@@ -181,7 +223,7 @@ def edge_clustering_g3(g: Graph, sub: Subgraph) -> EdgeScoreTable:
                 scores[eid] = (t + 1) / denom if denom > 0 else inf
     heap = list(zip(scores.values(), scores))
     heapify(heap)
-    return EdgeScoreTable(CLUSTERING_G3, scores, heap, triangles)
+    return EdgeScoreTable(CLUSTERING_G3, scores, heap, triangles, nbrs, g.edges)
 
 
 def edge_clustering_g4(g: Graph, sub: Subgraph) -> EdgeScoreTable:
@@ -222,29 +264,29 @@ def compute_scores(kind: str, g: Graph, sub: Subgraph) -> EdgeScoreTable:
 def rescore_after_removal(
     prev: EdgeScoreTable, g: Graph, sub: Subgraph, removed_edge: int
 ) -> EdgeScoreTable:
-    """Score table after `removed_edge` was deleted from `sub`, equal to a
-    full recomputation.
+    """Score table after `removed_edge` was deleted from `sub`.
 
     Betweenness is recomputed outright into a new table.  Clustering tables
-    are updated in place and returned: only edges whose cycle counts or
-    endpoint degrees changed are rescored, from their kept counts.  Those
-    are the edges at the removed edge's endpoints u and v; a g3 edge there
-    loses the one triangle it shared with the removed edge, if any.  A g3
-    edge (u, x) keeps its score unless x is a common neighbour of u and v
-    or d_x is above u's new degree d_u: otherwise min(d_u, d_x) was d_x
-    before the removal too, and no count changed.  For
+    are updated in place and returned, from their kept counts.  For
     4-cycles, every cycle u-v-b-a the removal ends (a in N(u), b in N(v),
-    a ~ b) takes one from the counts of (u, a), (v, b) and (a, b), and the
-    (a, b) edges are rescored too.  Every changed score is pushed on the
-    heap; the entry it replaces goes stale.
+    a ~ b) takes one from the counts of (u, a), (v, b) and (a, b); those
+    edges and every edge at u and v are rescored, so g4 scores stay equal
+    to a full recomputation.  A g3 table rescores only the edges (u, x)
+    and (v, x) of each common neighbour x of u and v, which lose the
+    triangle they shared with the removed edge: theirs are the only g3
+    scores the removal can lower.  The other edges at u and v keep their
+    keys, now lower bounds that the pick raises when it meets them; no
+    edge is rescored when the removed edge closed no triangle.  Every
+    changed score is pushed on the heap; the entry it replaces goes stale.
     """
     if prev.kind == BETWEENNESS:
         return edge_betweenness(g, sub)
 
     u, v = g.edges[removed_edge]
+    scores, heap, cycles = prev.scores, prev.heap, prev.cycles
+    lost = cycles[removed_edge]
     prev.forget((removed_edge,))
     nbrs = sub.nbrs
-    scores, heap, cycles = prev.scores, prev.heap, prev.cycles
     if prev.kind == CLUSTERING_G4:
         nu, nv = nbrs[u], nbrs[v]
         nv_keys = nv.keys()
@@ -270,24 +312,16 @@ def rescore_after_removal(
         _compact(prev)
         return prev
 
-    inf = math.inf
-    common = nbrs[u].keys() & nbrs[v].keys()
-    for a in (u, v):
-        row = nbrs[a]
-        da = len(row)
-        for x, eid in row.items():
-            if x in common:
+    if lost:
+        nu, nv = nbrs[u], nbrs[v]
+        for x in nu.keys() & nv.keys():
+            for a, row in ((u, nu), (v, nv)):
+                eid = row[x]
                 t = cycles[eid] = cycles[eid] - 1
-                denom = min(da, len(nbrs[x])) - 1
-            elif len(nbrs[x]) > da:
-                t = cycles[eid]
-                denom = da - 1
-            else:
-                continue  # min(d_a, d_x) - 1 was d_x - 1 before the removal too
-            s = (t + 1) / denom if denom > 0 else inf
-            if s != scores[eid]:
-                scores[eid] = s
-                heappush(heap, (s, eid))
+                s = _g3_score(nbrs, a, x, t)
+                if s != scores[eid]:
+                    scores[eid] = s
+                    heappush(heap, (s, eid))
     _compact(prev)
     return prev
 
@@ -300,7 +334,9 @@ def rescore_around(table: EdgeScoreTable, sub: Subgraph, vertices) -> None:
     edge at `vertices`, plus (for 4-cycles) every edge at their neighbours,
     recounting the triangles or 4-cycles of each from the neighbour sets.
     A dropped vertex passes its former neighbours, not itself; an inserted
-    one passes itself and its neighbours.
+    one passes itself and its neighbours.  The rescored edges get exact
+    keys; the degrees and triangles of every other g3 edge are unchanged,
+    so its key stays a lower bound of its score.
     """
     nbrs = sub.nbrs
     scores, heap, cycles = table.scores, table.heap, table.cycles
@@ -310,16 +346,13 @@ def rescore_around(table: EdgeScoreTable, sub: Subgraph, vertices) -> None:
         for x in tuple(touched):
             touched.update(nbrs[x])
     affected = {eid: (x, y) for x in touched for y, eid in nbrs[x].items()}
-    inf = math.inf
     for eid, (x, y) in affected.items():
         if g4:
             f = cycles[eid] = _four_cycles(nbrs, x, y)
             s = _g4_score(nbrs, x, y, f)
         else:
-            row, other = nbrs[x], nbrs[y]
-            t = cycles[eid] = len(row.keys() & other.keys())
-            denom = min(len(row), len(other)) - 1
-            s = (t + 1) / denom if denom > 0 else inf
+            t = cycles[eid] = len(nbrs[x].keys() & nbrs[y].keys())
+            s = _g3_score(nbrs, x, y, t)
         if s != scores.get(eid):
             scores[eid] = s
             heappush(heap, (s, eid))
@@ -327,8 +360,9 @@ def rescore_around(table: EdgeScoreTable, sub: Subgraph, vertices) -> None:
 
 
 def _compact(table: EdgeScoreTable) -> None:
-    """Rebuild the heap from the live scores once stale entries outnumber
-    live ones, so it never holds more than twice the live scores."""
+    """Rebuild the heap from the live keys (`scores`, lower bounds in a g3
+    table) once stale entries outnumber live ones, so it never holds more
+    than twice the live scores."""
     heap, scores = table.heap, table.scores
     if len(heap) > 2 * len(scores):
         heap[:] = zip(scores.values(), scores)

@@ -603,6 +603,19 @@ def clustering_pick_naive(scores: dict[int, float]) -> int:
     return min(eid for eid, s in scores.items() if s == best)
 
 
+def key_bound_violation(table: EdgeScoreTable) -> int | None:
+    """Smallest live edge whose key breaks the clustering table's heap
+    contract: `scores[eid]` must be at most the exact `score(eid)` (equal
+    outside g3) and the heap must hold `(scores[eid], eid)`.  None when
+    every key keeps it."""
+    held = set(table.heap)
+    for eid in sorted(table.scores):
+        key = table.scores[eid]
+        if not key <= table.score(eid) or (key, eid) not in held:
+            return eid
+    return None
+
+
 def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
                       table: EdgeScoreTable, removed: set) -> str | None:
     """One random step on `sub` and `table`: an edge removal rescored as
@@ -656,6 +669,10 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
     """Incremental clustering rescoring must equal a full recompute exactly,
     and the rescored table must pick the edge a scan of that recompute picks.
 
+    The exact scores (`score`) are compared, since a g3 table's keys may be
+    lower bounds; every key must be at most its exact score and held by the
+    heap, and the picked edge's key must equal the recompute's score.
+
     Each case interleaves edge removals with batches of the edits a kept
     community sees, re-added edges, dropped vertices and inserted vertices,
     each batch rescored once.  The recompute runs on a fresh `Subgraph` of
@@ -697,8 +714,11 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
                     naive = cycle_count_naive(g, fresh, e, 4)
                     if f != naive:
                         report.record(math.inf, digest + f" edge={e} naive cycles", naive, f)
+            e = key_bound_violation(table)
+            if e is not None:
+                report.record(math.inf, digest + f" edge={e} key", table.score(e), table.scores[e])
             for e in sorted(full.scores):
-                a, b = table.scores[e], full.scores[e]
+                a, b = table.score(e), full.scores[e]
                 if a == b:
                     diff = 0.0
                 elif math.isinf(a) or math.isinf(b):
@@ -710,6 +730,8 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
                 want, got = clustering_pick_naive(full.scores), table.removal_candidate()
                 if got != want:
                     report.record(math.inf, digest + " pick", want, got)
+                elif table.scores[got] != full.scores[want]:
+                    report.record(math.inf, digest + " pick score", full.scores[want], table.scores[got])
     return report
 
 

@@ -108,21 +108,31 @@ RULE_LABELS = [f"a{ch}b" for ch in RULE_BREAKS] + ["#c"]
 
 @pytest.mark.parametrize("label", ["1 2", "a,b", ""] + RULE_LABELS)
 def test_edge_list_writer_rejects_labels_that_do_not_read_back(tmp_path, label):
-    # "1 2\t3" would read back as the edge 1-2 with an ignored weight 3
-    g = Graph(2, [(0, 1)], labels=[label, "3"])
+    # "1 2\t3" would read back as the edge 1-2 with an ignored weight 3; a
+    # label that breaks the rule cannot make a Graph to write
     with pytest.raises(ValueError):
-        write_edge_list(g, tmp_path / "out.txt")
+        write_edge_list(Graph(2, [(0, 1)], labels=[label, "3"]), tmp_path / "out.txt")
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize("label", ['a"b'] + RULE_LABELS)
 def test_gml_writer_rejects_labels_that_do_not_read_back(tmp_path, label):
     # a quote used to be written as an apostrophe, changing the label, and
-    # "a\x85b" or "#c" was written for `partition.tsv` to break or drop
-    g = Graph(2, [(0, 1)], labels=[label, "c"])
+    # "a\x85b" or "#c" was written for `partition.tsv` to break or drop;
+    # `Graph` now refuses the latter before any writer sees them
     with pytest.raises(ValueError) as err:
-        write_gml(g, tmp_path / "out.gml")
+        write_gml(Graph(2, [(0, 1)], labels=[label, "c"]), tmp_path / "out.gml")
     assert repr(label) in str(err.value)
     assert not (tmp_path / "out.gml").exists()
+
+
+@pytest.mark.parametrize("label", RULE_LABELS)
+def test_graph_refuses_a_label_that_breaks_the_rule(label):
+    # such a label split or dropped the rows `partition_to_tsv` wrote for a
+    # Graph built in code; the rule now holds for every Graph
+    with pytest.raises(ValueError, match="tab or line break") as err:
+        Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], labels=["d", label, "e", "f"])
+    assert repr(label) in str(err.value)
 
 
 @pytest.mark.parametrize("label", RULE_LABELS + ["\t"])

@@ -30,6 +30,7 @@ from moddiv.oracles import (
     clustering_pick_naive,
     cycle_count_naive,
     gnp_connected,
+    key_bound_violation,
 )
 
 from conftest import require_dataset
@@ -245,9 +246,10 @@ def test_rescore_after_bridge_removal_keeps_triangles(barbell):
 
 
 def test_rescore_matches_full_recompute_g3_and_g4():
-    # at every step of random removal sequences, the rescored table holds a
-    # fresh table's scores, picks what a scan of them picks, and keeps exact
-    # triangle (g3) or 4-cycle (g4) counts
+    # at every step of random removal sequences, the rescored table's exact
+    # scores are a fresh table's scores, its keys are lower bounds the heap
+    # holds, it picks what a scan of them picks with the fresh score, and
+    # it keeps exact triangle (g3) or 4-cycle (g4) counts
     rng = random.Random(41)
     for kind in (CLUSTERING_G3, CLUSTERING_G4):
         for _ in range(12):
@@ -256,9 +258,11 @@ def test_rescore_matches_full_recompute_g3_and_g4():
             table = compute_scores(kind, g, sub)
             while table.scores:
                 full = compute_scores(kind, g, sub)
-                assert table.scores == full.scores
+                assert {e: table.score(e) for e in table.scores} == full.scores
+                assert key_bound_violation(table) is None
                 pick = table.removal_candidate()
                 assert pick == clustering_pick_naive(full.scores)
+                assert table.scores[pick] == full.scores[pick]
                 order = 3 if kind == CLUSTERING_G3 else 4
                 counts = {eid: cycle_count_naive(g, sub, eid, order) for eid in full.scores}
                 assert table.cycles == full.cycles == counts
@@ -268,39 +272,74 @@ def test_rescore_matches_full_recompute_g3_and_g4():
                 table = rescore_after_removal(table, g, sub, eid)
 
 
-def test_g3_rescore_skips_only_edges_whose_score_cannot_move():
+def test_g3_rescore_leaves_scores_that_can_only_rise_as_lower_bounds():
     # removing (0, 1) leaves d_0 = 2: (0, 2) has d_2 = 3 = d_0 + 1, so its
-    # denominator falls from 2 to 1; (0, 3) has d_3 = 2 = d_0 and keeps its
-    # score and its one heap entry
+    # denominator falls from 2 to 1 and its score rises to 1.0; (0, 3) has
+    # d_3 = 2 = d_0 and keeps its score.  The removed edge closed no
+    # triangle, so both keep their key and their one heap entry until the
+    # pick meets (0, 2) on top and puts it back with its exact score.
     g = Graph(8, [(0, 1), (0, 2), (0, 3), (2, 4), (2, 5), (3, 6), (1, 7)])
     sub = _whole(g)
     table = edge_clustering_g3(g, sub)
     assert (table.scores[1], table.scores[2]) == (0.5, 1.0)
     sub.remove_edge(0, 1)
     table = rescore_after_removal(table, g, sub, 0)
-    assert (table.scores[1], table.scores[2]) == (1.0, 1.0)
-    assert table.scores == edge_clustering_g3(g, sub).scores
-    assert [e for _, e in table.heap].count(1) == 2
+    assert (table.scores[1], table.scores[2]) == (0.5, 1.0)
+    assert (table.score(1), table.score(2)) == (1.0, 1.0)
+    assert {e: table.score(e) for e in table.scores} == edge_clustering_g3(g, sub).scores
+    assert key_bound_violation(table) is None
+    assert [e for _, e in table.heap].count(1) == 1
     assert [e for _, e in table.heap].count(2) == 1
+    assert table.removal_candidate() == 1  # a tie at 1.0 with (0, 3)
+    assert table.scores[1] == 1.0
+    assert [e for _, e in table.heap].count(1) == 1
+
+
+def test_g3_rescore_pushes_at_most_two_entries_per_lost_triangle():
+    # K5 on 0..4, and vertex 5 joined to 0 and to the leaves 6..10; edge ids
+    # 0..9 are the K5 edges in `combinations` order, 10 is (0, 5), 11 (5, 6)
+    g = Graph(11, [*combinations(range(5), 2), (0, 5), *((5, x) for x in range(6, 11))])
+    sub = _whole(g)
+    table = edge_clustering_g3(g, sub)
+    heap, keys = list(table.heap), dict(table.scores)
+    # (5, 6) closes no triangle: nothing is pushed and no key changes
+    sub.remove_edge(5, 6)
+    rescore_after_removal(table, g, sub, 11)
+    del keys[11]
+    assert table.heap == heap
+    assert table.scores == keys
+    # (0, 1) closes t = 3 triangles, with 2, 3 and 4: (0, x) and (1, x) each
+    # lose one and get one push, 2t in all
+    sub.remove_edge(0, 1)
+    rescore_after_removal(table, g, sub, 0)
+    assert len(table.heap) == len(heap) + 2 * 3
+    assert {e for e in table.scores if table.scores[e] != keys[e]} == {1, 2, 3, 4, 5, 6}
+    # d_0 fell from 5 to 4, so (0, 5) rose from 1/4 to 1/3 and kept its key
+    assert (table.scores[10], table.score(10)) == (0.25, 1 / 3)
+    assert key_bound_violation(table) is None
+    assert table.removal_candidate() == 10
+    assert table.scores[10] == 1 / 3
 
 
 def test_heap_pick_after_a_score_returns_to_an_earlier_value():
     # edge 3 = (3, 5) scores 1.0, then 2.0 once (0, 5) is gone, then 1.0
-    # again once (3, 4) breaks its triangle.  Its first heap entry is
-    # discarded as stale in between, and two entries of it are left when it
-    # is removed.
+    # again once (3, 4) breaks its triangle.  In between, the pick meets its
+    # first heap entry on top and puts it back with key 2.0, and that entry
+    # goes stale when the triangle breaks.
     g = Graph(6, [(0, 5), (2, 3), (3, 4), (3, 5), (4, 5)])
     sub = _whole(g)
     table = edge_clustering_g3(g, sub)
-    history = [table.scores[3]]
+    history = [table.score(3)]
     picks = [table.removal_candidate()]
     for eid in (0, 2, 3):
         sub.remove_edge(*g.edges[eid])
         table = rescore_after_removal(table, g, sub, eid)
         if 3 in table.scores:
-            history.append(table.scores[3])
+            history.append(table.score(3))
         picks.append(table.removal_candidate())
-        assert picks[-1] == clustering_pick_naive(edge_clustering_g3(g, sub).scores)
+        want = edge_clustering_g3(g, sub).scores
+        assert picks[-1] == clustering_pick_naive(want)
+        assert table.scores[picks[-1]] == want[picks[-1]]
     assert history == [1.0, 2.0, 1.0]
     assert picks == [3, 2, 3, 1]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
@@ -21,16 +22,24 @@ from moddiv import (
     Graph,
     Partition,
     Subgraph,
+    compute_scores,
     load_gml,
     modularity_q,
     refine,
+    rescore_after_removal,
     run_ccr,
     run_ccr_ebr,
     write_gml,
 )
 from moddiv.cli import main
 from moddiv.graph import reachable_within
-from moddiv.oracles import engine_reference_mismatch, reference_corpus_graph, refine_naive
+from moddiv.oracles import (
+    clustering_pick_naive,
+    engine_reference_mismatch,
+    key_bound_violation,
+    reference_corpus_graph,
+    refine_naive,
+)
 
 
 @st.composite
@@ -42,6 +51,13 @@ def graphs(draw) -> Graph:
     ))
     # j < n - 1 is shifted past i, so no pair is a self-loop
     return Graph(n, [(i, j + (j >= i)) for i, j in pairs])
+
+
+@st.composite
+def dense_graphs(draw) -> Graph:
+    """Graphs on 3..14 vertices, each pair an edge or not: many triangles."""
+    n = draw(st.integers(3, 14))
+    return Graph(n, [pair for pair in combinations(range(n), 2) if draw(st.booleans())])
 
 
 def _runs(g: Graph):
@@ -201,3 +217,21 @@ def test_running_q_equals_a_full_sum(g, data):
             assert got == want and repr(got) == repr(want)
     got, want = modularity_q(g, p), _full_q(g, p)
     assert got == want and repr(got) == repr(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs(), dense_graphs()), st.data())
+def test_lazy_g3_pick_equals_a_scan_of_a_fresh_table(g, data):
+    """Removing the pick or a random edge, step by step: after each removal
+    the g3 pick and its key equal a full scan of a fresh table, bit for bit."""
+    sub = Subgraph(g, range(g.n))
+    table = compute_scores(CLUSTERING_G3, g, sub)
+    while table.scores:
+        fresh = compute_scores(CLUSTERING_G3, g, sub).scores
+        assert key_bound_violation(table) is None
+        pick = table.removal_candidate()
+        assert pick == clustering_pick_naive(fresh)
+        assert table.scores[pick].hex() == fresh[pick].hex()
+        eid = pick if data.draw(st.booleans()) else data.draw(st.sampled_from(sorted(table.scores)))
+        sub.remove_edge(*g.edges[eid])
+        table = rescore_after_removal(table, g, sub, eid)
