@@ -94,11 +94,13 @@ class Bisection:
 
 @dataclass
 class DendrogramNode:
+    """One community of the split tree, made internal by its accepted split."""
+
     node_id: int
     parent: int | None = None
     children: list[int] = field(default_factory=list)
     split_q: float | None = None
-    moves: tuple[dict, ...] = ()  # the `move` events of the accepted split
+    moves: tuple[RefinementMove, ...] = ()  # refinement moves of the accepted split
     members: list[int] = field(default_factory=list)  # leaves only
 
 
@@ -111,67 +113,51 @@ class TraceEntry:
     n_communities: int
 
 
-def _move_obj(event: dict) -> dict:
-    return {key: event[key] for key in ("vertex", "source", "target", "gain")}
-
-
 class Dendrogram:
-    """Split tree of a finished run, derived from its `history`: the
-    `move`, `accept` and `reject` events in the order they happened.
+    """Split tree of a run, grown as the run accepts splits.
 
-    Node 0 is the root; a disconnected input gives it one child per
-    component.  Every `accept` event turns its community's node into an
-    internal node with two children, and takes the `move` events since the
-    previous accept or reject as its refinement moves (those before a
-    reject were undone with the split).  Leaves hold the members their
-    community has in the final partition, empty when refinement retired it,
-    and an internal node's members are the union of its children's: the
-    leaves partition the vertex set.
+    Node 0 is the root; a disconnected input, `init` counting more than one
+    community, gives it one child per component.  `split` turns an accepted
+    community's node into an internal node with two children and keeps the
+    refinement moves of that split; the moves of a rejected split were
+    undone and never reach the tree.  `final_moves` holds the moves of the
+    closing global refinement, and `trace` every accepted state from `init`
+    on.  `finish` gives each leaf the members its community has in the
+    final partition, empty when refinement retired it, and an internal
+    node's members are the union of its children's: the leaves partition
+    the vertex set.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        history: list[dict],
-        final: Partition,
-        trace: list[TraceEntry],
-    ):
+    def __init__(self, graph: Graph, init: TraceEntry):
         self.graph = graph
-        self.trace = trace
+        self.trace = [init]
         self.nodes: list[DendrogramNode] = [DendrogramNode(0)]
-        self.final_moves: list[dict] = []
-        initial = trace[0].n_communities
-        if initial == 1:
-            node_of = {0: 0}
+        self.final_moves: list[RefinementMove] = []
+        if init.n_communities == 1:
+            self._node_of = {0: 0}  # live community id -> its leaf's node id
         else:
-            self.nodes[0].split_q = trace[0].q
-            node_of = {c: self._add_node(0) for c in range(initial)}
-        pending: list[dict] = []
-        for event in history:
-            kind = event["type"]
-            if kind == "move":
-                if event.get("stage") == "final-refine":
-                    self.final_moves.append(event)
-                else:
-                    pending.append(event)
-            elif kind == "reject":
-                pending = []
-            elif kind == "accept":
-                parent = self.nodes[node_of.pop(event["community"])]
-                parent.split_q = event["q_after"]
-                parent.moves = tuple(pending)
-                pending = []
-                for child in event["children"]:
-                    node_of[child] = self._add_node(parent.node_id)
-        for cid, nid in node_of.items():
-            if cid in final.communities:
-                self.nodes[nid].members = final.members(cid)
+            self.nodes[0].split_q = init.q
+            self._node_of = {c: self._add_node(0) for c in range(init.n_communities)}
 
     def _add_node(self, parent: int) -> int:
         node = DendrogramNode(len(self.nodes), parent)
         self.nodes.append(node)
         self.nodes[parent].children.append(node.node_id)
         return node.node_id
+
+    def split(self, cid: int, children, q_after: float, moves) -> None:
+        """Record the accepted split of community `cid` into `children`."""
+        parent = self.nodes[self._node_of.pop(cid)]
+        parent.split_q = q_after
+        parent.moves = tuple(moves)
+        for child in children:
+            self._node_of[child] = self._add_node(parent.node_id)
+
+    def finish(self, final: Partition) -> None:
+        """Give each leaf its community's members in the final partition."""
+        for cid, nid in self._node_of.items():
+            if cid in final.communities:
+                self.nodes[nid].members = final.members(cid)
 
     def leaves(self) -> list[DendrogramNode]:
         return [n for n in self.nodes if not n.children]
@@ -181,13 +167,18 @@ class Dendrogram:
     def to_json_obj(self) -> dict:
         """Flat node list in id order; `members` (labels) on leaves only."""
         labels = self.graph.labels
+
+        def move_obj(mv: RefinementMove) -> dict:
+            return {"vertex": labels[mv.vertex], "source": mv.source, "target": mv.target,
+                    "gain": mv.gain}
+
         nodes = []
         for node in self.nodes:
             obj: dict = {
                 "id": node.node_id,
                 "parent": node.parent,
                 "split_q": node.split_q,
-                "moves": [_move_obj(e) for e in node.moves],
+                "moves": [move_obj(mv) for mv in node.moves],
             }
             if not node.children:
                 obj["members"] = [labels[v] for v in node.members]
@@ -195,7 +186,7 @@ class Dendrogram:
         return {
             "n_vertices": self.graph.n,
             "nodes": nodes,
-            "final_moves": [_move_obj(e) for e in self.final_moves],
+            "final_moves": [move_obj(mv) for mv in self.final_moves],
             "trace": [
                 {"step": t.step, "q": t.q, "n_communities": t.n_communities}
                 for t in self.trace
@@ -246,16 +237,21 @@ class DetectionResult:
     positive moves, so the final state is the best one along the trace.
 
     `jsonl` holds the lines of `trace.jsonl`, `json.dumps(event) + "\n"`
-    for every removal, move, accept and reject in run order.  `history`
-    holds the move, accept and reject events as dicts: all the dendrogram
-    reads.  Removals exist only as lines.
+    for every removal, move, accept and reject in run order: the run's one
+    event record.  The dendrogram and its trace were grown beside it as
+    splits were accepted.  `history` is a read-only view that parses every
+    line back into its event on each read (`perfbench/tracer.py` counts
+    accepts through it); nothing is kept for it.
     """
 
     best_partition: Partition
     best_q: float
     dendrogram: Dendrogram
-    history: list[dict] = field(repr=False, default_factory=list)
-    jsonl: list[str] = field(repr=False, default_factory=list)
+    jsonl: list[str] = field(repr=False)
+
+    @property
+    def history(self) -> list[dict]:
+        return [json.loads(line) for line in self.jsonl]
 
     @property
     def trace(self) -> list[TraceEntry]:
@@ -454,18 +450,12 @@ class _DivisiveRun:
         # ids of communities known to be connected; see `run_phase`
         self.proven = set(self.partition.communities)
         self.q = modularity_q(g, self.partition)
-        self.history: list[dict] = []  # move, accept and reject events
         self.jsonl: list[str] = []  # one trace.jsonl line per event of any type
         # with `repr` for floats, lines built from these equal json.dumps(event)
         self.label_json = [json.dumps(label) for label in g.labels]
-        self.trace: list[TraceEntry] = []
-        self._trace("init")
-
-    def _trace(self, step: str) -> None:
-        self.trace.append(TraceEntry(step, self.q, self.partition.n_communities))
+        self.dendrogram = Dendrogram(g, TraceEntry("init", self.q, self.partition.n_communities))
 
     def _log(self, event: dict) -> None:
-        self.history.append(event)
         self.jsonl.append(json.dumps(event) + "\n")
 
     def _log_moves(self, mvs, q: float, phase: int, stage: str | None = None) -> None:
@@ -549,7 +539,8 @@ class _DivisiveRun:
                 sizes = [len(children[c].members) if c in children else 0 for c in (new_a, new_b)]
                 self._log({"type": "accept", "phase": phase, "community": cid,
                            "children": [new_a, new_b], "sizes": sizes, "q_after": q_new})
-                self._trace("split")
+                self.dendrogram.split(cid, (new_a, new_b), q_new, mvs)
+                self.dendrogram.trace.append(TraceEntry("split", q_new, p.n_communities))
                 for mv in mvs:
                     for c in (mv.source, mv.target):
                         if c in kept:
@@ -587,14 +578,15 @@ class _DivisiveRun:
         if not mvs:
             return
         self._log_moves(mvs, self.q, 2, "final-refine")
+        self.dendrogram.final_moves = mvs
         self.q = modularity_q(self.g, self.partition)
-        self._trace("final-refine")
+        self.dendrogram.trace.append(
+            TraceEntry("final-refine", self.q, self.partition.n_communities))
 
     def result(self) -> DetectionResult:
         best = self.partition.renumbered()
-        dendrogram = Dendrogram(self.g, self.history, self.partition, self.trace)
-        return DetectionResult(best, modularity_q(self.g, best), dendrogram, self.history,
-                               self.jsonl)
+        self.dendrogram.finish(self.partition)
+        return DetectionResult(best, modularity_q(self.g, best), self.dendrogram, self.jsonl)
 
 
 def run_ccr(g: Graph, cfg: EngineConfig | None = None) -> DetectionResult:

@@ -34,7 +34,7 @@ from moddiv.oracles import (
     reference_run,
 )
 
-from conftest import require_dataset
+from conftest import exported_tree, replayed_tree, require_dataset
 
 
 def _cfg(**kw) -> EngineConfig:
@@ -348,10 +348,17 @@ def test_engine_never_beats_exhaustive_search():
 
 def test_dendrogram_nodes_partition_their_parents():
     rng = random.Random(53)
+    reached = set()  # "dropped moves" once a reject follows a move; "final-refine"
     for _ in range(10):
         g = gnp_connected(rng, rng.randint(8, 40), 0.2)
         r = run_ccr_ebr(g)
         d = r.dendrogram
+        assert exported_tree(r) == replayed_tree(g, r.jsonl)
+        events = _events(r)
+        if any(a["type"] == "move" and b["type"] == "reject" for a, b in zip(events, events[1:])):
+            reached.add("dropped moves")
+        if any(e.get("stage") == "final-refine" for e in events):
+            reached.add("final-refine")
         for node in d.nodes:
             for c in node.children:
                 assert d.nodes[c].parent == node.node_id
@@ -364,6 +371,7 @@ def test_dendrogram_nodes_partition_their_parents():
         assert sorted(seen) == list(range(g.n))
         best = r.best_partition
         assert communities == {tuple(best.members(c)) for c in best.communities}
+    assert reached == {"dropped moves", "final-refine"}
 
 
 def test_best_partition_is_the_final_state():
@@ -379,25 +387,18 @@ def test_best_partition_is_the_final_state():
             assert r.best_partition.n_communities == last.n_communities
 
 
-def _chain_run(depth: int):
-    """History, final partition and trace of a run that peels one vertex
-    off a path `depth` times, nesting every split in the previous one."""
+def test_dendrogram_deeper_than_the_recursion_limit_exports():
+    # peel one vertex off a path `depth` times, nesting every split in the last
+    depth = sys.getrecursionlimit() + 100
     g = Graph(depth + 1, [(v, v + 1) for v in range(depth)])
     p = Partition(g, [0] * g.n)
-    history = []
+    d = Dendrogram(g, TraceEntry("init", 0.0, 1))
     cid = 0
     for v in range(depth):
         a, b = p.split_community(cid, [v], True)
-        history.append({"type": "accept", "phase": 1, "community": cid,
-                        "children": [a, b], "sizes": [1, depth - v], "q_after": 0.0})
+        d.split(cid, (a, b), 0.0, ())
         cid = b
-    return g, history, p, [TraceEntry("init", 0.0, 1)]
-
-
-def test_dendrogram_deeper_than_the_recursion_limit_exports():
-    depth = sys.getrecursionlimit() + 100
-    g, history, p, trace = _chain_run(depth)
-    d = Dendrogram(g, history, p, trace)
+    d.finish(p)
     assert len(d.nodes) == 2 * depth + 1
     assert d.nodes[-1].parent == d.nodes[-2].parent == 2 * depth - 2
     obj = json.loads(json.dumps(d.to_json_obj(), indent=2))
@@ -427,31 +428,15 @@ def test_deeper_ring_run_matches_pinned_history(gen):
     assert result.best_partition.n_communities == 532
 
 
-def test_dendrogram_drops_moves_of_rejected_splits(barbell):
-    p = Partition(barbell, [0] * barbell.n)
-    a, b = p.split_community(0, [0, 1, 2], True)
-    move = {"type": "move", "phase": 1, "vertex": "3", "source": b, "target": a,
-            "gain": -0.1, "q_after": 0.2}
-    history = [
-        move,
-        {"type": "reject", "phase": 1, "community": 0, "q_tentative": 0.2, "q_after": 0.0},
-        {**move, "vertex": "2", "source": a, "target": b},
-        {"type": "accept", "phase": 1, "community": 0, "children": [a, b],
-         "sizes": [3, 3], "q_after": 5 / 14},
-        {**move, "phase": 2, "stage": "final-refine"},
-    ]
-    d = Dendrogram(barbell, history, p, [TraceEntry("init", 0.0, 1)])
-    assert [n.parent for n in d.nodes] == [None, 0, 0]
-    assert [e["vertex"] for e in d.nodes[0].moves] == ["2"]
-    assert [e["vertex"] for e in d.final_moves] == ["3"]
-    assert [n.members for n in d.leaves()] == [[0, 1, 2], [3, 4, 5]]
-
-
 def test_history_serializes_as_json_lines(barbell):
     r = run_ccr(barbell)
     assert all(line.endswith("\n") and "\n" not in line[:-1] for line in r.jsonl)
     events = _events(r)
-    assert [e for e in events if e["type"] != "remove"] == r.history
+    assert r.history == [json.loads(line) for line in r.jsonl]
+    # the lines are the one event record: no event list is kept beside them
+    assert set(vars(r)) == {"best_partition", "best_q", "dendrogram", "jsonl"}
+    with pytest.raises(AttributeError):
+        r.history = events
     assert all("q_after" in e and "type" in e for e in events)
     assert {e["type"] for e in events} <= {"remove", "move", "accept", "reject"}
 
@@ -465,7 +450,7 @@ def test_trace_lines_are_json_dumps_of_their_events_on_real_runs(gen, name):
     for runner in (run_ccr, run_ccr_ebr):
         r = runner(g)
         assert r.jsonl == [json.dumps(json.loads(line)) + "\n" for line in r.jsonl]
-        assert [e for e in _events(r) if e["type"] != "remove"] == r.history
+        assert r.history == [json.loads(line) for line in r.jsonl]
 
 
 # Tab, CR and LF break the label rule that `Graph` enforces; backspace is

@@ -41,6 +41,8 @@ from moddiv.oracles import (
     refine_naive,
 )
 
+from conftest import exported_tree, replayed_tree
+
 
 @st.composite
 def graphs(draw) -> Graph:
@@ -83,6 +85,13 @@ def test_trace_q_strictly_increases(g):
     for r in _runs(g):
         qs = [t.q for t in r.trace]
         assert all(b > a for a, b in zip(qs, qs[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_dendrogram_replays_from_its_trace_lines(g):
+    for r in _runs(g):
+        assert exported_tree(r) == replayed_tree(g, r.jsonl)
 
 
 @settings(max_examples=60, deadline=None)

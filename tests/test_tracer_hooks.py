@@ -7,7 +7,10 @@ one that moves a call out of a hooked name makes a counter read wrong.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
+
+import pytest
 
 from moddiv import cli, engine
 
@@ -56,3 +59,8 @@ def test_traced_detect_counts_one_search_per_bisection_and_removal(tmp_path, mon
     assert sum(skipped) > 0
     assert sum(proven) > 0
     assert (metrics["engine.removals"], metrics["engine.bisections"]) == (66, 11)
+    # the tracer counts accepts through `DetectionResult.history`, the lines parsed
+    lines = (tmp_path / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+    accepts = sum(json.loads(line)["type"] == "accept" for line in lines)
+    assert accepts > 0
+    assert metrics["engine.accept_ratio"] * metrics["engine.bisections"] == pytest.approx(accepts)
