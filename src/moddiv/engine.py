@@ -32,7 +32,8 @@ from .measures import (
     EdgeScoreTable,
     compute_scores,
     rescore_after_removal,
-    rescore_around,
+    rescore_edges,
+    shift_cycles,
 )
 from .modularity import Partition, modularity_q, move_q
 
@@ -83,7 +84,8 @@ class Bisection:
     other side is the rest of the community.  `side_is_a` tells whether
     `side` is side a, the one holding the community's smallest vertex.
     `table` is the score table the removals were picked from, as it stood
-    at the last removal (None for a split that needed no scores).
+    at the last removal (None for a free split of a community that had no
+    table).
     """
 
     side: tuple[int, ...]
@@ -328,44 +330,59 @@ def bisect_community(
 
 
 def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed,
-               community) -> bool:
-    """Bring the `sub` and clustering `table` a bisection left behind (with
-    its `removals`) to a fresh build of `community`'s current members.
+               community) -> None:
+    """Bring the `sub` and clustering `table` a bisection left to one side
+    of its split (with its `removals`) to a fresh build of `community`'s
+    current members, by replaying the edits between them.
 
     `changed` holds every vertex whose membership may differ between `sub`
-    and `community`: the peeled side, and every vertex a refinement move
-    took into or out of the community since.  Vertices no longer in the
-    community go with their edges.  The last removal, never rescored, is
-    forgotten; the removed edges with both ends kept come back; members
-    that moved in are inserted; and one rescore covers every vertex those
-    edits touched.  Returns False, with nothing changed, when that
-    rescoring would cost more than half the community's edges: a fresh
-    table then costs less.
+    and `community`: every vertex a refinement move took into or out of
+    the community since the split.  In order: the last removal, never
+    rescored, is forgotten where the table holds it; each leaving vertex
+    loses its edges to staying ones, then goes with the rest of its row;
+    the removed edges with both ends kept come back; and each vertex that
+    moved in is inserted one edge at a time.  Every edge removed or added
+    goes through `shift_cycles`, so the kept counts stay exact, and one
+    `rescore_edges` covers the shifted edges and the edges at every vertex
+    whose degree rose or fell.
     """
-    members, nbrs = community.members, sub.nbrs
-    extra = [v for v in changed if v in nbrs and v not in members]
-    new = [v for v in changed if v in members and v not in nbrs]
-    readd = [eid for eid, _ in removals if members.issuperset(g.edges[eid])]
-    touched = {w for v in extra for w in nbrs[v]}.difference(extra)
-    touched.update(x for eid in readd for x in g.edges[eid])
+    members, nbrs, edges = community.members, sub.nbrs, g.edges
+    leaving = [v for v in changed if v in nbrs and v not in members]
+    arriving = [v for v in changed if v in members and v not in nbrs]
+    touched: dict[int, tuple[int, int]] = {}
+    rose: set[int] = set()  # vertices whose degree rose
+    fell: set[int] = set()  # vertices whose degree fell
     if removals:
         last = removals[-1][0]
-        touched.update(x for x in g.edges[last] if x in members)
-    touched.update(w for v in new for w, _ in g.adj[v] if w in members and w in nbrs)
-    work = sum(len(nbrs[v]) for v in touched) + 2 * len(readd) + sum(g.degrees[v] for v in new)
-    if 2 * work > community.internal_twice // 2:
-        return False
-    for v in extra:
+        if last in table.scores:
+            table.forget((last,))
+        fell.update(edges[last])
+    for v in leaving:
+        # every cycle through v and a staying edge holds an edge from v to a
+        # staying vertex, so v's other edges go without count updates
+        for w, eid in list(nbrs[v].items()):
+            if w in members:
+                sub.remove_edge(v, w)
+                shift_cycles(table, v, w, -1, touched)
+                table.forget((eid,))
+                fell.add(w)
         table.forget(sub.drop_vertex(v).values())
-    if removals:
-        table.forget((last,))
-    for eid in readd:
-        sub.add_edge(*g.edges[eid], eid)
-    for v in sorted(new):
-        sub.insert_vertex(g, v)
-    touched.update(new)
-    rescore_around(table, sub, touched)
-    return True
+    cycles = table.cycles
+    for eid, _ in removals:
+        u, v = edges[eid]
+        if u in nbrs and v in nbrs:
+            cycles[eid] = shift_cycles(table, u, v, 1, touched)
+            sub.add_edge(u, v, eid)
+            rose.update((u, v))
+    for v in arriving:
+        sub.add_vertex(v)
+        for w, eid in g.adj[v]:
+            if w in nbrs:
+                cycles[eid] = shift_cycles(table, v, w, 1, touched)
+                sub.add_edge(v, w, eid)
+                rose.add(w)
+        rose.add(v)
+    rescore_edges(table, touched, rose, fell)
 
 
 def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
@@ -485,13 +502,15 @@ class _DivisiveRun:
         not, so every move discards its source, and undoing a move its
         target.
 
-        In a clustering phase the larger child of an accepted split keeps
-        the subgraph, score table and removals its parent's bisection left
-        in `kept`, with the vertices its membership may have changed by:
-        the peeled side, then every vertex an accepted split's refinement
-        moves into or out of it.  `_reconcile` brings the state to the
-        child's members when it is dequeued, so only smaller children are
-        usually built fresh.
+        In a clustering phase both children of an accepted split keep the
+        state its bisection left: the walked side's rows, scores and counts
+        are carved out of the subgraph and table into their own, the other
+        side keeps the rest, and each is kept in `kept` with the removals
+        and the vertices its membership may have changed by, every vertex
+        an accepted split's refinement moves into or out of it.  `_reconcile`
+        brings the state to the child's members when it is dequeued, so a
+        table is built fresh only for a phase's starting communities and
+        for the children of a free split of a community that had none.
         Betweenness tables are recomputed after every removal anyway, and
         Brandes' float sums follow the subgraph's vertex order, ascending
         ids only in a fresh build, so the betweenness phase builds every
@@ -508,7 +527,8 @@ class _DivisiveRun:
             if community is None or len(community.members) < 2:
                 continue  # retired by refinement moves, or too small to split
 
-            if state is not None and _reconcile(g, *state, community):
+            if state is not None:
+                _reconcile(g, *state, community)
                 sub, table = state[:2]
             else:
                 sub, table = Subgraph(g, community.members), None
@@ -541,20 +561,20 @@ class _DivisiveRun:
                            "children": [new_a, new_b], "sizes": sizes, "q_after": q_new})
                 self.dendrogram.split(cid, (new_a, new_b), q_new, mvs)
                 self.dendrogram.trace.append(TraceEntry("split", q_new, p.n_communities))
+                if measure != BETWEENNESS and bis.table is not None:
+                    # no live edge crosses the split, so each side's rows,
+                    # scores and counts are its own
+                    part = sub.split_off(bis.side)
+                    walked, rest = (new_a, new_b) if bis.side_is_a else (new_b, new_a)
+                    states = {walked: (part, bis.table.split_off(part.nbrs)),
+                              rest: (sub, bis.table)}
+                    for child, (child_sub, child_table) in states.items():
+                        if child in children:
+                            kept[child] = (child_sub, child_table, bis.removals, set())
                 for mv in mvs:
                     for c in (mv.source, mv.target):
                         if c in kept:
                             kept[c][3].add(mv.vertex)
-                size = len(community.members)
-                size_a = len(bis.side) if bis.side_is_a else size - len(bis.side)
-                larger = new_b if size - size_a > size_a else new_a
-                if measure != BETWEENNESS and bis.table is not None and larger in children:
-                    if (larger == new_a) == bis.side_is_a:  # the walked side is kept
-                        changed = community.members.difference(bis.side)
-                    else:
-                        changed = set(bis.side)
-                    changed.update(mv.vertex for mv in mvs)
-                    kept[larger] = (sub, bis.table, bis.removals, changed)
                 live = [c for c in (new_a, new_b) if c in children]
                 for child in self._queue_order(live):
                     queue.append(child)

@@ -113,7 +113,7 @@ class Subgraph:
     neighbour of the live vertex v to the edge id joining them.  A fresh
     subgraph holds its vertices in ascending id order and fills each row
     in ascending neighbour order, which dicts keep through deletions; an
-    inserted vertex comes last.  Iterating a subgraph yields its live
+    added vertex comes last.  Iterating a subgraph yields its live
     vertex ids in that order.
     """
 
@@ -155,15 +155,18 @@ class Subgraph:
             del self.nbrs[w][v]
         return row
 
-    def insert_vertex(self, graph: Graph, v: int) -> None:
-        """Add vertex v with its edges to the live vertices."""
-        row = {}
-        for w, eid in graph.adj[v]:
-            other = self.nbrs.get(w)
-            if other is not None:
-                row[w] = eid
-                other[v] = eid
-        self.nbrs[v] = row
+    def add_vertex(self, v: int) -> None:
+        """Add vertex v with no edges; `add_edge` then joins it to live
+        vertices."""
+        self.nbrs[v] = {}
+
+    def split_off(self, vertices) -> Subgraph:
+        """Move the live `vertices`, which share no edge with the rest, and
+        their rows into a new subgraph."""
+        part = Subgraph.__new__(Subgraph)
+        nbrs = self.nbrs
+        part.nbrs = {v: nbrs.pop(v) for v in vertices}
+        return part
 
 
 @dataclass(frozen=True)

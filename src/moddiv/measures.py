@@ -33,18 +33,19 @@ class EdgeScoreTable:
     `scores[eid]` of every edge of `scores`, plus stale entries of changed
     or removed edges that the pick discards lazily, at most as many as the
     live ones.  Clustering tables also keep `cycles`, the count of every
-    edge's triangles (g3, its common neighbours) or 4-cycles (g4), so
-    rescoring can adjust the counts instead of recounting them.
+    edge's triangles (g3, its common neighbours) or 4-cycles (g4), which
+    `shift_cycles` keeps exact through every edge added or removed, and
+    references to the subgraph's rows (`nbrs`) and the graph's `edges`,
+    from which `score` computes the exact score of an edge.
 
     Betweenness and g4 scores are exact.  A g3 score can only fall when
-    the edge loses a triangle, and rescoring updates exactly those edges;
-    every other change lowers a degree and so can only raise the score.
-    A g3 table therefore keeps `scores[eid]` (and its heap key) as a lower
-    bound of the edge's score: exact when the table is built, after the
-    edge lost a triangle and after `rescore_around` touched it, and at
-    most the true score otherwise.  It keeps references to the subgraph's
-    rows (`nbrs`) and the graph's `edges`, from which `score` and the pick
-    compute the exact score of an edge on demand.
+    the edge loses a triangle or an endpoint gains a degree, and
+    `rescore_edges` updates exactly those edges; every other change can
+    only raise the score.  A g3 table therefore keeps `scores[eid]` (and
+    its heap key) as a lower bound of the edge's score: exact when the
+    table is built and after the edge's count changed, and at most the
+    true score otherwise.  The pick raises a key it meets on top of the
+    heap to the exact score.
     """
 
     kind: str
@@ -59,7 +60,8 @@ class EdgeScoreTable:
         if self.nbrs is None:
             return self.scores[eid]
         u, v = self.edges[eid]
-        return _g3_score(self.nbrs, u, v, self.cycles[eid])
+        score = _g3_score if self.kind == CLUSTERING_G3 else _g4_score
+        return score(self.nbrs, u, v, self.cycles[eid])
 
     def removal_candidate(self) -> int:
         """Edge id the divisive step should remove next.
@@ -80,13 +82,14 @@ class EdgeScoreTable:
             best = max(scores.values())
             return min(eid for eid, s in scores.items() if s == best)
         nbrs, edges, cycles = self.nbrs, self.edges, self.cycles
+        lazy = self.kind == CLUSTERING_G3
         # Tuple order is the tie-break: lowest score, then smallest edge id.
         while True:
             key, eid = heap[0]
             if scores.get(eid) != key:
                 heappop(heap)  # the edge is gone, or has a newer key
                 continue
-            if nbrs is None:
+            if not lazy:
                 return eid
             u, v = edges[eid]
             s = _g3_score(nbrs, u, v, cycles[eid])
@@ -102,6 +105,23 @@ class EdgeScoreTable:
             del self.scores[eid]
             if self.cycles is not None:
                 del self.cycles[eid]
+
+    def split_off(self, nbrs: dict[int, dict[int, int]]) -> EdgeScoreTable:
+        """Move the scores and counts of the edges in the rows `nbrs`, a
+        subgraph `Subgraph.split_off` carved out of this table's, into a
+        new table over those rows; their heap entries here go stale."""
+        own_scores, own_cycles = self.scores, self.cycles
+        scores: dict[int, float] = {}
+        cycles: dict[int, int] = {}
+        for v, row in nbrs.items():
+            for w, eid in row.items():
+                if v < w:
+                    scores[eid] = own_scores.pop(eid)
+                    cycles[eid] = own_cycles.pop(eid)
+        heap = list(zip(scores.values(), scores))
+        heapify(heap)
+        _compact(self)
+        return EdgeScoreTable(self.kind, scores, heap, cycles, nbrs, self.edges)
 
     def to_tsv(self, graph) -> str:
         """TSV dump (label, label, score) of the exact scores, sorted by
@@ -243,7 +263,7 @@ def edge_clustering_g4(g: Graph, sub: Subgraph) -> EdgeScoreTable:
                 scores[eid] = _g4_score(nbrs, i, j, f)
     heap = list(zip(scores.values(), scores))
     heapify(heap)
-    return EdgeScoreTable(CLUSTERING_G4, scores, heap, cycles)
+    return EdgeScoreTable(CLUSTERING_G4, scores, heap, cycles, nbrs, g.edges)
 
 
 def compute_scores(kind: str, g: Graph, sub: Subgraph) -> EdgeScoreTable:
@@ -266,96 +286,98 @@ def rescore_after_removal(
 ) -> EdgeScoreTable:
     """Score table after `removed_edge` was deleted from `sub`.
 
-    Betweenness is recomputed outright into a new table.  Clustering tables
-    are updated in place and returned, from their kept counts.  For
-    4-cycles, every cycle u-v-b-a the removal ends (a in N(u), b in N(v),
-    a ~ b) takes one from the counts of (u, a), (v, b) and (a, b); those
-    edges and every edge at u and v are rescored, so g4 scores stay equal
-    to a full recomputation.  A g3 table rescores only the edges (u, x)
-    and (v, x) of each common neighbour x of u and v, which lose the
-    triangle they shared with the removed edge: theirs are the only g3
-    scores the removal can lower.  The other edges at u and v keep their
-    keys, now lower bounds that the pick raises when it meets them; no
-    edge is rescored when the removed edge closed no triangle.  Every
-    changed score is pushed on the heap; the entry it replaces goes stale.
+    Betweenness is recomputed outright into a new table.  A clustering
+    table is updated in place and returned: `shift_cycles` takes one from
+    the kept count of every edge that shared a triangle (g3) or 4-cycle
+    (g4) with the removed edge, and `rescore_edges` rescores those edges,
+    plus for g4 every edge at its two ends, whose degrees fell.  A fall in
+    degree can only raise a g3 score, so the other g3 keys stay lower
+    bounds that the pick raises when it meets them; no g3 edge is rescored
+    when the removed edge closed no triangle.
     """
     if prev.kind == BETWEENNESS:
         return edge_betweenness(g, sub)
-
     u, v = g.edges[removed_edge]
-    scores, heap, cycles = prev.scores, prev.heap, prev.cycles
-    lost = cycles[removed_edge]
     prev.forget((removed_edge,))
-    nbrs = sub.nbrs
-    if prev.kind == CLUSTERING_G4:
-        nu, nv = nbrs[u], nbrs[v]
-        nv_keys = nv.keys()
-        far: dict[int, tuple[int, int]] = {}
-        for a, ea in nu.items():
-            na = nbrs[a]
-            ended = na.keys() & nv_keys
-            if ended:
-                cycles[ea] -= len(ended)
-                for b in ended:
-                    cycles[nv[b]] -= 1
-                    eab = na[b]
-                    cycles[eab] -= 1
-                    far[eab] = (a, b)
-        for x in (u, v):
-            for y, eid in nbrs[x].items():
-                far[eid] = (x, y)
-        for eid, (x, y) in far.items():
-            s = _g4_score(nbrs, x, y, cycles[eid])
-            if s != scores[eid]:
-                scores[eid] = s
-                heappush(heap, (s, eid))
-        _compact(prev)
-        return prev
-
-    if lost:
-        nu, nv = nbrs[u], nbrs[v]
-        for x in nu.keys() & nv.keys():
-            for a, row in ((u, nu), (v, nv)):
-                eid = row[x]
-                t = cycles[eid] = cycles[eid] - 1
-                s = _g3_score(nbrs, a, x, t)
-                if s != scores[eid]:
-                    scores[eid] = s
-                    heappush(heap, (s, eid))
-    _compact(prev)
+    touched: dict[int, tuple[int, int]] = {}
+    shift_cycles(prev, u, v, -1, touched)
+    rescore_edges(prev, touched, (), (u, v))
     return prev
 
 
-def rescore_around(table: EdgeScoreTable, sub: Subgraph, vertices) -> None:
-    """Bring a clustering table in line with a full recomputation after
-    edges were added to or removed from `sub` at the live `vertices`.
+def shift_cycles(table: EdgeScoreTable, u: int, v: int, step: int,
+                 touched: dict[int, tuple[int, int]]) -> int:
+    """Add `step` (+1 or -1) to the kept count of every edge that shares a
+    triangle (g3) or 4-cycle (g4) with the edge u-v, which the table's
+    subgraph does not hold: call it after removing the edge, or before
+    adding it.  Each shifted edge goes into `touched` as `eid: (x, y)`, its
+    ends.  Returns the number of those cycles, the count of u-v itself.
 
-    This is the general form of `rescore_after_removal`: it rescores every
-    edge at `vertices`, plus (for 4-cycles) every edge at their neighbours,
-    recounting the triangles or 4-cycles of each from the neighbour sets.
-    A dropped vertex passes its former neighbours, not itself; an inserted
-    one passes itself and its neighbours.  The rescored edges get exact
-    keys; the degrees and triangles of every other g3 edge are unchanged,
-    so its key stays a lower bound of its score.
+    A triangle u-v-x shifts (u, x) and (v, x); a 4-cycle u-v-b-a (a in
+    N(u), b in N(v), a ~ b) shifts (u, a), (v, b) and (a, b).
     """
-    nbrs = sub.nbrs
-    scores, heap, cycles = table.scores, table.heap, table.cycles
-    g4 = table.kind == CLUSTERING_G4
-    touched = set(vertices)
-    if g4:
-        for x in tuple(touched):
-            touched.update(nbrs[x])
-    affected = {eid: (x, y) for x in touched for y, eid in nbrs[x].items()}
-    for eid, (x, y) in affected.items():
-        if g4:
-            f = cycles[eid] = _four_cycles(nbrs, x, y)
-            s = _g4_score(nbrs, x, y, f)
-        else:
-            t = cycles[eid] = len(nbrs[x].keys() & nbrs[y].keys())
-            s = _g3_score(nbrs, x, y, t)
-        if s != scores.get(eid):
-            scores[eid] = s
-            heappush(heap, (s, eid))
+    nbrs, cycles = table.nbrs, table.cycles
+    nu, nv = nbrs[u], nbrs[v]
+    if table.kind == CLUSTERING_G3:
+        common = nu.keys() & nv.keys()
+        for x in common:
+            eid = nu[x]
+            cycles[eid] += step
+            touched[eid] = (u, x)
+            eid = nv[x]
+            cycles[eid] += step
+            touched[eid] = (v, x)
+        return len(common)
+    found = 0
+    nv_keys = nv.keys()
+    for a, ea in nu.items():
+        na = nbrs[a]
+        closed = na.keys() & nv_keys
+        if closed:
+            found += len(closed)
+            cycles[ea] += step * len(closed)
+            touched[ea] = (u, a)
+            for b in closed:
+                eid = nv[b]
+                cycles[eid] += step
+                touched[eid] = (v, b)
+                eid = na[b]
+                cycles[eid] += step
+                touched[eid] = (a, b)
+    return found
+
+
+def rescore_edges(table: EdgeScoreTable, touched: dict[int, tuple[int, int]],
+                  rose, fell) -> None:
+    """Rescore a clustering table after edge edits made through
+    `shift_cycles`: every live edge of `touched` gets its exact score, and
+    so does every edge at a live vertex whose degree `rose` or `fell`,
+    with one exception for g3.  A fall in degree can only raise a g3
+    score, so g3 skips `fell`, and at `rose` it only lowers a key that is
+    above the new score: any other key is still a lower bound.  A new edge
+    gets its first key.  An edge off these lists kept its count and its
+    ends' degrees, so its g4 score is unchanged and its g3 key is still a
+    lower bound.  Every changed key is pushed on the heap; the entry it
+    replaces goes stale.
+    """
+    nbrs, scores, heap, cycles = table.nbrs, table.scores, table.heap, table.cycles
+    g3 = table.kind == CLUSTERING_G3
+    score = _g3_score if g3 else _g4_score
+    for eid, (x, y) in touched.items():
+        count = cycles.get(eid)  # None once the edge went
+        if count is not None:
+            s = score(nbrs, x, y, count)
+            if s != scores.get(eid):
+                scores[eid] = s
+                heappush(heap, (s, eid))
+    for x in rose if g3 else (*rose, *fell):
+        for y, eid in nbrs.get(x, {}).items():
+            if eid not in touched:
+                s = score(nbrs, x, y, cycles[eid])
+                key = scores.get(eid)
+                if key is None or (s < key if g3 else s != key):
+                    scores[eid] = s
+                    heappush(heap, (s, eid))
     _compact(table)
 
 

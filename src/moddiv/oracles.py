@@ -32,7 +32,8 @@ from .measures import (
     compute_scores,
     edge_betweenness,
     rescore_after_removal,
-    rescore_around,
+    rescore_edges,
+    shift_cycles,
 )
 from .modularity import Partition, modularity_q, modularity_q_pairwise, move_q
 
@@ -609,60 +610,139 @@ def key_bound_violation(table: EdgeScoreTable) -> int | None:
     outside g3) and the heap must hold `(scores[eid], eid)`.  None when
     every key keeps it."""
     held = set(table.heap)
+    lazy = table.kind == CLUSTERING_G3
     for eid in sorted(table.scores):
-        key = table.scores[eid]
-        if not key <= table.score(eid) or (key, eid) not in held:
+        key, exact = table.scores[eid], table.score(eid)
+        if not (key <= exact if lazy else key == exact) or (key, eid) not in held:
             return eid
     return None
 
 
 def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
-                      table: EdgeScoreTable, removed: set) -> str | None:
-    """One random step on `sub` and `table`: an edge removal rescored as
-    bisection does, or 1-3 edits of a kept community (re-added edges,
-    dropped vertices, inserted vertices) made in the engine's reconcile
-    order and followed by one `rescore_around` over the vertices they
-    touched.  Drops come first, so none takes an edge still unscored.
-    `removed` holds the removed edges between live vertices.  Returns the
-    step's edits, or None when it had nothing to act on."""
-    if rng.random() < 0.25:
+                      table: EdgeScoreTable, removed: set):
+    """One random step on `sub` and `table`, as the engine's kept states see
+    them: an edge removal rescored as bisection does; a carve, which
+    removes every live edge between a random side and the rest as
+    bisection does, then splits that side's rows off `sub` and `table`; or
+    1-3 edits of a kept community (dropped vertices, re-added edges,
+    inserted vertices) made as the engine's reconcile makes them: each edge
+    removed or added through `shift_cycles`, a vertex inserted one edge at
+    a time, and one `rescore_edges` over the shifted edges and the vertices
+    whose degree rose or fell.  Drops come first, so none takes an edge still
+    unscored.  `removed` holds the removed edges between live vertices.
+
+    Returns the step's edits with the `(sub, table, removed)` states to
+    compare with fresh builds, the one to go on with first; None when the
+    step had nothing to act on."""
+    roll = rng.random()
+    if roll < 0.25:
         if not table.scores:
             return None
         eid = rng.choice(sorted(table.scores))
         sub.remove_edge(*g.edges[eid])
         rescore_after_removal(table, g, sub, eid)
         removed.add(eid)
-        return f"remove={eid}"
+        return f"remove={eid}", [(sub, table, removed)]
+    if roll < 0.35:
+        if len(sub) < 2:
+            return None
+        side = set(rng.sample(sorted(sub), rng.randint(1, len(sub) - 1)))
+        for eid in sorted({e for v in side for w, e in sub.nbrs[v].items() if w not in side}):
+            sub.remove_edge(*g.edges[eid])
+            rescore_after_removal(table, g, sub, eid)
+        part = sub.split_off(sorted(side))
+        states = [
+            (sub, table, {eid for eid in removed if side.isdisjoint(g.edges[eid])}),
+            (part, table.split_off(part.nbrs),
+             {eid for eid in removed if side.issuperset(g.edges[eid])}),
+        ]
+        if rng.random() < 0.5:
+            states.reverse()
+        return "carve=" + "+".join(map(str, sorted(side))), states
     edits: list[str] = []
-    touched: set[int] = set()
+    touched: dict[int, tuple[int, int]] = {}
+    rose: set[int] = set()
+    fell: set[int] = set()
     order = ("drop", "readd", "insert")
     for op in sorted((rng.choice(order) for _ in range(rng.randint(1, 3))), key=order.index):
         if op == "readd" and removed:
             eid = rng.choice(sorted(removed))
             u, v = g.edges[eid]
+            table.cycles[eid] = shift_cycles(table, u, v, 1, touched)
             sub.add_edge(u, v, eid)
-            touched.update((u, v))
+            rose.update((u, v))
             removed.discard(eid)
             edits.append(f"readd={eid}")
         elif op == "drop" and len(sub) > 2:
             v = rng.choice(sorted(sub))
             removed.difference_update(eid for _, eid in g.adj[v])
-            row = sub.drop_vertex(v)
-            table.forget(row.values())
-            touched.update(row)
-            touched.discard(v)
+            for w, eid in list(sub.nbrs[v].items()):
+                sub.remove_edge(v, w)
+                shift_cycles(table, v, w, -1, touched)
+                table.forget((eid,))
+                fell.add(w)
+            sub.drop_vertex(v)
             edits.append(f"drop={v}")
         elif op == "insert":
             outside = [v for v in range(g.n) if v not in sub.nbrs]
             if outside:
                 v = rng.choice(outside)
-                sub.insert_vertex(g, v)
-                touched.update((v, *sub.nbrs[v]))
+                sub.add_vertex(v)
+                for w, eid in g.adj[v]:
+                    if w in sub.nbrs:
+                        table.cycles[eid] = shift_cycles(table, v, w, 1, touched)
+                        sub.add_edge(v, w, eid)
+                        rose.add(w)
+                rose.add(v)
                 edits.append(f"insert={v}")
     if not edits:
         return None
-    rescore_around(table, sub, touched)
-    return ",".join(edits)
+    rescore_edges(table, touched, rose, fell)
+    return ",".join(edits), [(sub, table, removed)]
+
+
+def _record_fresh_mismatch(report: OracleReport, g: Graph, kind: str, sub: Subgraph,
+                           table: EdgeScoreTable, removed: set, digest: str) -> bool:
+    """Record every way `table` differs from a fresh build of `sub`'s
+    vertices less the `removed` edges; True when its edge set or counts
+    differ, which ends the case."""
+    fresh = Subgraph(g, sub)
+    for eid in sorted(removed):
+        fresh.remove_edge(*g.edges[eid])
+    full = compute_scores(kind, g, fresh)
+    if set(table.scores) != set(full.scores):
+        report.record(math.inf, digest, sorted(full.scores), sorted(table.scores))
+        return True
+    if table.cycles != full.cycles:
+        e = min(e for e in table.cycles.keys() | full.cycles.keys()
+                if table.cycles.get(e) != full.cycles.get(e))
+        report.record(math.inf, digest + f" edge={e} cycles", full.cycles.get(e),
+                      table.cycles.get(e))
+        return True
+    if kind == CLUSTERING_G4:
+        for e, f in sorted(table.cycles.items()):
+            naive = cycle_count_naive(g, fresh, e, 4)
+            if f != naive:
+                report.record(math.inf, digest + f" edge={e} naive cycles", naive, f)
+    e = key_bound_violation(table)
+    if e is not None:
+        report.record(math.inf, digest + f" edge={e} key", table.score(e), table.scores[e])
+    for e in sorted(full.scores):
+        a, b = table.score(e), full.scores[e]
+        if a == b:
+            diff = 0.0
+        elif math.isinf(a) or math.isinf(b):
+            diff = math.inf
+        else:
+            diff = abs(a - b)
+        report.record(diff, digest + f" edge={e}", b, a)
+    if full.scores:
+        want, got = clustering_pick_naive(full.scores), table.removal_candidate()
+        if got != want:
+            report.record(math.inf, digest + " pick", want, got)
+        elif table.scores[got] != full.scores[want]:
+            report.record(math.inf, digest + " pick score", full.scores[want], table.scores[got])
+    return False
 
 
 def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
@@ -670,14 +750,16 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
     and the rescored table must pick the edge a scan of that recompute picks.
 
     The exact scores (`score`) are compared, since a g3 table's keys may be
-    lower bounds; every key must be at most its exact score and held by the
-    heap, and the picked edge's key must equal the recompute's score.
+    lower bounds; every key must be at most its exact score (equal in g4)
+    and held by the heap, and the picked edge's key must equal the
+    recompute's score.
 
-    Each case interleaves edge removals with batches of the edits a kept
-    community sees, re-added edges, dropped vertices and inserted vertices,
-    each batch rescored once.  The recompute runs on a fresh `Subgraph` of
-    the same vertices, less the same removed edges.  A g4 table's kept
-    4-cycle counts are also checked against literal enumeration."""
+    Each case interleaves edge removals with carves and with batches of the
+    edits a kept community sees, re-added edges, dropped vertices and
+    inserted vertices, each batch rescored once.  The recompute runs on a
+    fresh `Subgraph` of the same vertices, less the same removed edges; a
+    carve compares both parts, then goes on with one of them.  A g4 table's
+    kept 4-cycle counts are also checked against literal enumeration."""
     rng = random.Random(seed)
     report = OracleReport("rescore-vs-full", cases, 0.0, 0.0)
     for i in range(cases):
@@ -691,47 +773,20 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
             size = rng.randint(3, g.n)
             within = rng.sample(range(g.n), size)
         sub = Subgraph(g, within)
-        table = compute_scores(kind, g, sub)
-        removed: set[int] = set()
+        state = (sub, compute_scores(kind, g, sub), set())
         for step in range(12):
-            edit = _step_inheritance(rng, g, sub, table, removed)
-            if edit is None:
+            stepped = _step_inheritance(rng, g, *state)
+            if stepped is None:
                 continue
-            fresh = Subgraph(g, sub)
-            for eid in sorted(removed):
-                fresh.remove_edge(*g.edges[eid])
-            full = compute_scores(kind, g, fresh)
+            edit, states = stepped
             digest = f"case={i} kind={kind} n={g.n} step={step} {edit}"
-            if set(table.scores) != set(full.scores):
-                report.record(math.inf, digest, sorted(full.scores), sorted(table.scores))
+            ended = False
+            for k, (part, table, removed) in enumerate(states):
+                where = digest if len(states) == 1 else f"{digest} part={k}"
+                ended |= _record_fresh_mismatch(report, g, kind, part, table, removed, where)
+            if ended:
                 break
-            if table.cycles != full.cycles:
-                e = min(e for e in full.cycles if table.cycles[e] != full.cycles[e])
-                report.record(math.inf, digest + f" edge={e} cycles", full.cycles[e], table.cycles[e])
-                break
-            if kind == CLUSTERING_G4:
-                for e, f in sorted(table.cycles.items()):
-                    naive = cycle_count_naive(g, fresh, e, 4)
-                    if f != naive:
-                        report.record(math.inf, digest + f" edge={e} naive cycles", naive, f)
-            e = key_bound_violation(table)
-            if e is not None:
-                report.record(math.inf, digest + f" edge={e} key", table.score(e), table.scores[e])
-            for e in sorted(full.scores):
-                a, b = table.score(e), full.scores[e]
-                if a == b:
-                    diff = 0.0
-                elif math.isinf(a) or math.isinf(b):
-                    diff = math.inf
-                else:
-                    diff = abs(a - b)
-                report.record(diff, digest + f" edge={e}", b, a)
-            if full.scores:
-                want, got = clustering_pick_naive(full.scores), table.removal_candidate()
-                if got != want:
-                    report.record(math.inf, digest + " pick", want, got)
-                elif table.scores[got] != full.scores[want]:
-                    report.record(math.inf, digest + " pick score", full.scores[want], table.scores[got])
+            state = states[0]
     return report
 
 

@@ -174,10 +174,8 @@ def test_a_removal_with_a_kept_cycle_leaves_its_ends_connected(monkeypatch, gen,
     real_reconcile, real_rescore = engine._reconcile, engine.rescore_after_removal
 
     def reconcile(g, sub, table, removals, changed, community):
-        done = real_reconcile(g, sub, table, removals, changed, community)
-        if done:
-            reconciled[id(table)] = table
-        return done
+        real_reconcile(g, sub, table, removals, changed, community)
+        reconciled[id(table)] = table
 
     def rescore(prev, g, sub, eid):
         if prev.cycles[eid] > 0:
@@ -529,9 +527,10 @@ def _ring_of_k4s_with_outsider(k: int) -> Graph:
 @pytest.mark.parametrize("measure", [CLUSTERING_G3, CLUSTERING_G4])
 @pytest.mark.parametrize("case", ["inserted", "dropped", "last-kept"])
 def test_reconcile_equals_a_fresh_build(measure, case):
-    """Member sets no engine run in the inheritance corpus reconciles
-    against: an inserted member, a dropped member off the peeled side, and
-    both ends of the last removal kept."""
+    """Both sides of a split, carved apart as an accepted split carves
+    them, reconcile to a fresh build of their members: with a member
+    inserted from outside, a member dropped, or a vertex of the peeled side
+    moved across, which brings both ends of the last removal together."""
     g = _ring_of_k4s_with_outsider(8)
     sub = Subgraph(g, range(32))  # the ring, without the outsider 32
     bis = bisect_community(g, sub, measure)
@@ -539,24 +538,27 @@ def test_reconcile_equals_a_fresh_build(measure, case):
     assert (bis.side, bis.side_is_a) == ((4, 5, 6, 7), False)
     assert [e for e, _ in bis.removals] == [48, 49]
     assert 49 in bis.table.scores  # the last removal is never rescored
-    members = set(range(32)) - set(bis.side)
+    part = sub.split_off(bis.side)
+    states = [(sub, bis.table), (part, bis.table.split_off(part.nbrs))]
+    rest, peeled = set(range(32)) - set(bis.side), set(bis.side)
     if case == "inserted":
-        members.add(32)
+        rest.add(32)
     elif case == "dropped":
-        members.discard(13)
+        rest.discard(13)
     else:
-        members.add(7)  # both ends of the last removal, (7, 8), are kept
-    community = Partition(g, [0 if v in members else 1 for v in range(g.n)]).communities[0]
-    changed = set(bis.side) | {32, 13, 7}
-    assert engine._reconcile(g, sub, bis.table, bis.removals, changed, community)
-    fresh = Subgraph(g, members)
-    want = compute_scores(measure, g, fresh)
-    assert sorted(sub) == sorted(members)
-    edges = [{eid for row in s.nbrs.values() for eid in row.values()} for s in (sub, fresh)]
-    assert edges[0] == edges[1]
-    assert {e: bis.table.score(e) for e in bis.table.scores} == want.scores
-    assert bis.table.cycles == want.cycles
-    assert key_bound_violation(bis.table) is None
-    pick = bis.table.removal_candidate()
-    assert pick == want.removal_candidate()
-    assert bis.table.scores[pick] == want.scores[pick]
+        rest.add(7)  # both ends of the last removal, (7, 8), are in the rest
+        peeled.discard(7)
+    for (kept, table), members in zip(states, (rest, peeled)):
+        community = Partition(g, [0 if v in members else 1 for v in range(g.n)]).communities[0]
+        engine._reconcile(g, kept, table, bis.removals, {32, 13, 7}, community)
+        fresh = Subgraph(g, members)
+        want = compute_scores(measure, g, fresh)
+        assert sorted(kept) == sorted(members)
+        edges = [{eid for row in s.nbrs.values() for eid in row.values()} for s in (kept, fresh)]
+        assert edges[0] == edges[1]
+        assert {e: table.score(e) for e in table.scores} == want.scores
+        assert table.cycles == want.cycles
+        assert key_bound_violation(table) is None
+        pick = table.removal_candidate()
+        assert pick == want.removal_candidate()
+        assert table.scores[pick] == want.scores[pick]

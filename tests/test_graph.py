@@ -327,27 +327,43 @@ def test_subgraph_rows_follow_ascending_vertex_ids(barbell):
     assert list(sub.nbrs[2]) == [0, 1]
 
 
-def test_subgraph_drop_insert_and_add_edge(barbell):
+def _insert(sub: Subgraph, g: Graph, v: int) -> None:
+    """Add vertex v with its edges to the live vertices, one edge at a time."""
+    sub.add_vertex(v)
+    for w, eid in g.adj[v]:
+        if w in sub.nbrs:
+            sub.add_edge(v, w, eid)
+
+
+def test_subgraph_drop_add_and_split_off(barbell):
     sub = Subgraph(barbell, [0, 1, 2, 3])
     assert sub.drop_vertex(2) == {0: 1, 1: 2, 3: 3}
     assert list(sub) == [0, 1, 3] and len(sub) == 3
     assert sub.nbrs == {0: {1: 0}, 1: {0: 0}, 3: {}}
-    sub.insert_vertex(barbell, 4)
+    sub.add_vertex(4)
+    assert sub.nbrs[4] == {}
+    sub.add_edge(3, 4, 4)
     assert sub.nbrs[3] == {4: 4} and sub.nbrs[4] == {3: 4}
     assert list(sub) == [0, 1, 3, 4]
     sub.remove_edge(0, 1)
     sub.add_edge(1, 0, 0)
     assert sub.nbrs[0] == {1: 0} and sub.nbrs[1] == {0: 0}
-    # an inserted vertex only sees live vertices: 2 was dropped
-    sub.insert_vertex(barbell, 5)
+    # an added vertex only meets the live vertices its caller joins: 2 was
+    # dropped
+    _insert(sub, barbell, 5)
     assert sub.nbrs[5] == {3: 5, 4: 6}
-    # a reinserted vertex comes last
-    sub.insert_vertex(barbell, 2)
+    # a re-added vertex comes last
+    _insert(sub, barbell, 2)
     assert list(sub) == [0, 1, 3, 4, 5, 2]
     assert sub.nbrs[2] == {0: 1, 1: 2, 3: 3}
     sub.drop_vertex(2)
     with pytest.raises(KeyError):
         sub.drop_vertex(2)
+    # {0, 1} shares no edge with {3, 4, 5}: its rows move to their own
+    # subgraph
+    part = sub.split_off([1, 0])
+    assert list(part) == [1, 0] and part.nbrs == {0: {1: 0}, 1: {0: 0}}
+    assert list(sub) == [3, 4, 5]
 
 
 def _flood_fill_labels(g: Graph, removed: set) -> list:
@@ -459,7 +475,7 @@ def test_reachable_within_skips_dropped_and_keeps_inserted_vertices():
     g = Graph(10, pairs)
     sub = Subgraph(g, [v for v in range(10) if v != 4])
     sub.drop_vertex(6)
-    sub.insert_vertex(g, 4)
+    _insert(sub, g, 4)
     sub.remove_edge(5, 7)
     # the triangle runs out first: the clique side, with its dropped vertex
     # and its inserted one, is never walked
@@ -468,7 +484,7 @@ def test_reachable_within_skips_dropped_and_keeps_inserted_vertices():
     sub.drop_vertex(8)
     sub.drop_vertex(9)
     sub.drop_vertex(7)
-    sub.insert_vertex(g, 7)  # a lone vertex once 5-7 goes
+    _insert(sub, g, 7)  # a lone vertex once 5-7 goes
     sub.remove_edge(5, 7)
     assert reachable_within(sub, 0, stop_at=7) == {7}
     assert list(sub) == [0, 1, 2, 3, 5, 4, 7]
@@ -508,7 +524,7 @@ def test_reachable_within_agrees_with_a_plain_search_under_removals():
                 outside = [v for v in range(n) if v not in sub.nbrs
                            and any(w in sub.nbrs for w, _ in g.adj[v])]
                 if outside:
-                    sub.insert_vertex(g, rng.choice(outside))
+                    _insert(sub, g, rng.choice(outside))
             u, v = rng.choice(_live_edges(g, sub))
             sub.remove_edge(u, v)
             side = reachable_within(sub, u, stop_at=v)

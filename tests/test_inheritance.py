@@ -1,8 +1,9 @@
-"""The larger child of a clustering split inherits its parent's state.
+"""Both children of a clustering split inherit their parent's state.
 
 At every dequeue of an inherited community its `Subgraph` and score table
 must equal a fresh build of its members, every community passed as proven
-connected must be connected, and the runs that inherit must write the
+connected must be connected, a clustering phase builds a table only for
+its starting communities, and the runs that inherit must write the
 artifacts a fresh build per bisection wrote.
 """
 
@@ -15,7 +16,8 @@ import pytest
 
 from moddiv import CLUSTERING_G3, Graph, Subgraph, engine, load_gml
 from moddiv.cli import main
-from moddiv.measures import CLUSTERING_G4, compute_scores
+from moddiv.graph import connected_components
+from moddiv.measures import BETWEENNESS, CLUSTERING_G4, compute_scores
 from moddiv.oracles import key_bound_violation
 
 from conftest import require_dataset
@@ -72,11 +74,20 @@ def test_inherited_state_equals_a_fresh_build_at_every_dequeue(
         g = load_gml(require_dataset(name))
     else:
         g = Graph(*_generated(name, gen))
-    real = engine.bisect_community
+    real, real_scores = engine.bisect_community, engine.compute_scores
     inherited = []
     proven = []
+    untabled = []  # clustering bisections of a community with no kept state
+    built = []  # clustering tables built fresh
+
+    def scores(kind, g, sub):
+        if kind != BETWEENNESS:
+            built.append(len(sub))
+        return real_scores(kind, g, sub)
 
     def checked(g, sub, measure, table=None, connected=False):
+        if table is None and measure != BETWEENNESS:
+            untabled.append(len(sub))
         if connected:
             assert _connected(g, sub)
             proven.append(len(sub))
@@ -98,14 +109,17 @@ def test_inherited_state_equals_a_fresh_build_at_every_dequeue(
         return real(g, sub, measure, table, connected)
 
     monkeypatch.setattr(engine, "bisect_community", checked)
+    monkeypatch.setattr(engine, "compute_scores", scores)
     runner(g, engine.EngineConfig(measure=measure))
     assert proven
+    # the starting communities, all connected, are the only ones without
+    # kept state, and only they are scored fresh
+    starting = [c for c in connected_components(g).groups() if len(c) > 1]
+    assert built == untabled == [len(c) for c in starting]
     if name == "ring40":
-        assert len(inherited) == 30
+        assert len(inherited) == 60  # both children of its 30 accepted splits
     elif name in ("karate", "lesmis") and measure == CLUSTERING_G3:
-        # every g3 split re-adds edges at most of its larger side there, so
-        # the larger child is built fresh
-        assert not inherited
+        assert len(inherited) == 6
     else:
         assert inherited
 

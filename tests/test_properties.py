@@ -6,14 +6,14 @@ import json
 import random
 from itertools import combinations
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moddiv import (
     CLUSTERING_G3,
@@ -23,6 +23,7 @@ from moddiv import (
     Partition,
     Subgraph,
     compute_scores,
+    engine,
     load_gml,
     modularity_q,
     refine,
@@ -87,11 +88,97 @@ def test_trace_q_strictly_increases(g):
         assert all(b > a for a, b in zip(qs, qs[1:]))
 
 
+# Graphs whose `ccr-ebr` run ends with `final-refine` moves, with g4, g3 and
+# g3 in turn; random graphs seldom reach one.
+FINAL_REFINE_GRAPHS = (
+    Graph(9, [(1, 2), (7, 4), (5, 6), (1, 7), (6, 8), (4, 2), (2, 8), (5, 4), (2, 3),
+              (6, 0), (6, 5)]),
+    Graph(12, [(1, 6), (6, 8), (2, 9), (4, 1), (4, 2), (4, 11), (3, 0), (7, 0), (5, 6),
+               (5, 0), (11, 0)]),
+    Graph(14, [(1, 12), (4, 1), (3, 1), (10, 1), (12, 11), (9, 5), (12, 5), (4, 7),
+               (2, 13), (4, 5), (1, 7), (2, 4), (11, 7)]),
+)
+
+
+def test_the_replay_examples_reach_final_refine_moves():
+    for g, measure in zip(FINAL_REFINE_GRAPHS, (CLUSTERING_G4, CLUSTERING_G3, CLUSTERING_G3)):
+        r = run_ccr_ebr(g, EngineConfig(measure=measure))
+        assert r.dendrogram.final_moves
+        assert any('"stage": "final-refine"' in line for line in r.jsonl)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs())
+@example(FINAL_REFINE_GRAPHS[0])
+@example(FINAL_REFINE_GRAPHS[1])
+@example(FINAL_REFINE_GRAPHS[2])
 def test_dendrogram_replays_from_its_trace_lines(g):
     for r in _runs(g):
         assert exported_tree(r) == replayed_tree(g, r.jsonl)
+
+
+@contextmanager
+def _checked_reconciles(reached):
+    """Check, at every dequeue that reconciles kept clustering state, that
+    the subgraph, the exact scores, the counts, the keys and the pick equal
+    a fresh build of the community's members.  Counts into `reached` the
+    reconciles that took in a member from the other side of the split that
+    carved their state, and the free splits made from an inherited table."""
+    real_reconcile, real_bisect = engine._reconcile, engine.bisect_community
+    sibling = {}  # each side of a split -> the other side
+
+    def reconcile(g, sub, table, removals, changed, community):
+        other = sibling.get(frozenset(sub), ())
+        reached["moved-across"] += any(v in other for v in community.members - sub.nbrs.keys())
+        real_reconcile(g, sub, table, removals, changed, community)
+        fresh = Subgraph(g, community.members)
+        want = compute_scores(table.kind, g, fresh)
+        assert sorted(sub) == sorted(fresh)
+        assert sub.nbrs == fresh.nbrs
+        assert {e: table.score(e) for e in table.scores} == want.scores
+        assert table.cycles == want.cycles
+        assert key_bound_violation(table) is None
+        if want.scores:
+            pick = table.removal_candidate()
+            assert pick == clustering_pick_naive(want.scores)
+            assert table.scores[pick] == want.scores[pick]
+
+    def bisect(g, sub, measure, table=None, connected=False):
+        bis = real_bisect(g, sub, measure, table, connected)
+        reached["inherited-free-split"] += table is not None and not bis.removals
+        side = frozenset(bis.side)
+        rest = frozenset(sub) - side
+        sibling[side], sibling[rest] = rest, side
+        return bis
+
+    engine._reconcile, engine.bisect_community = reconcile, bisect
+    try:
+        yield
+    finally:
+        engine._reconcile, engine.bisect_community = real_reconcile, real_bisect
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_reconciled_state_equals_a_fresh_build(g):
+    with _checked_reconciles({"moved-across": 0, "inherited-free-split": 0}):
+        for _ in _runs(g):
+            pass
+
+
+def test_random_graphs_reach_the_rare_reconciles():
+    """Graphs drawn as `graphs()` draws them reach both rare states the
+    check above covers, so a fault in either path fails it."""
+    rng = random.Random(19)
+    reached = {"moved-across": 0, "inherited-free-split": 0}
+    with _checked_reconciles(reached):
+        for _ in range(150):
+            n = rng.randint(2, 40)
+            pairs = [(rng.randrange(n), rng.randrange(n - 1))
+                     for _ in range(rng.randint(1, 3 * n))]
+            for _ in _runs(Graph(n, [(i, j + (j >= i)) for i, j in pairs])):
+                pass
+    assert min(reached.values()) > 0, reached
 
 
 @settings(max_examples=60, deadline=None)
