@@ -20,10 +20,14 @@ and the work queue is FIFO ordered by each community's smallest vertex.
 from __future__ import annotations
 
 import json
+import marshal
 import math
+import os
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
+from . import measures
 from .graph import Graph, Subgraph, connected_components, reachable_within
 from .measures import (
     BETWEENNESS,
@@ -452,6 +456,188 @@ def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
 
 
 # ---------------------------------------------------------------------------
+# The betweenness phase's helper process
+
+# Claim tokens are 4-byte job indices, written 128 at a time: 512 bytes, the
+# least PIPE_BUF POSIX allows, so each write goes in whole or not at all.
+_TOKEN_BYTES = 4
+_TOKENS_PER_WRITE = 128
+
+# What the helper calls through a module or class attribute.  A wrapper put
+# on one sees only the calls made in its own process, so a phase with any of
+# them replaced runs in-process.
+_HELPER_CALLS = (
+    (globals(), "bisect_community", bisect_community),
+    (globals(), "reachable_within", reachable_within),
+    (globals(), "compute_scores", compute_scores),
+    (globals(), "rescore_after_removal", rescore_after_removal),
+    (vars(measures), "edge_betweenness", measures.edge_betweenness),
+    (vars(EdgeScoreTable), "removal_candidate", EdgeScoreTable.removal_candidate),
+)
+
+
+def _use_helper(jobs: int) -> bool:
+    """Whether a betweenness phase that starts with `jobs` communities to
+    bisect forks a helper for them.
+
+    Only with at least two jobs, on a host that can fork and lets this
+    process run on two CPUs or more, with no thread running besides this
+    one (a fork copies none of them, and a lock one holds stays held in the
+    copy), with SIGCHLD at its default (a handler, or ignoring it, reaps
+    the helper before `close` can), and with none of `_HELPER_CALLS`
+    replaced.
+    """
+    if jobs < 2 or not hasattr(os, "fork"):
+        return False
+    import signal  # here, not at the top: it adds about 1 ms to start-up
+
+    if signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threading = sys.modules.get("threading")
+    if cpus < 2 or threading is not None and threading.active_count() > 1:
+        return False
+    return all(owner[name] is fn for owner, name, fn in _HELPER_CALLS)
+
+
+class _BisectionHelper:
+    """A forked process that bisects the communities a betweenness phase
+    starts with, while the phase works through its queue.
+
+    Job i is the i-th of those communities: its members and whether it was
+    proven connected when the phase started.  The helper and the phase
+    claim jobs by reading the next index off a claim pipe filled before the
+    fork, so uneven jobs balance out; jobs past what the pipe holds stay the
+    phase's own.  The helper writes each claimed job's side, `side_is_a` and
+    removals to a result pipe, one `marshal` record (which keeps every
+    float's bits) behind its length each, and leaves through `os._exit`
+    once the claims run out.  While the result the phase needs is not
+    there yet, the phase claims and bisects the next free job itself.
+
+    A job's bisection equals the one the phase would make in-process while
+    the community's members equal the job's: the betweenness phase builds
+    each subgraph fresh from the sorted members, and a proven community
+    only skips a search that would find all of it.  `take` hands one over
+    only then.  `close` kills and reaps the helper, wherever it is.
+    """
+
+    def __init__(self, g: Graph, jobs: list[tuple[frozenset[int], bool]]):
+        self.g = g
+        self.jobs = jobs
+        self.claimed = -1  # the last index the phase read off the claim pipe
+        self.done: dict[int, Bisection] = {}  # results made ahead, by either process
+        self.pending = bytearray()  # result bytes read, not yet a whole record
+        self.offered = 0
+        self.claims, claim_w = os.pipe()
+        os.set_blocking(claim_w, False)
+        try:
+            while self.offered < len(jobs):
+                end = min(self.offered + _TOKENS_PER_WRITE, len(jobs))
+                os.write(claim_w, b"".join(
+                    i.to_bytes(_TOKEN_BYTES, "little") for i in range(self.offered, end)))
+                self.offered = end
+        except BlockingIOError:
+            pass  # the pipe is full
+        finally:
+            os.close(claim_w)
+        try:
+            self.results, result_w = os.pipe()
+        except OSError:
+            os.close(self.claims)
+            raise
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (self.claims, self.results, result_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.results)
+                self._serve(result_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(result_w)
+
+    def _bisect(self, i: int) -> Bisection:
+        members, connected = self.jobs[i]
+        return bisect_community(self.g, Subgraph(self.g, members), BETWEENNESS,
+                                connected=connected)
+
+    def _serve(self, result_w: int) -> None:
+        """The helper's loop: bisect every job it claims, and write it out."""
+        with os.fdopen(result_w, "wb") as out:
+            while token := os.read(self.claims, _TOKEN_BYTES):
+                i = int.from_bytes(token, "little")
+                bis = self._bisect(i)
+                record = marshal.dumps((i, bis.side, bis.side_is_a, bis.removals))
+                out.write(len(record).to_bytes(4, "little") + record)
+                out.flush()
+
+    def _claim(self) -> int | None:
+        """Read the next free job off the claim pipe; None once none is left."""
+        token = os.read(self.claims, _TOKEN_BYTES)
+        if not token:
+            self.claimed = self.offered
+            return None
+        self.claimed = int.from_bytes(token, "little")
+        return self.claimed
+
+    def _receive(self, wait: bool) -> bool:
+        """Read what the helper has written into `done`.  Without
+        `wait`, False when nothing is there; with it, False when the helper
+        is gone."""
+        os.set_blocking(self.results, wait)
+        try:
+            data = os.read(self.results, 1 << 16)
+        except BlockingIOError:
+            return False
+        pending = self.pending
+        pending += data
+        while len(pending) >= 4:
+            end = 4 + int.from_bytes(pending[:4], "little")
+            if len(pending) < end:
+                break
+            i, *result = marshal.loads(pending[4:end])
+            self.done[i] = Bisection(*result)
+            del pending[:end]
+        return bool(data)
+
+    def take(self, i: int, members: set[int]) -> Bisection | None:
+        """The bisection of job i, made ahead by either process, or None
+        when the phase has to bisect the community itself: the community's
+        members are no longer the job's, or the helper claimed the job and
+        died before writing it."""
+        if i >= self.offered or members != self.jobs[i][0]:
+            return None
+        done = self.done
+        while i not in done:
+            # past i, a job the phase has not bisected is the helper's
+            if self.claimed >= i and self._receive(wait=False):
+                continue
+            j = self._claim()
+            if j is None:
+                if not self._receive(wait=True):
+                    return None
+            elif j >= i:
+                done[j] = self._bisect(j)
+        return done.pop(i)
+
+    def close(self) -> None:
+        import signal
+
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        os.close(self.claims)
+        os.close(self.results)
+
+
+# ---------------------------------------------------------------------------
 # Pipelines
 
 
@@ -514,78 +700,100 @@ class _DivisiveRun:
         Betweenness tables are recomputed after every removal anyway, and
         Brandes' float sums follow the subgraph's vertex order, ascending
         ids only in a fresh build, so the betweenness phase builds every
-        subgraph fresh.
+        subgraph fresh.  That makes a starting community's bisection a
+        function of its members alone, so when `_use_helper` allows, a
+        forked `_BisectionHelper` bisects the starting communities ahead,
+        and the phase takes each result whose community still has the
+        members it had at the start.
         """
         g, p, proven, write = self.g, self.partition, self.proven, self.jsonl.append
         label_json, inf = self.label_json, math.inf
         kept: dict[int, tuple[Subgraph, EdgeScoreTable, tuple, set[int]]] = {}
         queue = deque(self._queue_order(p.communities))
-        while queue:
-            cid = queue.popleft()
-            state = kept.pop(cid, None)
-            community = p.communities.get(cid)
-            if community is None or len(community.members) < 2:
-                continue  # retired by refinement moves, or too small to split
+        jobs: dict[int, int] = {}  # community id -> its index among the helper's jobs
+        helper = None
+        if measure == BETWEENNESS:
+            starting = [c for c in queue if len(p.communities[c].members) >= 2]
+            if _use_helper(len(starting)):
+                try:
+                    helper = _BisectionHelper(g, [
+                        (frozenset(p.communities[c].members), c in proven) for c in starting])
+                    jobs = {c: i for i, c in enumerate(starting)}
+                except OSError:
+                    pass  # no process to spare: the phase bisects in-process
+        try:
+            while queue:
+                cid = queue.popleft()
+                state = kept.pop(cid, None)
+                community = p.communities.get(cid)
+                if community is None or len(community.members) < 2:
+                    continue  # retired by refinement moves, or too small to split
 
-            if state is not None:
-                _reconcile(g, *state, community)
-                sub, table = state[:2]
-            else:
-                sub, table = Subgraph(g, community.members), None
-            bis = bisect_community(g, sub, measure, table, connected=cid in proven)
-            q = self.q
-            head = f'{{"type": "remove", "phase": {phase}, "community": {cid}, "edge_id": '
-            tail = f', "q_after": {q!r}}}\n'
-            for eid, score in bis.removals:
-                u, v = g.edges[eid]
-                score_json = '"inf"' if score == inf else repr(score)
-                write(f'{head}{eid}, "edge": [{label_json[u]}, {label_json[v]}],'
-                      f' "score": {score_json}{tail}')
+                job = jobs.pop(cid, None)
+                bis = None if job is None else helper.take(job, community.members)
+                if bis is None:
+                    if state is not None:
+                        _reconcile(g, *state, community)
+                        sub, table = state[:2]
+                    else:
+                        sub, table = Subgraph(g, community.members), None
+                    bis = bisect_community(g, sub, measure, table, connected=cid in proven)
+                q = self.q
+                head = f'{{"type": "remove", "phase": {phase}, "community": {cid}, "edge_id": '
+                tail = f', "q_after": {q!r}}}\n'
+                for eid, score in bis.removals:
+                    u, v = g.edges[eid]
+                    score_json = '"inf"' if score == inf else repr(score)
+                    write(f'{head}{eid}, "edge": [{label_json[u]}, {label_json[v]}],'
+                          f' "score": {score_json}{tail}')
 
-            new_a, new_b = p.split_community(cid, bis.side, bis.side_is_a)
-            proven.update((new_a, new_b) if bis.removals else (new_a,))
-            candidates = {x for eid, _ in bis.removals for x in g.edges[eid]}
+                new_a, new_b = p.split_community(cid, bis.side, bis.side_is_a)
+                proven.update((new_a, new_b) if bis.removals else (new_a,))
+                candidates = {x for eid, _ in bis.removals for x in g.edges[eid]}
 
-            q_split = modularity_q(g, p)
-            _, mvs = refine(g, p, candidates, self.cfg.refine_max_passes)
-            proven.difference_update(mv.source for mv in mvs)
-            self._log_moves(mvs, q_split, phase)
-            q_new = modularity_q(g, p)
+                q_split = modularity_q(g, p)
+                _, mvs = refine(g, p, candidates, self.cfg.refine_max_passes)
+                proven.difference_update(mv.source for mv in mvs)
+                self._log_moves(mvs, q_split, phase)
+                q_new = modularity_q(g, p)
 
-            if q_new > self.q + Q_IMPROVEMENT_EPS:
-                self.q = q_new
-                proven.discard(cid)
-                children = p.communities
-                sizes = [len(children[c].members) if c in children else 0 for c in (new_a, new_b)]
-                self._log({"type": "accept", "phase": phase, "community": cid,
-                           "children": [new_a, new_b], "sizes": sizes, "q_after": q_new})
-                self.dendrogram.split(cid, (new_a, new_b), q_new, mvs)
-                self.dendrogram.trace.append(TraceEntry("split", q_new, p.n_communities))
-                if measure != BETWEENNESS and bis.table is not None:
-                    # no live edge crosses the split, so each side's rows,
-                    # scores and counts are its own
-                    part = sub.split_off(bis.side)
-                    walked, rest = (new_a, new_b) if bis.side_is_a else (new_b, new_a)
-                    states = {walked: (part, bis.table.split_off(part.nbrs)),
-                              rest: (sub, bis.table)}
-                    for child, (child_sub, child_table) in states.items():
-                        if child in children:
-                            kept[child] = (child_sub, child_table, bis.removals, set())
-                for mv in mvs:
-                    for c in (mv.source, mv.target):
-                        if c in kept:
-                            kept[c][3].add(mv.vertex)
-                live = [c for c in (new_a, new_b) if c in children]
-                for child in self._queue_order(live):
-                    queue.append(child)
-            else:
-                for mv in reversed(mvs):
-                    p.undo_move(mv.vertex, mv.source)
-                    proven.discard(mv.target)
-                p.unsplit(cid, community, (new_a, new_b))
-                proven.difference_update((new_a, new_b))
-                self._log({"type": "reject", "phase": phase, "community": cid,
-                           "q_tentative": q_new, "q_after": q})
+                if q_new > self.q + Q_IMPROVEMENT_EPS:
+                    self.q = q_new
+                    proven.discard(cid)
+                    children = p.communities
+                    sizes = [len(children[c].members) if c in children else 0 for c in (new_a, new_b)]
+                    self._log({"type": "accept", "phase": phase, "community": cid,
+                               "children": [new_a, new_b], "sizes": sizes, "q_after": q_new})
+                    self.dendrogram.split(cid, (new_a, new_b), q_new, mvs)
+                    self.dendrogram.trace.append(TraceEntry("split", q_new, p.n_communities))
+                    if measure != BETWEENNESS and bis.table is not None:
+                        # no live edge crosses the split, so each side's rows,
+                        # scores and counts are its own
+                        part = sub.split_off(bis.side)
+                        walked, rest = (new_a, new_b) if bis.side_is_a else (new_b, new_a)
+                        states = {walked: (part, bis.table.split_off(part.nbrs)),
+                                  rest: (sub, bis.table)}
+                        for child, (child_sub, child_table) in states.items():
+                            if child in children:
+                                kept[child] = (child_sub, child_table, bis.removals, set())
+                    for mv in mvs:
+                        for c in (mv.source, mv.target):
+                            if c in kept:
+                                kept[c][3].add(mv.vertex)
+                    live = [c for c in (new_a, new_b) if c in children]
+                    for child in self._queue_order(live):
+                        queue.append(child)
+                else:
+                    for mv in reversed(mvs):
+                        p.undo_move(mv.vertex, mv.source)
+                        proven.discard(mv.target)
+                    p.unsplit(cid, community, (new_a, new_b))
+                    proven.difference_update((new_a, new_b))
+                    self._log({"type": "reject", "phase": phase, "community": cid,
+                               "q_tentative": q_new, "q_after": q})
+        finally:
+            if helper is not None:
+                helper.close()
 
     def global_refine(self) -> None:
         """Final refinement over every vertex with an inter-community edge."""

@@ -292,13 +292,18 @@ def rescore_after_removal(
     (g4) with the removed edge, and `rescore_edges` rescores those edges,
     plus for g4 every edge at its two ends, whose degrees fell.  A fall in
     degree can only raise a g3 score, so the other g3 keys stay lower
-    bounds that the pick raises when it meets them; no g3 edge is rescored
-    when the removed edge closed no triangle.
+    bounds that the pick raises when it meets them; when the removed edge
+    closed no triangle (its kept count is 0), no g3 count shifts and no
+    edge is rescored.
     """
     if prev.kind == BETWEENNESS:
         return edge_betweenness(g, sub)
     u, v = g.edges[removed_edge]
+    closed = prev.cycles[removed_edge]
     prev.forget((removed_edge,))
+    if not closed and prev.kind == CLUSTERING_G3:
+        _compact(prev)
+        return prev
     touched: dict[int, tuple[int, int]] = {}
     shift_cycles(prev, u, v, -1, touched)
     rescore_edges(prev, touched, (), (u, v))

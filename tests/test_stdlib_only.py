@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +33,16 @@ def test_package_imports_only_the_standard_library():
     outside = {name: where for name, where in imported.items()
                if name not in sys.stdlib_module_names}
     assert not outside, outside
+
+
+def test_importing_the_package_loads_no_process_or_thread_modules():
+    # `setup_s` pays for every module `import moddiv` loads; the phase-2
+    # helper forks through `os` alone.  `-S`: a site-packages `.pth` file
+    # may import `threading` before the probe runs.
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import moddiv; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(PACKAGE.parent)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    loaded = {name.split(".")[0] for name in run.stdout.split()}
+    assert "moddiv" in loaded
+    assert not loaded & {"multiprocessing", "concurrent", "subprocess", "threading"}
