@@ -110,6 +110,9 @@ def run_bench(
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {data_dir}")
+    for name in datasets or ():
+        if name not in DATASETS_BY_NAME:
+            raise ValueError(f"unknown dataset {name!r}")
     wanted = list(DATASETS) if datasets is None else [
         DATASETS_BY_NAME[name] for name in sorted(set(datasets))
     ]

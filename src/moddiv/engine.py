@@ -56,7 +56,7 @@ class EngineConfig:
 
     Construction rejects a measure that cannot drive the divisive phase
     (only the clustering measures can; betweenness is the second phase's
-    own) and a pass cap below 1.
+    own) and a pass cap that is not an int of at least 1.
     """
 
     measure: str = CLUSTERING_G3
@@ -68,8 +68,9 @@ class EngineConfig:
                 f"measure {self.measure!r} cannot drive the divisive phase;"
                 " pick a clustering measure (g3 or g4)"
             )
-        if self.refine_max_passes < 1:
-            raise ConfigError("refine_max_passes must be >= 1")
+        passes = self.refine_max_passes
+        if type(passes) is not int or passes < 1:  # a bool is no pass cap
+            raise ConfigError(f"refine_max_passes must be an int >= 1, not {passes!r}")
 
 
 @dataclass(frozen=True)
@@ -347,20 +348,18 @@ def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed
     the removed edges with both ends kept come back; and each vertex that
     moved in is inserted one edge at a time.  Every edge removed or added
     goes through `shift_cycles`, so the kept counts stay exact, and one
-    `rescore_edges` covers the shifted edges and the edges at every vertex
-    whose degree rose or fell.
+    `rescore_edges` over the shifted edges and the vertices whose degree
+    rose keeps every key a lower bound of its edge's score.
     """
     members, nbrs, edges = community.members, sub.nbrs, g.edges
     leaving = [v for v in changed if v in nbrs and v not in members]
     arriving = [v for v in changed if v in members and v not in nbrs]
     touched: dict[int, tuple[int, int]] = {}
     rose: set[int] = set()  # vertices whose degree rose
-    fell: set[int] = set()  # vertices whose degree fell
     if removals:
         last = removals[-1][0]
         if last in table.scores:
             table.forget((last,))
-        fell.update(edges[last])
     for v in leaving:
         # every cycle through v and a staying edge holds an edge from v to a
         # staying vertex, so v's other edges go without count updates
@@ -369,7 +368,6 @@ def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed
                 sub.remove_edge(v, w)
                 shift_cycles(table, v, w, -1, touched)
                 table.forget((eid,))
-                fell.add(w)
         table.forget(sub.drop_vertex(v).values())
     cycles = table.cycles
     for eid, _ in removals:
@@ -386,7 +384,7 @@ def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed
                 sub.add_edge(v, w, eid)
                 rose.add(w)
         rose.add(v)
-    rescore_edges(table, touched, rose, fell)
+    rescore_edges(table, touched, rose)
 
 
 def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):

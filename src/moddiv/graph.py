@@ -37,7 +37,7 @@ class Graph:
     """Immutable simple undirected graph.
 
     Attributes:
-        n: vertex count.
+        n: vertex count, at least 0.
         m: edge count.
         labels: per-vertex display label (defaults to the vertex id as text).
             A label that holds a tab or a line break, or starts with `#`,
@@ -57,6 +57,8 @@ class Graph:
         labels: list[str] | None = None,
         extra_warnings: LoadWarnings | None = None,
     ):
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, not {n}")
         if labels is not None:
             if len(labels) != n:
                 raise ValueError("labels length must equal vertex count")

@@ -38,14 +38,16 @@ class EdgeScoreTable:
     references to the subgraph's rows (`nbrs`) and the graph's `edges`,
     from which `score` computes the exact score of an edge.
 
-    Betweenness and g4 scores are exact.  A g3 score can only fall when
-    the edge loses a triangle or an endpoint gains a degree, and
-    `rescore_edges` updates exactly those edges; every other change can
-    only raise the score.  A g3 table therefore keeps `scores[eid]` (and
-    its heap key) as a lower bound of the edge's score: exact when the
-    table is built and after the edge's count changed, and at most the
-    true score otherwise.  The pick raises a key it meets on top of the
-    heap to the exact score.
+    Betweenness scores are exact.  A clustering score can only fall when
+    its edge loses a cycle or an endpoint gains a degree, and
+    `rescore_edges` rescores exactly those edges.  When x loses the
+    neighbour z, an edge x-y that keeps its count can only score higher:
+    the g3 denominator `min(k_x, k_y) - 1` cannot grow, and the g4 one,
+    `(k_x - 1)(k_y - 1) - |N(x) & N(y)|`, changes by
+    `-(k_y - 1) + [y ~ z] <= 0`.  So every clustering key (`scores[eid]`
+    and its heap entry) is a lower bound of its edge's score, exact when
+    the table is built and after the edge's count changed; the pick
+    raises a key it meets on top of the heap to the exact score.
     """
 
     kind: str
@@ -67,12 +69,12 @@ class EdgeScoreTable:
         """Edge id the divisive step should remove next.
 
         Clustering kinds remove the lowest score, betweenness the highest;
-        ties break toward the smallest edge id.  A g3 pick recomputes the
-        score of the top heap entry; while that is above its key, the entry
-        goes back with the exact score and the next top is tried.  A top
-        entry whose key is exact is the true minimum, since every other key
-        is at most its edge's score, so the picked edge's `scores[eid]` is
-        exact when this returns.
+        ties break toward the smallest edge id.  A clustering pick
+        recomputes the score of the top heap entry; while that is above its
+        key, the entry goes back with the exact score and the next top is
+        tried.  A top entry whose key is exact is the true minimum, since
+        every other key is at most its edge's score, so the picked edge's
+        `scores[eid]` is exact when this returns.
         """
         scores = self.scores
         if not scores:
@@ -82,17 +84,15 @@ class EdgeScoreTable:
             best = max(scores.values())
             return min(eid for eid, s in scores.items() if s == best)
         nbrs, edges, cycles = self.nbrs, self.edges, self.cycles
-        lazy = self.kind == CLUSTERING_G3
+        score = _g3_score if self.kind == CLUSTERING_G3 else _g4_score
         # Tuple order is the tie-break: lowest score, then smallest edge id.
         while True:
             key, eid = heap[0]
             if scores.get(eid) != key:
                 heappop(heap)  # the edge is gone, or has a newer key
                 continue
-            if not lazy:
-                return eid
             u, v = edges[eid]
-            s = _g3_score(nbrs, u, v, cycles[eid])
+            s = score(nbrs, u, v, cycles[eid])
             if s == key:
                 return eid
             scores[eid] = s
@@ -289,11 +289,11 @@ def rescore_after_removal(
     Betweenness is recomputed outright into a new table.  A clustering
     table is updated in place and returned: `shift_cycles` takes one from
     the kept count of every edge that shared a triangle (g3) or 4-cycle
-    (g4) with the removed edge, and `rescore_edges` rescores those edges,
-    plus for g4 every edge at its two ends, whose degrees fell.  A fall in
-    degree can only raise a g3 score, so the other g3 keys stay lower
-    bounds that the pick raises when it meets them; when the removed edge
-    closed no triangle (its kept count is 0), no g3 count shifts and no
+    (g4) with the removed edge, and `rescore_edges` rescores those edges.
+    The other edges at the removed edge's ends lost a degree and kept
+    their counts, so their scores can only rise and their keys stay lower
+    bounds that the pick raises when it meets them.  When the removed
+    edge closed no cycle (its kept count is 0), no count shifts and no
     edge is rescored.
     """
     if prev.kind == BETWEENNESS:
@@ -301,12 +301,12 @@ def rescore_after_removal(
     u, v = g.edges[removed_edge]
     closed = prev.cycles[removed_edge]
     prev.forget((removed_edge,))
-    if not closed and prev.kind == CLUSTERING_G3:
+    if not closed:
         _compact(prev)
         return prev
     touched: dict[int, tuple[int, int]] = {}
     shift_cycles(prev, u, v, -1, touched)
-    rescore_edges(prev, touched, (), (u, v))
+    rescore_edges(prev, touched, ())
     return prev
 
 
@@ -353,21 +353,18 @@ def shift_cycles(table: EdgeScoreTable, u: int, v: int, step: int,
 
 
 def rescore_edges(table: EdgeScoreTable, touched: dict[int, tuple[int, int]],
-                  rose, fell) -> None:
+                  rose) -> None:
     """Rescore a clustering table after edge edits made through
     `shift_cycles`: every live edge of `touched` gets its exact score, and
-    so does every edge at a live vertex whose degree `rose` or `fell`,
-    with one exception for g3.  A fall in degree can only raise a g3
-    score, so g3 skips `fell`, and at `rose` it only lowers a key that is
-    above the new score: any other key is still a lower bound.  A new edge
-    gets its first key.  An edge off these lists kept its count and its
-    ends' degrees, so its g4 score is unchanged and its g3 key is still a
-    lower bound.  Every changed key is pushed on the heap; the entry it
-    replaces goes stale.
+    every other edge at a live vertex whose degree `rose` has its key
+    lowered to its score where the key is above it; a new edge gets its
+    first key.  Any other key is still a lower bound: its edge kept its
+    count, and a fall in an endpoint's degree can only raise its score.
+    Every changed key is pushed on the heap; the entry it replaces goes
+    stale.
     """
     nbrs, scores, heap, cycles = table.nbrs, table.scores, table.heap, table.cycles
-    g3 = table.kind == CLUSTERING_G3
-    score = _g3_score if g3 else _g4_score
+    score = _g3_score if table.kind == CLUSTERING_G3 else _g4_score
     for eid, (x, y) in touched.items():
         count = cycles.get(eid)  # None once the edge went
         if count is not None:
@@ -375,21 +372,21 @@ def rescore_edges(table: EdgeScoreTable, touched: dict[int, tuple[int, int]],
             if s != scores.get(eid):
                 scores[eid] = s
                 heappush(heap, (s, eid))
-    for x in rose if g3 else (*rose, *fell):
+    for x in rose:
         for y, eid in nbrs.get(x, {}).items():
             if eid not in touched:
                 s = score(nbrs, x, y, cycles[eid])
                 key = scores.get(eid)
-                if key is None or (s < key if g3 else s != key):
+                if key is None or s < key:
                     scores[eid] = s
                     heappush(heap, (s, eid))
     _compact(table)
 
 
 def _compact(table: EdgeScoreTable) -> None:
-    """Rebuild the heap from the live keys (`scores`, lower bounds in a g3
-    table) once stale entries outnumber live ones, so it never holds more
-    than twice the live scores."""
+    """Rebuild the heap from the live keys (`scores`, lower bounds of the
+    exact scores) once stale entries outnumber live ones, so it never
+    holds more than twice the live scores."""
     heap, scores = table.heap, table.scores
     if len(heap) > 2 * len(scores):
         heap[:] = zip(scores.values(), scores)

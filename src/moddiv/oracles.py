@@ -606,14 +606,12 @@ def clustering_pick_naive(scores: dict[int, float]) -> int:
 
 def key_bound_violation(table: EdgeScoreTable) -> int | None:
     """Smallest live edge whose key breaks the clustering table's heap
-    contract: `scores[eid]` must be at most the exact `score(eid)` (equal
-    outside g3) and the heap must hold `(scores[eid], eid)`.  None when
-    every key keeps it."""
+    contract: `scores[eid]` must be at most the exact `score(eid)` and the
+    heap must hold `(scores[eid], eid)`.  None when every key keeps it."""
     held = set(table.heap)
-    lazy = table.kind == CLUSTERING_G3
     for eid in sorted(table.scores):
         key, exact = table.scores[eid], table.score(eid)
-        if not (key <= exact if lazy else key == exact) or (key, eid) not in held:
+        if not key <= exact or (key, eid) not in held:
             return eid
     return None
 
@@ -628,8 +626,9 @@ def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
     inserted vertices) made as the engine's reconcile makes them: each edge
     removed or added through `shift_cycles`, a vertex inserted one edge at
     a time, and one `rescore_edges` over the shifted edges and the vertices
-    whose degree rose or fell.  Drops come first, so none takes an edge still
-    unscored.  `removed` holds the removed edges between live vertices.
+    whose degree rose, which keeps every key a lower bound.  Drops come
+    first, so none takes an edge still unscored.  `removed` holds the
+    removed edges between live vertices.
 
     Returns the step's edits with the `(sub, table, removed)` states to
     compare with fresh builds, the one to go on with first; None when the
@@ -662,7 +661,6 @@ def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
     edits: list[str] = []
     touched: dict[int, tuple[int, int]] = {}
     rose: set[int] = set()
-    fell: set[int] = set()
     order = ("drop", "readd", "insert")
     for op in sorted((rng.choice(order) for _ in range(rng.randint(1, 3))), key=order.index):
         if op == "readd" and removed:
@@ -680,7 +678,6 @@ def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
                 sub.remove_edge(v, w)
                 shift_cycles(table, v, w, -1, touched)
                 table.forget((eid,))
-                fell.add(w)
             sub.drop_vertex(v)
             edits.append(f"drop={v}")
         elif op == "insert":
@@ -697,7 +694,7 @@ def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
                 edits.append(f"insert={v}")
     if not edits:
         return None
-    rescore_edges(table, touched, rose, fell)
+    rescore_edges(table, touched, rose)
     return ",".join(edits), [(sub, table, removed)]
 
 
@@ -749,10 +746,9 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
     """Incremental clustering rescoring must equal a full recompute exactly,
     and the rescored table must pick the edge a scan of that recompute picks.
 
-    The exact scores (`score`) are compared, since a g3 table's keys may be
-    lower bounds; every key must be at most its exact score (equal in g4)
-    and held by the heap, and the picked edge's key must equal the
-    recompute's score.
+    The exact scores (`score`) are compared, since a table's keys may be
+    lower bounds; every key must be at most its exact score and held by
+    the heap, and the picked edge's key must equal the recompute's score.
 
     Each case interleaves edge removals with carves and with batches of the
     edits a kept community sees, re-added edges, dropped vertices and

@@ -67,6 +67,8 @@ def test_run_bench_input_validation(tmp_path):
     d.mkdir()
     with pytest.raises(ValueError):
         run_bench(d, algorithms=("louvain",))
+    with pytest.raises(ValueError, match="'nope'"):
+        run_bench(d, datasets=["nope"])
 
 
 def _row(**kw) -> BenchRow:

@@ -54,6 +54,9 @@ def test_config_validation():
         _cfg(measure="nonsense")
     with pytest.raises(ConfigError):
         _cfg(refine_max_passes=0)
+    for passes in (2.5, "3", True, None):
+        with pytest.raises(ConfigError, match="refine_max_passes"):
+            _cfg(refine_max_passes=passes)
     _cfg()
 
 

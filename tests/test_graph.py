@@ -564,3 +564,5 @@ def test_validate_on_random_graphs():
 def test_graph_rejects_bad_vertex_ids():
     with pytest.raises(ValueError):
         Graph(2, [(0, 5)])
+    with pytest.raises(ValueError, match="vertex count"):
+        Graph(-1, [])

@@ -295,6 +295,33 @@ def test_g3_rescore_leaves_scores_that_can_only_rise_as_lower_bounds():
     assert [e for _, e in table.heap].count(1) == 1
 
 
+def test_g4_rescore_leaves_scores_that_can_only_rise_as_lower_bounds():
+    # K4 on 0..3 less (1, 3).  Removing (2, 3) breaks the one 4-cycle
+    # 2-3-0-1, so (0, 1), (0, 3) and (1, 2) lose it and are rescored.
+    # (0, 2) closes no 4-cycle and keeps its count.  Its end 2 lost the
+    # neighbour 3, which 0 also has, so its denominator
+    # (k_0 - 1)(k_2 - 1) - |N(0) & N(2)| falls by (k_0 - 1) - 1, from 2 to
+    # 1, and its score rises from 0.5 to 1.0 under a key left at 0.5.  The
+    # pick meets that key on top, puts it back at 1.0, and takes (0, 1): a
+    # tie at 1.0, broken toward the smaller edge id.
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    sub = _whole(g)
+    table = edge_clustering_g4(g, sub)
+    assert table.cycles == {0: 1, 1: 0, 2: 1, 3: 1, 4: 1}
+    assert table.scores[1] == 0.5
+    sub.remove_edge(2, 3)
+    table = rescore_after_removal(table, g, sub, 4)
+    assert table.cycles == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert (table.scores[1], table.score(1)) == (0.5, 1.0)
+    assert key_bound_violation(table) is None
+    fresh = edge_clustering_g4(g, sub).scores
+    assert {e: table.score(e) for e in table.scores} == fresh
+    pick = table.removal_candidate()
+    assert pick == clustering_pick_naive(fresh) == 0
+    assert table.scores[pick] == fresh[pick] == 1.0
+    assert table.scores[1] == 1.0
+
+
 def test_g3_rescore_pushes_at_most_two_entries_per_lost_triangle():
     # K5 on 0..4, and vertex 5 joined to 0 and to the leaves 6..10; edge ids
     # 0..9 are the K5 edges in `combinations` order, 10 is (0, 5), 11 (5, 6)

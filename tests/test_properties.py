@@ -315,15 +315,17 @@ def test_running_q_equals_a_full_sum(g, data):
     assert got == want and repr(got) == repr(want)
 
 
+@pytest.mark.parametrize("kind", [CLUSTERING_G3, CLUSTERING_G4])
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(graphs(), dense_graphs()), st.data())
-def test_lazy_g3_pick_equals_a_scan_of_a_fresh_table(g, data):
+@given(g=st.one_of(graphs(), dense_graphs()), data=st.data())
+def test_lazy_pick_equals_a_scan_of_a_fresh_table(kind, g, data):
     """Removing the pick or a random edge, step by step: after each removal
-    the g3 pick and its key equal a full scan of a fresh table, bit for bit."""
+    the clustering pick and its key equal a full scan of a fresh table, bit
+    for bit."""
     sub = Subgraph(g, range(g.n))
-    table = compute_scores(CLUSTERING_G3, g, sub)
+    table = compute_scores(kind, g, sub)
     while table.scores:
-        fresh = compute_scores(CLUSTERING_G3, g, sub).scores
+        fresh = compute_scores(kind, g, sub).scores
         assert key_bound_violation(table) is None
         pick = table.removal_candidate()
         assert pick == clustering_pick_naive(fresh)
