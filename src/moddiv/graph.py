@@ -250,12 +250,26 @@ def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> s
 # Loading
 
 
-def _loaded_graph(path, labels: list[str], pairs, warnings: LoadWarnings) -> Graph:
-    """The loaded `Graph`; a label that breaks the rule is a GraphLoadError."""
+def _read_text(path) -> str:
+    """The file's text; a file that cannot be opened or is not UTF-8 is a
+    GraphLoadError."""
     try:
-        return Graph(len(labels), pairs, labels, warnings)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphLoadError(f"cannot read {path}: {exc}") from exc
+
+
+def _loaded_graph(path, labels: list[str], pairs, warnings: LoadWarnings) -> Graph:
+    """The loaded `Graph`; a label that breaks the label rule, or a file that
+    leaves no edge, is a GraphLoadError."""
+    try:
+        g = Graph(len(labels), pairs, labels, warnings)
     except ValueError as exc:
         raise GraphLoadError(f"{path}: {exc}") from None
+    if g.m == 0:
+        raise GraphLoadError(f"{path}: no edges left after canonicalization")
+    return g
 
 
 def load_edge_list(path) -> Graph:
@@ -268,17 +282,11 @@ def load_edge_list(path) -> Graph:
     dropped and counted in `Graph.warnings`.  A label starting with `#`
     (`a #c`) raises `GraphLoadError`.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise GraphLoadError(f"cannot read {path}: {exc}") from exc
-
     index: dict[str, int] = {}
     labels: list[str] = []
     pairs: list[tuple[int, int]] = []
     weights = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -304,146 +312,126 @@ def load_edge_list(path) -> Graph:
             ids.append(index[tok])
         pairs.append((ids[0], ids[1]))
 
-    g = _loaded_graph(path, labels, pairs, LoadWarnings(weights=weights))
-    if g.m == 0:
-        raise GraphLoadError(f"{path}: no edges left after canonicalization")
-    return g
+    return _loaded_graph(path, labels, pairs, LoadWarnings(weights=weights))
 
 
+# A token is a closed string, a bracket, or a bare run of anything else; a
+# lone `"` with no closing one starts a bare token.
 _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
-
-_GML_KNOWN_GRAPH_KEYS = {"node", "edge", "directed", "id", "label", "comment"}
-_GML_KNOWN_NODE_KEYS = {"id", "label"}
-_GML_KNOWN_EDGE_KEYS = {"source", "target"}
-
-
-def _gml_value(tok: str) -> str:
-    """A value token exactly as written, quotes included, so that a quoted
-    string never reads as a number and a bare one keeps its text."""
-    # A closed string is one token; a lone quote starts a bare token.
-    if tok.startswith('"') and (len(tok) < 2 or not tok.endswith('"')):
-        raise GraphLoadError(f"malformed GML: unterminated string {tok!r}")
-    return tok
+# GML's integer grammar: an optional sign, then ASCII decimal digits.
+_GML_INT = re.compile(r"[+-]?[0-9]+")
+# Graph-level keys read and ignored; `node` and `edge` open records.
+_GML_GRAPH_KEYS = {"directed", "id", "label", "comment"}
 
 
-def _gml_int(value) -> int | None:
+def _gml_int(value: str) -> int | None:
     """The integer a bare value token spells; None for anything else."""
-    try:
-        return int(value)  # a quoted token or a block raises
-    except (TypeError, ValueError):
-        return None
-
-
-def _gml_parse_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, object]], int]:
-    """Parse tokens after '[' until the matching ']'; returns (entries, next pos).
-
-    A value is a list of entries for a block, else its token (see
-    `_gml_value`).  The enclosing blocks of a nested one wait on an
-    explicit stack, so any nesting depth parses.
-    """
-    entries: list[tuple[str, object]] = []
-    outer: list[list[tuple[str, object]]] = []
-    while pos < len(tokens):
-        key = tokens[pos]
-        pos += 1
-        if key == "]":
-            if not outer:
-                return entries, pos
-            entries = outer.pop()
-            continue
-        if pos >= len(tokens):
-            raise GraphLoadError(f"malformed GML: key {key!r} has no value")
-        val_tok = tokens[pos]
-        pos += 1
-        if val_tok == "[":
-            block: list[tuple[str, object]] = []
-            entries.append((key, block))
-            outer.append(entries)
-            entries = block
-        else:
-            entries.append((key, _gml_value(val_tok)))
-    raise GraphLoadError("malformed GML: unterminated block")
+    return int(value) if _GML_INT.fullmatch(value) else None
 
 
 def load_gml(path) -> Graph:
     """Load a graph from a GML file.
 
-    Supports the common subset `graph [ node [ id N label "..." ] edge [
-    source N target N ] ]`.  Unknown keys are ignored and reported through
-    `Graph.warnings`; a `directed 1` flag is accepted but edges are
-    symmetrized and deduplicated.  Node labels are preserved for output;
-    one that breaks the label rule (a tab, a line break, a leading `#`)
-    raises `GraphLoadError`.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise GraphLoadError(f"cannot read {path}: {exc}") from exc
+    The accepted subset is `graph [ node [ id N label "..." ] edge [ source
+    N target N ] ]`, read in one pass over the tokens after the first
+    `graph` key; text before it and after its block is ignored.
 
-    tokens = _GML_TOKEN.findall(text)
+    - `id`, `source` and `target` are integers: an optional sign, then
+      ASCII digits (`03` is 3, `+1` is 1; `1_0`, `0.0` and `"0"` are not).
+    - A label is kept as written: a quoted one without its quotes, a bare
+      one with its token text (`007` stays `"007"`).  A node without one
+      gets its id as text.  The label rule comes from `Graph`: a tab, a
+      line break or a leading `#` raises `GraphLoadError`.
+    - Unknown keys, at graph level or in a node or edge, are named in
+      `Graph.warnings.unknown_keys` in first-seen order.  A nested block is
+      skipped at any depth, its keys unread.
+    - `directed` is ignored: edges are symmetrized, and self-loops and
+      duplicates are dropped and counted in `Graph.warnings`.
+
+    A fault raises `GraphLoadError`: an unterminated string or block, a
+    key with no value, a `node` or `edge` that is not a block, a label
+    that is a block, a node without an integer id, a duplicate id, an edge
+    without an integer source and target.  These are found in file order,
+    so a file with several faults reports its first.  The checks that need
+    the whole file come after: an edge to an unknown node id, the label
+    rule, and a graph with no edge left.
+    """
+    tokens = _GML_TOKEN.findall(_read_text(path))
     try:
-        graph_at = tokens.index("graph")
+        start = tokens.index("graph") + 1
     except ValueError:
         raise GraphLoadError(f"{path}: no 'graph' block found") from None
-    if graph_at + 1 >= len(tokens) or tokens[graph_at + 1] != "[":
+    if start >= len(tokens) or tokens[start] != "[":
         raise GraphLoadError(f"{path}: 'graph' is not followed by a block")
-    entries, _ = _gml_parse_block(tokens, graph_at + 2)
 
     index: dict[int, int] = {}
     labels: list[str] = []
-    raw_edges: list[tuple[int, int]] = []
-    unknown: list[str] = []
-
-    for key, value in entries:
-        if key == "node":
-            if not isinstance(value, list):
-                raise GraphLoadError(f"{path}: 'node' is not a block")
-            node_id = None
-            label = None
-            for k, v in value:
-                if k == "id":
-                    node_id = _gml_int(v)
-                elif k == "label":
-                    if isinstance(v, list):
-                        raise GraphLoadError(f"{path}: node label is a block")
-                    label = v[1:-1] if v.startswith('"') else v
-                elif k not in _GML_KNOWN_NODE_KEYS and k not in unknown:
-                    unknown.append(k)
-            if node_id is None:
-                raise GraphLoadError(f"{path}: node without an integer id")
-            if node_id in index:
-                raise GraphLoadError(f"{path}: duplicate node id {node_id}")
-            index[node_id] = len(labels)
-            labels.append(label if label is not None else str(node_id))
-        elif key == "edge":
-            if not isinstance(value, list):
-                raise GraphLoadError(f"{path}: 'edge' is not a block")
-            source = target = None
-            for k, v in value:
-                if k == "source":
-                    source = _gml_int(v)
-                elif k == "target":
-                    target = _gml_int(v)
-                elif k not in _GML_KNOWN_EDGE_KEYS and k not in unknown:
-                    unknown.append(k)
-            if source is None or target is None:
-                raise GraphLoadError(f"{path}: edge without integer source/target")
-            raw_edges.append((source, target))
-        elif key not in _GML_KNOWN_GRAPH_KEYS and key not in unknown:
-            unknown.append(key)
+    ends: list[tuple[int, int]] = []
+    unknown: dict[str, None] = {}  # a dict keeps first-seen order
+    record = None  # "node" or "edge" while its block is open at depth 1
+    depth = 0  # blocks open inside the graph block
+    it = iter(tokens[start + 1:])
+    for key in it:
+        if key == "]":
+            if not depth:
+                break
+            depth -= 1
+            if depth or record is None:
+                continue
+            if record == "node":
+                if node_id is None:
+                    raise GraphLoadError(f"{path}: node without an integer id")
+                if node_id in index:
+                    raise GraphLoadError(f"{path}: duplicate node id {node_id}")
+                index[node_id] = len(labels)
+                labels.append(label if label is not None else str(node_id))
+            else:
+                if source is None or target is None:
+                    raise GraphLoadError(f"{path}: edge without integer source/target")
+                ends.append((source, target))
+            record = None
+            continue
+        value = next(it, None)
+        if value is None:
+            raise GraphLoadError(f"malformed GML: key {key!r} has no value")
+        if value[0] == '"' and (len(value) == 1 or value[-1] != '"'):
+            raise GraphLoadError(f"malformed GML: unterminated string {value!r}")
+        if not depth:
+            if key == "node" or key == "edge":
+                if value != "[":
+                    raise GraphLoadError(f"{path}: {key!r} is not a block")
+                record = key
+                node_id = label = source = target = None
+            elif key not in _GML_GRAPH_KEYS:
+                unknown[key] = None
+        elif depth == 1 and record == "node":
+            if key == "id":
+                node_id = _gml_int(value)
+            elif key == "label":
+                if value == "[":
+                    raise GraphLoadError(f"{path}: node label is a block")
+                label = value[1:-1] if value[0] == '"' else value
+            else:
+                unknown[key] = None
+        elif depth == 1 and record == "edge":
+            if key == "source":
+                source = _gml_int(value)
+            elif key == "target":
+                target = _gml_int(value)
+            else:
+                unknown[key] = None
+        if value == "[":
+            depth += 1
+    else:
+        raise GraphLoadError("malformed GML: unterminated block")
 
     pairs = []
-    for source, target in raw_edges:
+    for source, target in ends:
         for ref in (source, target):
             if ref not in index:
                 raise GraphLoadError(f"{path}: edge references unknown node id {ref}")
         pairs.append((index[source], index[target]))
-
-    g = _loaded_graph(path, labels, pairs, LoadWarnings(unknown_keys=tuple(unknown)))
-    if g.m == 0:
-        raise GraphLoadError(f"{path}: no edges left after canonicalization")
-    return g
+    return _loaded_graph(path, labels, pairs, LoadWarnings(unknown_keys=tuple(unknown)))
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,11 @@ class EdgeScoreTable:
             heapreplace(heap, (s, eid))
 
     def forget(self, eids) -> None:
-        """Drop the scores of edges gone from the subgraph; their heap
-        entries go stale."""
+        """Drop the scores and counts of edges gone from a clustering
+        table's subgraph; their heap entries go stale."""
         for eid in eids:
             del self.scores[eid]
-            if self.cycles is not None:
-                del self.cycles[eid]
+            del self.cycles[eid]
 
     def split_off(self, nbrs: dict[int, dict[int, int]]) -> EdgeScoreTable:
         """Move the scores and counts of the edges in the rows `nbrs`, a

@@ -208,6 +208,9 @@ def test_gml_bare_labels_keep_their_text(tmp_path):
     ('id "0"', "integer id"),
     ("id 0.0", "integer id"),
     ("id [ x 0 ]", "integer id"),
+    # GML integers are ASCII digits; `int` reads both of these as numbers
+    ("id 1_0", "integer id"),
+    ("id \u0663", "integer id"),
     ("id 0 label [ x 0 ]", "label is a block"),
 ])
 def test_gml_ids_stay_integers_and_labels_values(tmp_path, node, message):
@@ -234,6 +237,19 @@ def test_gml_unknown_keys_warn(tmp_path):
     g = load_gml(path)
     assert g.m == 1
     assert g.warnings.unknown_keys  # value/weight got noted
+
+
+def test_gml_directed_1_is_read_undirected(tmp_path):
+    path = tmp_path / "directed.gml"
+    path.write_text(
+        "graph [ directed 1 node [ id 0 ] node [ id 1 ]"
+        " edge [ source 0 target 1 ] edge [ source 1 target 0 ] ]\n",
+        encoding="utf-8",
+    )
+    g = load_gml(path)
+    assert g.edges == [(0, 1)]
+    assert g.warnings.duplicates == 1
+    assert g.warnings.unknown_keys == ()
 
 
 def test_gml_duplicate_node_id_is_an_error(tmp_path):
