@@ -88,9 +88,10 @@ class Bisection:
     `side` is the side the split test walked, as sorted vertex ids; the
     other side is the rest of the community.  `side_is_a` tells whether
     `side` is side a, the one holding the community's smallest vertex.
-    `table` is the score table the removals were picked from, as it stood
-    at the last removal (None for a free split of a community that had no
-    table).
+    `table` is the clustering score table the removals were picked from,
+    brought up to date after every removal, the last one included; None
+    for betweenness, whose table is never kept, and for a free split of a
+    community that had no table.
     """
 
     side: tuple[int, ...]
@@ -299,10 +300,10 @@ def bisect_community(
     or 4-cycles (g4) is above 0, since any one of them leaves a path
     between the endpoints.  `table` may hold the scores of `sub` already
     (an inherited clustering table); otherwise they are computed.  The
-    removals are made on `sub` itself, and the table comes back with the
-    bisection, not yet rescored after the last removal.  The bisection
-    carries the side the split test ran out of, and the other side is
-    never walked.
+    removals are made on `sub` itself.  A clustering table comes back with
+    the bisection, the last removal forgotten: its kept count was 0, so
+    that is all a rescore would do.  The bisection carries the side the
+    split test ran out of, and the other side is never walked.
     """
     if len(sub) < 2:
         raise ValueError("community must contain at least two vertices")
@@ -330,36 +331,35 @@ def bisect_community(
         if cycles is None or not cycles[eid]:
             side = reachable_within(sub, u, stop_at=v)
             if u not in side or v not in side:
+                if cycles is None:
+                    table = None
+                else:
+                    table.forget((eid,))
                 return _bisection(sub, side, removals, table)
         table = rescore_after_removal(table, g, sub, eid)
 
 
 def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed,
-               community) -> None:
+               members: set[int]) -> None:
     """Bring the `sub` and clustering `table` a bisection left to one side
-    of its split (with its `removals`) to a fresh build of `community`'s
-    current members, by replaying the edits between them.
+    of its split (with its `removals`) to a fresh build of the community's
+    current `members`, by replaying the edits between them.
 
     `changed` holds every vertex whose membership may differ between `sub`
-    and `community`: every vertex a refinement move took into or out of
-    the community since the split.  In order: the last removal, never
-    rescored, is forgotten where the table holds it; each leaving vertex
-    loses its edges to staying ones, then goes with the rest of its row;
-    the removed edges with both ends kept come back; and each vertex that
-    moved in is inserted one edge at a time.  Every edge removed or added
-    goes through `shift_cycles`, so the kept counts stay exact, and one
-    `rescore_edges` over the shifted edges and the vertices whose degree
-    rose keeps every key a lower bound of its edge's score.
+    and `members`: every vertex a refinement move took into or out of the
+    community since the split.  In order: each leaving vertex loses its
+    edges to staying ones, then goes with the rest of its row; the removed
+    edges with both ends kept come back; and each vertex that moved in is
+    inserted one edge at a time.  Every edge removed or added goes through
+    `shift_cycles`, so the kept counts stay exact, and one `rescore_edges`
+    over the shifted edges and the vertices whose degree rose keeps every
+    key a lower bound of its edge's score.
     """
-    members, nbrs, edges = community.members, sub.nbrs, g.edges
+    nbrs, edges = sub.nbrs, g.edges
     leaving = [v for v in changed if v in nbrs and v not in members]
     arriving = [v for v in changed if v in members and v not in nbrs]
     touched: dict[int, tuple[int, int]] = {}
     rose: set[int] = set()  # vertices whose degree rose
-    if removals:
-        last = removals[-1][0]
-        if last in table.scores:
-            table.forget((last,))
     for v in leaving:
         # every cycle through v and a staying edge holds an edge from v to a
         # staying vertex, so v's other edges go without count updates
@@ -456,11 +456,6 @@ def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
 # ---------------------------------------------------------------------------
 # The betweenness phase's helper process
 
-# Claim tokens are 4-byte job indices, written 128 at a time: 512 bytes, the
-# least PIPE_BUF POSIX allows, so each write goes in whole or not at all.
-_TOKEN_BYTES = 4
-_TOKENS_PER_WRITE = 128
-
 # What the helper calls through a module or class attribute.  A wrapper put
 # on one sees only the calls made in its own process, so a phase with any of
 # them replaced runs in-process.
@@ -503,17 +498,19 @@ def _use_helper(jobs: int) -> bool:
 
 class _BisectionHelper:
     """A forked process that bisects the communities a betweenness phase
-    starts with, while the phase works through its queue.
+    starts with, from the far end of its queue, while the phase works
+    through the queue from the front.
 
     Job i is the i-th of those communities: its members and whether it was
-    proven connected when the phase started.  The helper and the phase
-    claim jobs by reading the next index off a claim pipe filled before the
-    fork, so uneven jobs balance out; jobs past what the pipe holds stay the
-    phase's own.  The helper writes each claimed job's side, `side_is_a` and
-    removals to a result pipe, one `marshal` record (which keeps every
-    float's bits) behind its length each, and leaves through `os._exit`
-    once the claims run out.  While the result the phase needs is not
-    there yet, the phase claims and bisects the next free job itself.
+    proven connected when the phase started.  The helper bisects the jobs
+    from the last one down and writes each one's side, `side_is_a` and
+    removals to the results pipe, one `marshal` record (which keeps every
+    float's bits) behind its length each.  The two ends meet at the mark,
+    4 bytes of memory both processes share: `take(i)` sets it to i + 1,
+    and the helper reads it before each job and leaves through `os._exit`
+    once its next job is below it.  The jobs it never reached are the
+    phase's own.  The mark only decides which process bisects a job, never
+    what a bisection is.
 
     A job's bisection equals the one the phase would make in-process while
     the community's members equal the job's: the betweenness phase builds
@@ -523,34 +520,20 @@ class _BisectionHelper:
     """
 
     def __init__(self, g: Graph, jobs: list[tuple[frozenset[int], bool]]):
+        import mmap  # here, not at the top: it adds about 0.5 ms to start-up
+
         self.g = g
         self.jobs = jobs
-        self.claimed = -1  # the last index the phase read off the claim pipe
-        self.done: dict[int, Bisection] = {}  # results made ahead, by either process
+        self.low = len(jobs)  # the lowest job whose result was read
+        self.done: dict[int, Bisection] = {}  # results read, not yet taken
         self.pending = bytearray()  # result bytes read, not yet a whole record
-        self.offered = 0
-        self.claims, claim_w = os.pipe()
-        os.set_blocking(claim_w, False)
-        try:
-            while self.offered < len(jobs):
-                end = min(self.offered + _TOKENS_PER_WRITE, len(jobs))
-                os.write(claim_w, b"".join(
-                    i.to_bytes(_TOKEN_BYTES, "little") for i in range(self.offered, end)))
-                self.offered = end
-        except BlockingIOError:
-            pass  # the pipe is full
-        finally:
-            os.close(claim_w)
-        try:
-            self.results, result_w = os.pipe()
-        except OSError:
-            os.close(self.claims)
-            raise
+        self.mark = mmap.mmap(-1, 4)  # shared with the fork; starts at 0
+        self.results, result_w = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (self.claims, self.results, result_w):
-                os.close(fd)
+            os.close(self.results)
+            os.close(result_w)
             raise
         if self.pid == 0:
             code = 1
@@ -562,29 +545,19 @@ class _BisectionHelper:
                 os._exit(code)
         os.close(result_w)
 
-    def _bisect(self, i: int) -> Bisection:
-        members, connected = self.jobs[i]
-        return bisect_community(self.g, Subgraph(self.g, members), BETWEENNESS,
-                                connected=connected)
-
     def _serve(self, result_w: int) -> None:
-        """The helper's loop: bisect every job it claims, and write it out."""
+        """The helper's loop: bisect the jobs from the last one down until
+        the mark passes it, and write each one out."""
+        g, mark = self.g, self.mark
         with os.fdopen(result_w, "wb") as out:
-            while token := os.read(self.claims, _TOKEN_BYTES):
-                i = int.from_bytes(token, "little")
-                bis = self._bisect(i)
+            for i in reversed(range(len(self.jobs))):
+                if i < int.from_bytes(mark, "little"):
+                    break
+                members, connected = self.jobs[i]
+                bis = bisect_community(g, Subgraph(g, members), BETWEENNESS, connected=connected)
                 record = marshal.dumps((i, bis.side, bis.side_is_a, bis.removals))
                 out.write(len(record).to_bytes(4, "little") + record)
                 out.flush()
-
-    def _claim(self) -> int | None:
-        """Read the next free job off the claim pipe; None once none is left."""
-        token = os.read(self.claims, _TOKEN_BYTES)
-        if not token:
-            self.claimed = self.offered
-            return None
-        self.claimed = int.from_bytes(token, "little")
-        return self.claimed
 
     def _receive(self, wait: bool) -> bool:
         """Read what the helper has written into `done`.  Without
@@ -603,27 +576,26 @@ class _BisectionHelper:
                 break
             i, *result = marshal.loads(pending[4:end])
             self.done[i] = Bisection(*result)
+            self.low = i
             del pending[:end]
         return bool(data)
 
     def take(self, i: int, members: set[int]) -> Bisection | None:
-        """The bisection of job i, made ahead by either process, or None
-        when the phase has to bisect the community itself: the community's
-        members are no longer the job's, or the helper claimed the job and
-        died before writing it."""
-        if i >= self.offered or members != self.jobs[i][0]:
+        """The helper's bisection of job i, or None when the phase has to
+        bisect the community itself: its members are no longer the job's,
+        the helper has not reached the job (and, with the mark set, never
+        will), or the helper died before writing it."""
+        self.mark[:] = (i + 1).to_bytes(4, "little")
+        if members != self.jobs[i][0]:
             return None
         done = self.done
-        while i not in done:
-            # past i, a job the phase has not bisected is the helper's
-            if self.claimed >= i and self._receive(wait=False):
-                continue
-            j = self._claim()
-            if j is None:
-                if not self._receive(wait=True):
-                    return None
-            elif j >= i:
-                done[j] = self._bisect(j)
+        while self._receive(wait=False):
+            pass
+        if i < self.low - 1:
+            return None
+        while i not in done:  # the helper is at job i, or has just left
+            if not self._receive(wait=True):
+                return None
         return done.pop(i)
 
     def close(self) -> None:
@@ -631,8 +603,8 @@ class _BisectionHelper:
 
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
-        os.close(self.claims)
         os.close(self.results)
+        self.mark.close()
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +672,9 @@ class _DivisiveRun:
         ids only in a fresh build, so the betweenness phase builds every
         subgraph fresh.  That makes a starting community's bisection a
         function of its members alone, so when `_use_helper` allows, a
-        forked `_BisectionHelper` bisects the starting communities ahead,
-        and the phase takes each result whose community still has the
-        members it had at the start.
+        forked `_BisectionHelper` bisects the starting communities from the
+        far end of the queue, and the phase takes each result whose
+        community still has the members it had at the start.
         """
         g, p, proven, write = self.g, self.partition, self.proven, self.jsonl.append
         label_json, inf = self.label_json, math.inf
@@ -731,7 +703,7 @@ class _DivisiveRun:
                 bis = None if job is None else helper.take(job, community.members)
                 if bis is None:
                     if state is not None:
-                        _reconcile(g, *state, community)
+                        _reconcile(g, *state, community.members)
                         sub, table = state[:2]
                     else:
                         sub, table = Subgraph(g, community.members), None
@@ -764,7 +736,7 @@ class _DivisiveRun:
                                "children": [new_a, new_b], "sizes": sizes, "q_after": q_new})
                     self.dendrogram.split(cid, (new_a, new_b), q_new, mvs)
                     self.dendrogram.trace.append(TraceEntry("split", q_new, p.n_communities))
-                    if measure != BETWEENNESS and bis.table is not None:
+                    if bis.table is not None:
                         # no live edge crosses the split, so each side's rows,
                         # scores and counts are its own
                         part = sub.split_off(bis.side)

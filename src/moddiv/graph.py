@@ -251,11 +251,13 @@ def reachable_within(sub: Subgraph, start: int, stop_at: int | None = None) -> s
 
 
 def _read_text(path) -> str:
-    """The file's text; a file that cannot be opened or is not UTF-8 is a
-    GraphLoadError."""
+    """The file's text, without a leading byte order mark; a file that
+    cannot be opened or is not UTF-8 is a GraphLoadError.  The mark is cut
+    off the text rather than decoded as `utf-8-sig`, whose codec module is
+    one more import for every fresh process that loads a graph."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphLoadError(f"cannot read {path}: {exc}") from exc
 
@@ -325,8 +327,15 @@ _GML_GRAPH_KEYS = {"directed", "id", "label", "comment"}
 
 
 def _gml_int(value: str) -> int | None:
-    """The integer a bare value token spells; None for anything else."""
-    return int(value) if _GML_INT.fullmatch(value) else None
+    """The integer a bare value token spells; None for anything else.  One
+    with more digits than `int` reads (4300 by default) is a
+    GraphLoadError."""
+    if not _GML_INT.fullmatch(value):
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise GraphLoadError(f"malformed GML: integer of {len(value)} digits is too long") from None
 
 
 def load_gml(path) -> Graph:
@@ -349,9 +358,10 @@ def load_gml(path) -> Graph:
       duplicates are dropped and counted in `Graph.warnings`.
 
     A fault raises `GraphLoadError`: an unterminated string or block, a
-    key with no value, a `node` or `edge` that is not a block, a label
-    that is a block, a node without an integer id, a duplicate id, an edge
-    without an integer source and target.  These are found in file order,
+    key with no value (a `]` is none), an integer too long to read, a
+    `node` or `edge` that is not a block, a label that is a block, a node
+    without an integer id, a duplicate id, an edge without an integer
+    source and target.  These are found in file order,
     so a file with several faults reports its first.  The checks that need
     the whole file come after: an edge to an unknown node id, the label
     rule, and a graph with no edge left.
@@ -391,8 +401,8 @@ def load_gml(path) -> Graph:
                 ends.append((source, target))
             record = None
             continue
-        value = next(it, None)
-        if value is None:
+        value = next(it, "]")  # the end of the tokens, like a `]`, is no value
+        if value == "]":
             raise GraphLoadError(f"malformed GML: key {key!r} has no value")
         if value[0] == '"' and (len(value) == 1 or value[-1] != '"'):
             raise GraphLoadError(f"malformed GML: unterminated string {value!r}")

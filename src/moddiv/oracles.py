@@ -20,6 +20,7 @@ from .engine import (
     Q_IMPROVEMENT_EPS,
     EngineConfig,
     RefinementMove,
+    _reconcile,
     run_ccr,
     run_ccr_ebr,
 )
@@ -32,8 +33,6 @@ from .measures import (
     compute_scores,
     edge_betweenness,
     rescore_after_removal,
-    rescore_edges,
-    shift_cycles,
 )
 from .modularity import Partition, modularity_q, modularity_q_pairwise, move_q
 
@@ -623,12 +622,9 @@ def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
     removes every live edge between a random side and the rest as
     bisection does, then splits that side's rows off `sub` and `table`; or
     1-3 edits of a kept community (dropped vertices, re-added edges,
-    inserted vertices) made as the engine's reconcile makes them: each edge
-    removed or added through `shift_cycles`, a vertex inserted one edge at
-    a time, and one `rescore_edges` over the shifted edges and the vertices
-    whose degree rose, which keeps every key a lower bound.  Drops come
-    first, so none takes an edge still unscored.  `removed` holds the
-    removed edges between live vertices.
+    inserted vertices), handed as one batch to the engine's `_reconcile`:
+    the new members, the vertices that changed, and the re-added removals.
+    `removed` holds the removed edges between live vertices.
 
     Returns the step's edits with the `(sub, table, removed)` states to
     compare with fresh builds, the one to go on with first; None when the
@@ -659,42 +655,34 @@ def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
             states.reverse()
         return "carve=" + "+".join(map(str, sorted(side))), states
     edits: list[str] = []
-    touched: dict[int, tuple[int, int]] = {}
-    rose: set[int] = set()
+    members = set(sub.nbrs)
+    changed: set[int] = set()
+    readd: list[tuple[int, None]] = []
     order = ("drop", "readd", "insert")
     for op in sorted((rng.choice(order) for _ in range(rng.randint(1, 3))), key=order.index):
         if op == "readd" and removed:
             eid = rng.choice(sorted(removed))
-            u, v = g.edges[eid]
-            table.cycles[eid] = shift_cycles(table, u, v, 1, touched)
-            sub.add_edge(u, v, eid)
-            rose.update((u, v))
+            readd.append((eid, None))
             removed.discard(eid)
             edits.append(f"readd={eid}")
-        elif op == "drop" and len(sub) > 2:
-            v = rng.choice(sorted(sub))
+        elif op == "drop" and len(members) > 2:
+            v = rng.choice(sorted(members))
             removed.difference_update(eid for _, eid in g.adj[v])
-            for w, eid in list(sub.nbrs[v].items()):
-                sub.remove_edge(v, w)
-                shift_cycles(table, v, w, -1, touched)
-                table.forget((eid,))
-            sub.drop_vertex(v)
+            members.discard(v)
+            changed.add(v)
             edits.append(f"drop={v}")
         elif op == "insert":
-            outside = [v for v in range(g.n) if v not in sub.nbrs]
+            # not one dropped in this batch: to `_reconcile` that is no
+            # change, but its removed edges are already out of `removed`
+            outside = [v for v in range(g.n) if v not in sub.nbrs and v not in members]
             if outside:
                 v = rng.choice(outside)
-                sub.add_vertex(v)
-                for w, eid in g.adj[v]:
-                    if w in sub.nbrs:
-                        table.cycles[eid] = shift_cycles(table, v, w, 1, touched)
-                        sub.add_edge(v, w, eid)
-                        rose.add(w)
-                rose.add(v)
+                members.add(v)
+                changed.add(v)
                 edits.append(f"insert={v}")
     if not edits:
         return None
-    rescore_edges(table, touched, rose)
+    _reconcile(g, sub, table, readd, changed, members)
     return ",".join(edits), [(sub, table, removed)]
 
 

@@ -176,8 +176,8 @@ def test_a_removal_with_a_kept_cycle_leaves_its_ends_connected(monkeypatch, gen,
     seen = {"fresh": 0, "reconciled": 0}
     real_reconcile, real_rescore = engine._reconcile, engine.rescore_after_removal
 
-    def reconcile(g, sub, table, removals, changed, community):
-        real_reconcile(g, sub, table, removals, changed, community)
+    def reconcile(g, sub, table, removals, changed, members):
+        real_reconcile(g, sub, table, removals, changed, members)
         reconciled[id(table)] = table
 
     def rescore(prev, g, sub, eid):
@@ -540,7 +540,7 @@ def test_reconcile_equals_a_fresh_build(measure, case):
     # the two lowest ring edges go: clique 1 is peeled off the ring
     assert (bis.side, bis.side_is_a) == ((4, 5, 6, 7), False)
     assert [e for e, _ in bis.removals] == [48, 49]
-    assert 49 in bis.table.scores  # the last removal is never rescored
+    assert 49 not in bis.table.scores  # the last removal is forgotten, as a rescore would
     part = sub.split_off(bis.side)
     states = [(sub, bis.table), (part, bis.table.split_off(part.nbrs))]
     rest, peeled = set(range(32)) - set(bis.side), set(bis.side)
@@ -552,8 +552,7 @@ def test_reconcile_equals_a_fresh_build(measure, case):
         rest.add(7)  # both ends of the last removal, (7, 8), are in the rest
         peeled.discard(7)
     for (kept, table), members in zip(states, (rest, peeled)):
-        community = Partition(g, [0 if v in members else 1 for v in range(g.n)]).communities[0]
-        engine._reconcile(g, kept, table, bis.removals, {32, 13, 7}, community)
+        engine._reconcile(g, kept, table, bis.removals, {32, 13, 7}, members)
         fresh = Subgraph(g, members)
         want = compute_scores(measure, g, fresh)
         assert sorted(kept) == sorted(members)

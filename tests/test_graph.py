@@ -212,6 +212,11 @@ def test_gml_bare_labels_keep_their_text(tmp_path):
     ("id 1_0", "integer id"),
     ("id \u0663", "integer id"),
     ("id 0 label [ x 0 ]", "label is a block"),
+    # a `]` closes a block and is no value, at any depth
+    ("id 0 label", "key 'label' has no value"),
+    ("id 0 graphics [ label ]", "key 'label' has no value"),
+    # more digits than `int` reads is a load fault, not a ValueError
+    pytest.param("id " + "1" * 5000, "too long", id="id 1x5000"),
 ])
 def test_gml_ids_stay_integers_and_labels_values(tmp_path, node, message):
     path = tmp_path / "bad.gml"
@@ -221,6 +226,19 @@ def test_gml_ids_stay_integers_and_labels_values(tmp_path, node, message):
     )
     with pytest.raises(GraphLoadError, match=message):
         load_gml(path)
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_edge_list, "a b\nb c\nc a\n"),
+    (load_gml, "graph [ node [ id 0 label \"a\" ] node [ id 1 ]"
+               " edge [ source 0 target 1 ] ]\n"),
+])
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, load, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    want, got = load(plain), load(marked)
+    assert (got.labels, got.edges, got.warnings) == (want.labels, want.edges, want.warnings)
 
 
 def test_gml_unknown_keys_warn(tmp_path):

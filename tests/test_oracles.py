@@ -121,10 +121,10 @@ def test_engine_vs_reference_reaches_the_rare_engine_states(monkeypatch):
     real_reconcile, real_reach = engine._reconcile, engine.reachable_within
     shrunk = set()  # reconciled subgraphs that lost vertices
 
-    def reconcile(g, sub, table, removals, changed, community):
-        moved_in = not community.members <= sub.nbrs.keys()
-        lost = not sub.nbrs.keys() <= community.members
-        real_reconcile(g, sub, table, removals, changed, community)
+    def reconcile(g, sub, table, removals, changed, members):
+        moved_in = not members <= sub.nbrs.keys()
+        lost = not sub.nbrs.keys() <= members
+        real_reconcile(g, sub, table, removals, changed, members)
         reached["moved-in"] += moved_in
         if lost:
             shrunk.add(sub)

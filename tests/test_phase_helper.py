@@ -7,10 +7,12 @@ replace it to force either path.
 
 from __future__ import annotations
 
+import marshal
 import os
 import random
 import signal
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -127,12 +129,20 @@ def test_a_sparse_ebr_instance_runs_the_same_on_both_paths(monkeypatch, helpers,
     assert len(helper.jobs) >= 2
 
 
+def _drained(self, i, members, real=HELPER.take):
+    """`take`, after reading the results pipe to its end."""
+    while self._receive(wait=True):
+        pass
+    return real(self, i, members)
+
+
 def test_a_result_for_members_that_changed_is_not_taken(monkeypatch, helpers):
-    # The helper claims every job (the phase claims none), so the phase
-    # takes its results unless the members changed.  In the bridged case
-    # 12 of this corpus with g4, job 2 loses or gains members through an
-    # earlier accepted split's refinement before it is dequeued.
-    monkeypatch.setattr(HELPER, "_claim", lambda self: None)
+    # The first take reads every result before it sets the mark, so the
+    # helper makes them all, and the phase takes each one unless the
+    # members changed.  In the bridged case 12 of this corpus with g4, job
+    # 2 loses or gains members through an earlier accepted split's
+    # refinement before it is dequeued.
+    monkeypatch.setattr(HELPER, "take", _drained)
     rng = random.Random(12345)
     for _ in range(13):
         kind, g = reference_corpus_graph(rng)
@@ -145,17 +155,58 @@ def test_a_result_for_members_that_changed_is_not_taken(monkeypatch, helpers):
     assert all(taken for i, members, taken in helper.seen if members == helper.jobs[i][0])
 
 
-def test_a_full_claim_pipe_leaves_the_surplus_to_the_phase():
-    # far more claim tokens than a pipe holds: the write must not block
-    g = Graph(2, [(0, 1)])
-    jobs = [(frozenset((0, 1)), True)] * 100_000
-    want = engine.bisect_community(g, engine.Subgraph(g, (0, 1)), BETWEENNESS)
+def _take_in_order(helper, jobs, want) -> tuple[set[int], set[int]]:
+    """Take every job in order, as the phase does, bisecting in-process the
+    ones the helper does not hand over; every result must equal `want`.
+    Returns the jobs taken and the jobs made in-process."""
+    g = helper.g
+    taken, made = set(), set()
+    for i, (members, connected) in enumerate(jobs):
+        bis = helper.take(i, set(members))
+        if bis is None:
+            made.add(i)
+            bis = engine.bisect_community(g, engine.Subgraph(g, members), BETWEENNESS,
+                                          connected=connected)
+        else:
+            taken.add(i)
+        assert bis == want, i
+    return taken, made
+
+
+def test_many_jobs_taken_in_order_equal_in_process_bisections():
+    # far more results than a pipe holds: the helper waits on the full pipe
+    # until the phase reads it, and neither process blocks for good
+    g = Graph(3, [(0, 1), (1, 2)])
+    jobs = [(frozenset((0, 1, 2)), True)] * 4000
+    want = engine.bisect_community(g, engine.Subgraph(g, (0, 1, 2)), BETWEENNESS)
+    record = marshal.dumps((len(jobs), want.side, want.side_is_a, want.removals))
+    assert len(jobs) * (4 + len(record)) > 2 * 65536
     helper = HELPER(g, jobs)
     try:
-        assert 0 < helper.offered < len(jobs)
-        assert helper.offered % engine._TOKENS_PER_WRITE == 0
-        assert helper.take(helper.offered, {0, 1}) is None
-        assert helper.take(0, {0, 1}) == want
+        assert helper._receive(wait=True)  # the helper's first result
+        time.sleep(0.2)  # it fills the pipe while the phase is not reading
+        taken, _ = _take_in_order(helper, jobs, want)
+    finally:
+        helper.close()
+    assert len(jobs) - 1 in taken
+    assert _no_children()
+
+
+def test_the_helper_stops_where_the_phase_is():
+    # The helper bisects from the far end and leaves once the mark passes
+    # its next job, so of the jobs the phase made itself, the helper wrote
+    # at most the one it had started as the mark passed it.
+    n = 40
+    g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    jobs = [(frozenset(range(n)), True)] * 200
+    want = engine.bisect_community(g, engine.Subgraph(g, range(n)), BETWEENNESS)
+    helper = HELPER(g, jobs)
+    try:
+        taken, made = _take_in_order(helper, jobs, want)
+        while helper._receive(wait=True):  # to the pipe's end: the helper left
+            pass
+        assert taken and made
+        assert len(helper.done) <= 1
     finally:
         helper.close()
     assert _no_children()
@@ -210,14 +261,13 @@ def test_a_killed_helper_leaves_the_same_bytes(monkeypatch, helpers, gen):
 
 
 def test_a_helper_that_dies_holding_a_job_leaves_the_same_bytes(monkeypatch, helpers, gen):
-    # the helper claims the first job and is killed before writing it; the
-    # phase claims nothing, so every job comes back as the helper's
+    # the helper is killed before it writes its first job, the last one:
+    # the phase makes the jobs below it as the helper's unreached ones, and
+    # the last one once it reads the pipe's end waiting for it
     def serve(self, result_w):
-        os.read(self.claims, engine._TOKEN_BYTES)
         os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(HELPER, "_serve", serve)
-    monkeypatch.setattr(HELPER, "_claim", lambda self: None)
     serial, forked = _both_paths(monkeypatch, _cycle_blocks(gen, 1), CLUSTERING_G4)
     assert forked == serial
     [helper] = helpers

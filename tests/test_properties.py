@@ -127,11 +127,11 @@ def _checked_reconciles(reached):
     real_reconcile, real_bisect = engine._reconcile, engine.bisect_community
     sibling = {}  # each side of a split -> the other side
 
-    def reconcile(g, sub, table, removals, changed, community):
+    def reconcile(g, sub, table, removals, changed, members):
         other = sibling.get(frozenset(sub), ())
-        reached["moved-across"] += any(v in other for v in community.members - sub.nbrs.keys())
-        real_reconcile(g, sub, table, removals, changed, community)
-        fresh = Subgraph(g, community.members)
+        reached["moved-across"] += any(v in other for v in members - sub.nbrs.keys())
+        real_reconcile(g, sub, table, removals, changed, members)
+        fresh = Subgraph(g, members)
         want = compute_scores(table.kind, g, fresh)
         assert sorted(sub) == sorted(fresh)
         assert sub.nbrs == fresh.nbrs
