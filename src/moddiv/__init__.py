@@ -47,7 +47,6 @@ from .modularity import (
     modularity_q,
     modularity_q_pairwise,
     move_q,
-    partition_to_json,
     partition_to_tsv,
 )
 from .oracles import (
@@ -95,7 +94,6 @@ __all__ = [
     "modularity_q",
     "modularity_q_pairwise",
     "move_q",
-    "partition_to_json",
     "partition_to_tsv",
     "refine",
     "rescore_after_removal",

@@ -88,16 +88,11 @@ class Bisection:
     `side` is the side the split test walked, as sorted vertex ids; the
     other side is the rest of the community.  `side_is_a` tells whether
     `side` is side a, the one holding the community's smallest vertex.
-    `table` is the clustering score table the removals were picked from,
-    brought up to date after every removal, the last one included; None
-    for betweenness, whose table is never kept, and for a free split of a
-    community that had no table.
     """
 
     side: tuple[int, ...]
     side_is_a: bool
     removals: tuple[tuple[int, float], ...]  # (edge id, score at removal time)
-    table: EdgeScoreTable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -167,9 +162,6 @@ class Dendrogram:
             if cid in final.communities:
                 self.nodes[nid].members = final.members(cid)
 
-    def leaves(self) -> list[DendrogramNode]:
-        return [n for n in self.nodes if not n.children]
-
     # -- export -------------------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -204,10 +196,14 @@ class Dendrogram:
     def to_newick(self) -> str:
         """Newick text, built with an explicit stack so depth is unbounded.
 
-        Leaves emptied by refinement are left out; a leaf with one member
-        is that member's label.
+        A subtree with no member, its leaves all emptied by refinement, is
+        left out; a leaf with one member is that member's label.
         """
         labels = self.graph.labels
+        held = [bool(node.members) for node in self.nodes]  # the subtree holds a member
+        for node in reversed(self.nodes):  # a child's id is above its parent's
+            if held[node.node_id] and node.parent is not None:
+                held[node.parent] = True
 
         def clean(text: str) -> str:
             return "".join("_" if ch in " \t,():;[]'" else ch for ch in text)
@@ -224,10 +220,7 @@ class Dendrogram:
                 names = [clean(labels[v]) for v in node.members]
                 out.append(names[0] if len(names) == 1 else "(" + ",".join(names) + ")")
                 continue
-            shown = [
-                c for c in node.children
-                if self.nodes[c].children or self.nodes[c].members
-            ]
+            shown = [c for c in node.children if held[c]]
             stack.append(")")
             for i, c in enumerate(reversed(shown)):
                 if i:
@@ -270,10 +263,10 @@ class DetectionResult:
 # Core operations
 
 
-def _bisection(sub: Subgraph, side: set[int], removals, table) -> Bisection:
+def _bisection(sub: Subgraph, side: set[int], removals) -> Bisection:
     """Bisection of `sub` into the vertices in `side` and the rest."""
     walked = sorted(side)
-    return Bisection(tuple(walked), walked[0] == min(sub.nbrs), tuple(removals), table)
+    return Bisection(tuple(walked), walked[0] == min(sub.nbrs), tuple(removals))
 
 
 def bisect_community(
@@ -299,10 +292,10 @@ def bisect_community(
     skips the search when the removed edge's kept count of triangles (g3)
     or 4-cycles (g4) is above 0, since any one of them leaves a path
     between the endpoints.  `table` may hold the scores of `sub` already
-    (an inherited clustering table); otherwise they are computed.  The
-    removals are made on `sub` itself.  A clustering table comes back with
-    the bisection, the last removal forgotten: its kept count was 0, so
-    that is all a rescore would do.  The bisection carries the side the
+    (a kept clustering table); otherwise they are computed.  The removals
+    are made on `sub` itself, and a clustering table passed in is brought
+    up to date in place, the last removal forgotten: its kept count was 0,
+    so that is all a rescore would do.  The bisection carries the side the
     split test ran out of, and the other side is never walked.
     """
     if len(sub) < 2:
@@ -312,7 +305,7 @@ def bisect_community(
         if len(side) < len(sub):
             if 2 * len(side) > len(sub):
                 side = sub.nbrs.keys() - side
-            return _bisection(sub, side, (), table)
+            return _bisection(sub, side, ())
 
     if table is None:
         table = compute_scores(measure, g, sub)
@@ -331,11 +324,9 @@ def bisect_community(
         if cycles is None or not cycles[eid]:
             side = reachable_within(sub, u, stop_at=v)
             if u not in side or v not in side:
-                if cycles is None:
-                    table = None
-                else:
+                if cycles is not None:
                     table.forget((eid,))
-                return _bisection(sub, side, removals, table)
+                return _bisection(sub, side, removals)
         table = rescore_after_removal(table, g, sub, eid)
 
 
@@ -665,8 +656,7 @@ class _DivisiveRun:
         and the vertices its membership may have changed by, every vertex
         an accepted split's refinement moves into or out of it.  `_reconcile`
         brings the state to the child's members when it is dequeued, so a
-        table is built fresh only for a phase's starting communities and
-        for the children of a free split of a community that had none.
+        table is built fresh only for a phase's starting communities.
         Betweenness tables are recomputed after every removal anyway, and
         Brandes' float sums follow the subgraph's vertex order, ascending
         ids only in a fresh build, so the betweenness phase builds every
@@ -701,12 +691,15 @@ class _DivisiveRun:
 
                 job = jobs.pop(cid, None)
                 bis = None if job is None else helper.take(job, community.members)
+                table = None  # the clustering table `bis` was picked from
                 if bis is None:
                     if state is not None:
                         _reconcile(g, *state, community.members)
                         sub, table = state[:2]
                     else:
-                        sub, table = Subgraph(g, community.members), None
+                        sub = Subgraph(g, community.members)
+                        if measure != BETWEENNESS:
+                            table = compute_scores(measure, g, sub)
                     bis = bisect_community(g, sub, measure, table, connected=cid in proven)
                 q = self.q
                 head = f'{{"type": "remove", "phase": {phase}, "community": {cid}, "edge_id": '
@@ -736,13 +729,12 @@ class _DivisiveRun:
                                "children": [new_a, new_b], "sizes": sizes, "q_after": q_new})
                     self.dendrogram.split(cid, (new_a, new_b), q_new, mvs)
                     self.dendrogram.trace.append(TraceEntry("split", q_new, p.n_communities))
-                    if bis.table is not None:
+                    if table is not None:
                         # no live edge crosses the split, so each side's rows,
                         # scores and counts are its own
                         part = sub.split_off(bis.side)
                         walked, rest = (new_a, new_b) if bis.side_is_a else (new_b, new_a)
-                        states = {walked: (part, bis.table.split_off(part.nbrs)),
-                                  rest: (sub, bis.table)}
+                        states = {walked: (part, table.split_off(part.nbrs)), rest: (sub, table)}
                         for child, (child_sub, child_table) in states.items():
                             if child in children:
                                 kept[child] = (child_sub, child_table, bis.removals, set())

@@ -326,16 +326,17 @@ _GML_INT = re.compile(r"[+-]?[0-9]+")
 _GML_GRAPH_KEYS = {"directed", "id", "label", "comment"}
 
 
-def _gml_int(value: str) -> int | None:
+def _gml_int(value: str, path) -> int | None:
     """The integer a bare value token spells; None for anything else.  One
     with more digits than `int` reads (4300 by default) is a
-    GraphLoadError."""
+    GraphLoadError that names the file at `path`."""
     if not _GML_INT.fullmatch(value):
         return None
     try:
         return int(value)
     except ValueError:
-        raise GraphLoadError(f"malformed GML: integer of {len(value)} digits is too long") from None
+        raise GraphLoadError(
+            f"{path}: malformed GML: integer of {len(value)} digits is too long") from None
 
 
 def load_gml(path) -> Graph:
@@ -403,9 +404,9 @@ def load_gml(path) -> Graph:
             continue
         value = next(it, "]")  # the end of the tokens, like a `]`, is no value
         if value == "]":
-            raise GraphLoadError(f"malformed GML: key {key!r} has no value")
+            raise GraphLoadError(f"{path}: malformed GML: key {key!r} has no value")
         if value[0] == '"' and (len(value) == 1 or value[-1] != '"'):
-            raise GraphLoadError(f"malformed GML: unterminated string {value!r}")
+            raise GraphLoadError(f"{path}: malformed GML: unterminated string {value!r}")
         if not depth:
             if key == "node" or key == "edge":
                 if value != "[":
@@ -416,7 +417,7 @@ def load_gml(path) -> Graph:
                 unknown[key] = None
         elif depth == 1 and record == "node":
             if key == "id":
-                node_id = _gml_int(value)
+                node_id = _gml_int(value, path)
             elif key == "label":
                 if value == "[":
                     raise GraphLoadError(f"{path}: node label is a block")
@@ -425,15 +426,15 @@ def load_gml(path) -> Graph:
                 unknown[key] = None
         elif depth == 1 and record == "edge":
             if key == "source":
-                source = _gml_int(value)
+                source = _gml_int(value, path)
             elif key == "target":
-                target = _gml_int(value)
+                target = _gml_int(value, path)
             else:
                 unknown[key] = None
         if value == "[":
             depth += 1
     else:
-        raise GraphLoadError("malformed GML: unterminated block")
+        raise GraphLoadError(f"{path}: malformed GML: unterminated block")
 
     pairs = []
     for source, target in ends:

@@ -12,7 +12,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import Graph
-from .jsontext import dumps_indented
 
 
 @dataclass
@@ -317,7 +316,3 @@ def partition_to_json_obj(p: Partition) -> dict:
         "n_communities": dense.n_communities,
         "communities": communities,
     }
-
-
-def partition_to_json(p: Partition) -> str:
-    return dumps_indented(partition_to_json_obj(p)) + "\n"

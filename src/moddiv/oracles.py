@@ -686,64 +686,53 @@ def _step_inheritance(rng: random.Random, g: Graph, sub: Subgraph,
     return ",".join(edits), [(sub, table, removed)]
 
 
-def _record_fresh_mismatch(report: OracleReport, g: Graph, kind: str, sub: Subgraph,
-                           table: EdgeScoreTable, removed: set, digest: str) -> bool:
-    """Record every way `table` differs from a fresh build of `sub`'s
-    vertices less the `removed` edges; True when its edge set or counts
-    differ, which ends the case."""
-    fresh = Subgraph(g, sub)
-    for eid in sorted(removed):
-        fresh.remove_edge(*g.edges[eid])
-    full = compute_scores(kind, g, fresh)
-    if set(table.scores) != set(full.scores):
-        report.record(math.inf, digest, sorted(full.scores), sorted(table.scores))
-        return True
-    if table.cycles != full.cycles:
-        e = min(e for e in table.cycles.keys() | full.cycles.keys()
-                if table.cycles.get(e) != full.cycles.get(e))
-        report.record(math.inf, digest + f" edge={e} cycles", full.cycles.get(e),
-                      table.cycles.get(e))
-        return True
-    if kind == CLUSTERING_G4:
-        for e, f in sorted(table.cycles.items()):
-            naive = cycle_count_naive(g, fresh, e, 4)
-            if f != naive:
-                report.record(math.inf, digest + f" edge={e} naive cycles", naive, f)
+def fresh_mismatch(g: Graph, table: EdgeScoreTable, fresh: Subgraph):
+    """First way the clustering `table`, and the rows `table.nbrs` it
+    scores, differ from `fresh` and `compute_scores(table.kind, g, fresh)`,
+    as (where, expected, got); None when the kept state equals that fresh
+    build.  In order: the rows and the edge set, the kept counts, the keys
+    (each at most its exact score and held by the heap), the heap size (at
+    most twice the live scores), every exact score, the pick against a
+    scan of the fresh scores, and the pick's key, which must be exact."""
+    want = compute_scores(table.kind, g, fresh)
+    rows, fresh_rows = table.nbrs, fresh.nbrs
+    if rows != fresh_rows:
+        v = min(v for v in rows.keys() | fresh_rows.keys() if rows.get(v) != fresh_rows.get(v))
+        return f"vertex={v} row", fresh_rows.get(v), rows.get(v)
+    if table.scores.keys() != want.scores.keys():
+        return "edges", sorted(want.scores), sorted(table.scores)
+    if table.cycles != want.cycles:
+        e = min(e for e in table.cycles.keys() | want.cycles.keys()
+                if table.cycles.get(e) != want.cycles.get(e))
+        return f"edge={e} cycles", want.cycles.get(e), table.cycles.get(e)
     e = key_bound_violation(table)
     if e is not None:
-        report.record(math.inf, digest + f" edge={e} key", table.score(e), table.scores[e])
-    for e in sorted(full.scores):
-        a, b = table.score(e), full.scores[e]
-        if a == b:
-            diff = 0.0
-        elif math.isinf(a) or math.isinf(b):
-            diff = math.inf
-        else:
-            diff = abs(a - b)
-        report.record(diff, digest + f" edge={e}", b, a)
-    if full.scores:
-        want, got = clustering_pick_naive(full.scores), table.removal_candidate()
-        if got != want:
-            report.record(math.inf, digest + " pick", want, got)
-        elif table.scores[got] != full.scores[want]:
-            report.record(math.inf, digest + " pick score", full.scores[want], table.scores[got])
-    return False
+        return f"edge={e} key", table.score(e), table.scores[e]
+    if len(table.heap) > 2 * len(table.scores):
+        return "heap", 2 * len(table.scores), len(table.heap)
+    for e in sorted(want.scores):
+        if table.score(e) != want.scores[e]:
+            return f"edge={e}", want.scores[e], table.score(e)
+    if want.scores:
+        pick, got = clustering_pick_naive(want.scores), table.removal_candidate()
+        if got != pick:
+            return "pick", pick, got
+        if table.scores[got] != want.scores[pick]:
+            return "pick score", want.scores[pick], table.scores[got]
+    return None
 
 
 def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
-    """Incremental clustering rescoring must equal a full recompute exactly,
-    and the rescored table must pick the edge a scan of that recompute picks.
-
-    The exact scores (`score`) are compared, since a table's keys may be
-    lower bounds; every key must be at most its exact score and held by
-    the heap, and the picked edge's key must equal the recompute's score.
+    """Incrementally kept clustering state must equal a fresh build, as
+    `fresh_mismatch` checks it, after every step.
 
     Each case interleaves edge removals with carves and with batches of the
     edits a kept community sees, re-added edges, dropped vertices and
-    inserted vertices, each batch rescored once.  The recompute runs on a
-    fresh `Subgraph` of the same vertices, less the same removed edges; a
-    carve compares both parts, then goes on with one of them.  A g4 table's
-    kept 4-cycle counts are also checked against literal enumeration."""
+    inserted vertices, each batch rescored once.  The fresh build is a
+    `Subgraph` of the same vertices, less the same removed edges; a carve
+    compares both parts, then goes on with one of them.  A g4 table's kept
+    4-cycle counts are also checked against literal enumeration.  The first
+    difference ends the case."""
     rng = random.Random(seed)
     report = OracleReport("rescore-vs-full", cases, 0.0, 0.0)
     for i in range(cases):
@@ -766,8 +755,25 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
             digest = f"case={i} kind={kind} n={g.n} step={step} {edit}"
             ended = False
             for k, (part, table, removed) in enumerate(states):
-                where = digest if len(states) == 1 else f"{digest} part={k}"
-                ended |= _record_fresh_mismatch(report, g, kind, part, table, removed, where)
+                fresh = Subgraph(g, part)
+                for eid in sorted(removed):
+                    fresh.remove_edge(*g.edges[eid])
+                mismatch = fresh_mismatch(g, table, fresh)
+                if mismatch is None and kind == CLUSTERING_G4:
+                    for e, f in sorted(table.cycles.items()):
+                        naive = cycle_count_naive(g, fresh, e, 4)
+                        if f != naive:
+                            mismatch = f"edge={e} naive cycles", naive, f
+                            break
+                if mismatch is not None:
+                    where, want, got = mismatch
+                    # an exact score off by a finite amount is recorded as
+                    # that amount, any other difference as infinite
+                    score = where.startswith("edge=") and " " not in where
+                    off = abs(want - got) if score and math.isfinite(want - got) else math.inf
+                    part_digest = digest if len(states) == 1 else f"{digest} part={k}"
+                    report.record(off, f"{part_digest} {where}", want, got)
+                    ended = True
             if ended:
                 break
             state = states[0]

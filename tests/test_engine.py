@@ -29,8 +29,8 @@ from moddiv import engine
 from moddiv.engine import Dendrogram, TraceEntry
 from moddiv.oracles import (
     exhaustive_best_partition,
+    fresh_mismatch,
     gnp_connected,
-    key_bound_violation,
     reference_run,
 )
 
@@ -365,7 +365,7 @@ def test_dendrogram_nodes_partition_their_parents():
                 assert d.nodes[c].parent == node.node_id
         seen: list = []
         communities = set()
-        for leaf in d.leaves():
+        for leaf in (node for node in d.nodes if not node.children):
             seen += leaf.members
             if leaf.members:
                 communities.add(tuple(leaf.members))
@@ -536,13 +536,14 @@ def test_reconcile_equals_a_fresh_build(measure, case):
     moved across, which brings both ends of the last removal together."""
     g = _ring_of_k4s_with_outsider(8)
     sub = Subgraph(g, range(32))  # the ring, without the outsider 32
-    bis = bisect_community(g, sub, measure)
+    table = compute_scores(measure, g, sub)
+    bis = bisect_community(g, sub, measure, table)
     # the two lowest ring edges go: clique 1 is peeled off the ring
     assert (bis.side, bis.side_is_a) == ((4, 5, 6, 7), False)
     assert [e for e, _ in bis.removals] == [48, 49]
-    assert 49 not in bis.table.scores  # the last removal is forgotten, as a rescore would
+    assert 49 not in table.scores  # the last removal is forgotten, as a rescore would
     part = sub.split_off(bis.side)
-    states = [(sub, bis.table), (part, bis.table.split_off(part.nbrs))]
+    states = [(sub, table), (part, table.split_off(part.nbrs))]
     rest, peeled = set(range(32)) - set(bis.side), set(bis.side)
     if case == "inserted":
         rest.add(32)
@@ -553,14 +554,5 @@ def test_reconcile_equals_a_fresh_build(measure, case):
         peeled.discard(7)
     for (kept, table), members in zip(states, (rest, peeled)):
         engine._reconcile(g, kept, table, bis.removals, {32, 13, 7}, members)
-        fresh = Subgraph(g, members)
-        want = compute_scores(measure, g, fresh)
-        assert sorted(kept) == sorted(members)
-        edges = [{eid for row in s.nbrs.values() for eid in row.values()} for s in (kept, fresh)]
-        assert edges[0] == edges[1]
-        assert {e: table.score(e) for e in table.scores} == want.scores
-        assert table.cycles == want.cycles
-        assert key_bound_violation(table) is None
-        pick = table.removal_candidate()
-        assert pick == want.removal_candidate()
-        assert table.scores[pick] == want.scores[pick]
+        assert table.nbrs is kept.nbrs
+        assert fresh_mismatch(g, table, Subgraph(g, members)) is None

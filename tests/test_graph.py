@@ -335,6 +335,20 @@ def test_gml_unterminated_string_is_an_error(tmp_path):
         load_gml(path)
 
 
+@pytest.mark.parametrize("text", [
+    "graph [ node [ id " + "1" * 5000 + " ] ]",  # an integer too long to read
+    "graph [ node [ id 0 label ] ]",  # a key with no value
+    'graph [ node [ id 0 label "a ] ]',  # an unterminated string
+    "graph [ node [ id 0 ]",  # an unterminated block
+])
+def test_every_malformed_gml_error_names_the_file(tmp_path, text):
+    path = tmp_path / "bad.gml"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(GraphLoadError, match="malformed GML") as err:
+        load_gml(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_subgraph_remove_edge(barbell):
     sub = Subgraph(barbell, range(6))
     assert list(sub) == list(range(6)) and len(sub) == 6

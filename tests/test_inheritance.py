@@ -17,8 +17,8 @@ import pytest
 from moddiv import CLUSTERING_G3, Graph, Subgraph, engine, load_gml
 from moddiv.cli import main
 from moddiv.graph import connected_components
-from moddiv.measures import BETWEENNESS, CLUSTERING_G4, compute_scores
-from moddiv.oracles import key_bound_violation
+from moddiv.measures import BETWEENNESS, CLUSTERING_G4
+from moddiv.oracles import fresh_mismatch
 
 from conftest import require_dataset
 
@@ -43,10 +43,6 @@ def _generated(name: str, gen) -> tuple[int, list[tuple[int, int]]]:
     else:
         n, edges, _ = gen.cycle_blocks(rng, 120, 6, 3, 12)
     return n, edges
-
-
-def _edges(sub: Subgraph) -> set[int]:
-    return {eid for row in sub.nbrs.values() for eid in row.values()}
 
 
 def _connected(g: Graph, members) -> bool:
@@ -77,35 +73,29 @@ def test_inherited_state_equals_a_fresh_build_at_every_dequeue(
     real, real_scores = engine.bisect_community, engine.compute_scores
     inherited = []
     proven = []
-    untabled = []  # clustering bisections of a community with no kept state
-    built = []  # clustering tables built fresh
+    built = []  # the community size of each clustering table built fresh
+    unhanded = []  # a table built fresh, not yet handed to its bisection
 
     def scores(kind, g, sub):
+        table = real_scores(kind, g, sub)
         if kind != BETWEENNESS:
             built.append(len(sub))
-        return real_scores(kind, g, sub)
+            unhanded.append(table)
+        return table
 
     def checked(g, sub, measure, table=None, connected=False):
-        if table is None and measure != BETWEENNESS:
-            untabled.append(len(sub))
         if connected:
             assert _connected(g, sub)
             proven.append(len(sub))
-        if table is not None:
-            fresh = Subgraph(g, sub)
-            want = compute_scores(measure, g, fresh)
-            assert sorted(sub) == sorted(fresh)
-            assert _edges(sub) == _edges(fresh)
-            assert {e: table.score(e) for e in table.scores} == want.scores
-            assert table.cycles == want.cycles
-            # every key is at most its exact score and held by the heap,
-            # which is compacted
-            assert key_bound_violation(table) is None
-            assert len(table.heap) <= 2 * len(table.scores)
-            pick = table.removal_candidate()
-            assert pick == want.removal_candidate()
-            assert table.scores[pick] == want.scores[pick]
-            inherited.append(len(sub))
+        if measure != BETWEENNESS:
+            # every clustering bisection is handed its table, kept or built
+            # fresh for it, and a kept one equals a fresh build
+            assert table is not None
+            assert fresh_mismatch(g, table, Subgraph(g, sub)) is None
+            if unhanded and table is unhanded[-1]:
+                unhanded.pop()
+            else:
+                inherited.append(len(sub))
         return real(g, sub, measure, table, connected)
 
     monkeypatch.setattr(engine, "bisect_community", checked)
@@ -115,7 +105,7 @@ def test_inherited_state_equals_a_fresh_build_at_every_dequeue(
     # the starting communities, all connected, are the only ones without
     # kept state, and only they are scored fresh
     starting = [c for c in connected_components(g).groups() if len(c) > 1]
-    assert built == untabled == [len(c) for c in starting]
+    assert built == [len(c) for c in starting]
     if name == "ring40":
         assert len(inherited) == 60  # both children of its 30 accepted splits
     elif name in ("karate", "lesmis") and measure == CLUSTERING_G3:
