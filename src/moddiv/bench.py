@@ -9,11 +9,11 @@ rows come out ordered by dataset name, then algorithm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import EngineConfig, run_ccr, run_ccr_ebr
 from .graph import GraphLoadError, load_gml
+from .record import Record
 
 CCR = "ccr"
 CCR_EBR = "ccr-ebr"
@@ -21,14 +21,21 @@ RUNNERS = {CCR: run_ccr, CCR_EBR: run_ccr_ebr}
 ALGORITHMS = tuple(RUNNERS)
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    name: str
-    filename: str
-    n: int
-    m: int
-    published: dict  # algorithm -> reference modularity from the literature
-    floors: dict  # algorithm -> minimum acceptable modularity
+class DatasetSpec(Record):
+    """A stock dataset: its file, its size, and per algorithm the reference
+    modularity from the literature (`published`) and the minimum acceptable
+    one (`floors`)."""
+
+    __slots__ = ("name", "filename", "n", "m", "published", "floors")
+
+    def __init__(self, name: str, filename: str, n: int, m: int,
+                 published: dict, floors: dict):
+        self.name = name
+        self.filename = filename
+        self.n = n
+        self.m = m
+        self.published = published
+        self.floors = floors
 
 
 # Reference scores are the published results for these standard benchmark
@@ -68,30 +75,28 @@ DATASETS = (
 DATASETS_BY_NAME = {spec.name: spec for spec in DATASETS}
 
 
-@dataclass
-class BenchRow:
-    dataset: str
-    n: int
-    m: int
-    algorithm: str
-    q_obtained: float
-    q_paper: float | None
-    wall_time_ms: float
-    threshold: float | None
-    passed: bool | None  # None when the dataset/algorithm has no floor
+class BenchRow(Record):
+    """One dataset run by one algorithm; `passed` is None when the pair has
+    no floor."""
+
+    __slots__ = ("dataset", "n", "m", "algorithm", "q_obtained", "q_paper",
+                 "wall_time_ms", "threshold", "passed")
+
+    def __init__(self, dataset: str, n: int, m: int, algorithm: str, q_obtained: float,
+                 q_paper: float | None, wall_time_ms: float, threshold: float | None,
+                 passed: bool | None):
+        self.dataset = dataset
+        self.n = n
+        self.m = m
+        self.algorithm = algorithm
+        self.q_obtained = q_obtained
+        self.q_paper = q_paper
+        self.wall_time_ms = wall_time_ms
+        self.threshold = threshold
+        self.passed = passed
 
     def to_obj(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "n": self.n,
-            "m": self.m,
-            "algorithm": self.algorithm,
-            "q_obtained": self.q_obtained,
-            "q_paper": self.q_paper,
-            "wall_time_ms": self.wall_time_ms,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def run_bench(

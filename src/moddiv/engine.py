@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 
 from . import measures
 from .graph import Graph, Subgraph, connected_components, reachable_within
@@ -40,6 +39,7 @@ from .measures import (
     shift_cycles,
 )
 from .modularity import Partition, modularity_q, move_q
+from .record import Record
 
 # A split is kept, and a refinement move applied, only when Q rises by more
 # than this; it absorbs float noise in the incremental gain formula.
@@ -50,70 +50,102 @@ class ConfigError(Exception):
     """Engine configuration is inconsistent or out of range."""
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record):
     """Knobs for the divisive engine; defaults reproduce the benchmarks.
 
     Construction rejects a measure that cannot drive the divisive phase
     (only the clustering measures can; betweenness is the second phase's
-    own) and a pass cap that is not an int of at least 1.
+    own) and a pass cap that is not an int of at least 1.  A config is
+    read-only, and so hashable.
     """
 
-    measure: str = CLUSTERING_G3
-    refine_max_passes: int = 100
+    __slots__ = ("measure", "refine_max_passes")
 
-    def __post_init__(self) -> None:
-        if self.measure not in CLUSTERING_KINDS:
+    def __init__(self, measure: str = CLUSTERING_G3, refine_max_passes: int = 100):
+        if measure not in CLUSTERING_KINDS:
             raise ConfigError(
-                f"measure {self.measure!r} cannot drive the divisive phase;"
+                f"measure {measure!r} cannot drive the divisive phase;"
                 " pick a clustering measure (g3 or g4)"
             )
-        passes = self.refine_max_passes
+        passes = refine_max_passes
         if type(passes) is not int or passes < 1:  # a bool is no pass cap
             raise ConfigError(f"refine_max_passes must be an int >= 1, not {passes!r}")
+        object.__setattr__(self, "measure", measure)
+        object.__setattr__(self, "refine_max_passes", passes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EngineConfig is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EngineConfig is read-only: cannot delete {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
-@dataclass(frozen=True)
-class RefinementMove:
-    vertex: int
-    source: int
-    target: int
-    gain: float
+class RefinementMove(Record):
+    __slots__ = ("vertex", "source", "target", "gain")
+
+    def __init__(self, vertex: int, source: int, target: int, gain: float):
+        self.vertex = vertex
+        self.source = source
+        self.target = target
+        self.gain = gain
 
 
-@dataclass(frozen=True)
-class Bisection:
+class Bisection(Record):
     """Outcome of one divisive split: one side plus the removals that caused it.
 
     `side` is the side the split test walked, as sorted vertex ids; the
     other side is the rest of the community.  `side_is_a` tells whether
     `side` is side a, the one holding the community's smallest vertex.
+    `removals` holds (edge id, score at removal time) pairs.
     """
 
-    side: tuple[int, ...]
-    side_is_a: bool
-    removals: tuple[tuple[int, float], ...]  # (edge id, score at removal time)
+    __slots__ = ("side", "side_is_a", "removals")
+
+    def __init__(self, side: tuple[int, ...], side_is_a: bool,
+                 removals: tuple[tuple[int, float], ...]):
+        self.side = side
+        self.side_is_a = side_is_a
+        self.removals = removals
 
 
-@dataclass
-class DendrogramNode:
-    """One community of the split tree, made internal by its accepted split."""
+class DendrogramNode(Record):
+    """One community of the split tree, made internal by its accepted split.
 
-    node_id: int
-    parent: int | None = None
-    children: list[int] = field(default_factory=list)
-    split_q: float | None = None
-    moves: tuple[RefinementMove, ...] = ()  # refinement moves of the accepted split
-    members: list[int] = field(default_factory=list)  # leaves only
+    `moves` holds the refinement moves of the accepted split; `members` is
+    filled for leaves only.
+    """
+
+    __slots__ = ("node_id", "parent", "children", "split_q", "moves", "members")
+
+    def __init__(
+        self,
+        node_id: int,
+        parent: int | None = None,
+        children: list[int] | None = None,
+        split_q: float | None = None,
+        moves: tuple[RefinementMove, ...] = (),
+        members: list[int] | None = None,
+    ):
+        self.node_id = node_id
+        self.parent = parent
+        self.children = [] if children is None else children
+        self.split_q = split_q
+        self.moves = moves
+        self.members = [] if members is None else members
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(Record):
     """One accepted state of the run."""
 
-    step: str
-    q: float
-    n_communities: int
+    __slots__ = ("step", "q", "n_communities")
+
+    def __init__(self, step: str, q: float, n_communities: int):
+        self.step = step
+        self.q = q
+        self.n_communities = n_communities
 
 
 class Dendrogram:
@@ -230,7 +262,6 @@ class Dendrogram:
         return "".join(out) + ";\n"
 
 
-@dataclass
 class DetectionResult:
     """Final partition of the run, with its full provenance.
 
@@ -245,10 +276,14 @@ class DetectionResult:
     accepts through it); nothing is kept for it.
     """
 
-    best_partition: Partition
-    best_q: float
-    dendrogram: Dendrogram
-    jsonl: list[str] = field(repr=False)
+    __slots__ = ("best_partition", "best_q", "dendrogram", "jsonl")
+
+    def __init__(self, best_partition: Partition, best_q: float,
+                 dendrogram: Dendrogram, jsonl: list[str]):
+        self.best_partition = best_partition
+        self.best_q = best_q
+        self.dendrogram = dendrogram
+        self.jsonl = jsonl
 
     @property
     def history(self) -> list[dict]:

@@ -10,21 +10,28 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+
+from .record import Record
 
 
 class GraphLoadError(Exception):
     """Input file could not be parsed into a valid simple graph."""
 
 
-@dataclass(frozen=True)
-class LoadWarnings:
-    """Counters for input constructs dropped during canonicalization."""
+class LoadWarnings(Record):
+    """Counters for input constructs dropped during canonicalization.
 
-    duplicates: int = 0
-    self_loops: int = 0
-    unknown_keys: tuple[str, ...] = ()
-    weights: int = 0  # edge-list weights, ignored: the graph is unweighted
+    `weights` counts edge-list weights, ignored: the graph is unweighted.
+    """
+
+    __slots__ = ("duplicates", "self_loops", "unknown_keys", "weights")
+
+    def __init__(self, duplicates: int = 0, self_loops: int = 0,
+                 unknown_keys: tuple[str, ...] = (), weights: int = 0):
+        self.duplicates = duplicates
+        self.self_loops = self_loops
+        self.unknown_keys = unknown_keys
+        self.weights = weights
 
 
 # The label rule keeps a label one field of one TSV row, also for readers
@@ -99,9 +106,8 @@ class Graph:
         self.adj = adj
         self.degrees = [len(lst) for lst in adj]
 
-        self.warnings = replace(
-            extra_warnings or LoadWarnings(), duplicates=duplicates, self_loops=self_loops
-        )
+        extra = extra_warnings or LoadWarnings()
+        self.warnings = LoadWarnings(duplicates, self_loops, extra.unknown_keys, extra.weights)
 
     def edge_label_pair(self, eid: int) -> tuple[str, str]:
         u, v = self.edges[eid]
@@ -171,12 +177,14 @@ class Subgraph:
         return part
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
+class ComponentLabeling(Record):
     """Connected-component labels of a graph."""
 
-    labels: list[int]
-    count: int
+    __slots__ = ("labels", "count")
+
+    def __init__(self, labels: list[int], count: int):
+        self.labels = labels
+        self.count = count
 
     def groups(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.count)]

@@ -11,7 +11,6 @@ selection can never pick such an edge while a finite-scored edge remains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 
 from .graph import Graph, Subgraph
@@ -23,7 +22,6 @@ CLUSTERING_G4 = "clustering_g4"
 CLUSTERING_KINDS = (CLUSTERING_G3, CLUSTERING_G4)
 
 
-@dataclass(frozen=True)
 class EdgeScoreTable:
     """Scores for every edge of one subgraph.
 
@@ -50,12 +48,23 @@ class EdgeScoreTable:
     raises a key it meets on top of the heap to the exact score.
     """
 
-    kind: str
-    scores: dict[int, float]
-    heap: list[tuple[float, int]] | None = field(default=None, repr=False, compare=False)
-    cycles: dict[int, int] | None = field(default=None, repr=False, compare=False)
-    nbrs: dict[int, dict[int, int]] | None = field(default=None, repr=False, compare=False)
-    edges: list[tuple[int, int]] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("kind", "scores", "heap", "cycles", "nbrs", "edges")
+
+    def __init__(
+        self,
+        kind: str,
+        scores: dict[int, float],
+        heap: list[tuple[float, int]] | None = None,
+        cycles: dict[int, int] | None = None,
+        nbrs: dict[int, dict[int, int]] | None = None,
+        edges: list[tuple[int, int]] | None = None,
+    ):
+        self.kind = kind
+        self.scores = scores
+        self.heap = heap
+        self.cycles = cycles
+        self.nbrs = nbrs
+        self.edges = edges
 
     def score(self, eid: int) -> float:
         """Exact score of the live edge `eid`."""

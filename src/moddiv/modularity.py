@@ -9,22 +9,24 @@ removals performed during bisection do not affect modularity.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .graph import Graph
+from .record import Record
 
 
-@dataclass
-class Community:
+class Community(Record):
     """One community: its member set and the two totals modularity needs.
 
     `internal_twice` is twice the number of edges with both endpoints in the
     community; `total_degree` is the sum of the members' degrees.
     """
 
-    members: set[int]
-    internal_twice: int
-    total_degree: int
+    __slots__ = ("members", "internal_twice", "total_degree")
+
+    def __init__(self, members: set[int], internal_twice: int, total_degree: int):
+        self.members = members
+        self.internal_twice = internal_twice
+        self.total_degree = total_degree
 
 
 def _community(graph: Graph, members: set[int]) -> Community:

@@ -14,7 +14,6 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
 
 from .engine import (
     Q_IMPROVEMENT_EPS,
@@ -35,6 +34,7 @@ from .measures import (
     rescore_after_removal,
 )
 from .modularity import Partition, modularity_q, modularity_q_pairwise, move_q
+from .record import Record
 
 DEFAULT_SEED = 4129
 
@@ -49,19 +49,22 @@ SUITE_CHECKS = (
 )
 
 
-@dataclass
-class OracleReport:
+class OracleReport(Record):
     """Outcome of one verification check.
 
     `failures` holds (input digest, expected, got) triples; it is empty
     exactly when `max_abs_diff` stayed within `tolerance`.
     """
 
-    name: str
-    cases: int
-    max_abs_diff: float
-    tolerance: float
-    failures: list = field(default_factory=list)
+    __slots__ = ("name", "cases", "max_abs_diff", "tolerance", "failures")
+
+    def __init__(self, name: str, cases: int, max_abs_diff: float, tolerance: float,
+                 failures: list | None = None):
+        self.name = name
+        self.cases = cases
+        self.max_abs_diff = max_abs_diff
+        self.tolerance = tolerance
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -435,7 +435,8 @@ def test_history_serializes_as_json_lines(barbell):
     events = _events(r)
     assert r.history == [json.loads(line) for line in r.jsonl]
     # the lines are the one event record: no event list is kept beside them
-    assert set(vars(r)) == {"best_partition", "best_q", "dendrogram", "jsonl"}
+    assert not hasattr(r, "__dict__")
+    assert set(type(r).__slots__) == {"best_partition", "best_q", "dendrogram", "jsonl"}
     with pytest.raises(AttributeError):
         r.history = events
     assert all("q_after" in e and "type" in e for e in events)

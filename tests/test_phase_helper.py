@@ -10,6 +10,7 @@ from __future__ import annotations
 import marshal
 import os
 import random
+import select
 import signal
 import threading
 import time
@@ -41,7 +42,12 @@ def _no_children() -> bool:
 @pytest.fixture
 def helpers(monkeypatch):
     """Every `_BisectionHelper` the runs start, with each job's members
-    as `take` saw them."""
+    as `take` saw them.
+
+    Before its first `take`, a helper waits, for at most 30 s, until the
+    helper process has written a result: on a busy host the phase could
+    otherwise set the mark past every job before the helper process runs
+    at all, and no result would be taken."""
     started = []
 
     class Recorded(HELPER):
@@ -51,6 +57,8 @@ def helpers(monkeypatch):
             started.append(self)
 
         def take(self, i, members):
+            if not self.seen:
+                select.select([self.results], [], [], 30)
             bis = super().take(i, members)
             self.seen.append((i, frozenset(members), bis is not None))
             return bis

@@ -35,14 +35,33 @@ def test_package_imports_only_the_standard_library():
     assert not outside, outside
 
 
-def test_importing_the_package_loads_no_process_or_thread_modules():
-    # `setup_s` pays for every module `import moddiv` loads; the phase-2
-    # helper forks through `os` alone.  `-S`: a site-packages `.pth` file
-    # may import `threading` before the probe runs.
-    probe = "import sys; sys.path.insert(0, sys.argv[1]); import moddiv; print(*sys.modules)"
+def _loaded_by(module: str) -> set[str]:
+    """Top-level names of every module a fresh interpreter holds after
+    `import <module>`.  `-S`: a site-packages `.pth` file may import
+    modules before the probe runs."""
+    probe = f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; print(*sys.modules)"
     run = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(PACKAGE.parent)],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     loaded = {name.split(".")[0] for name in run.stdout.split()}
     assert "moddiv" in loaded
+    return loaded
+
+
+def test_importing_the_package_loads_no_process_or_thread_modules():
+    # `setup_s` pays for every module `import moddiv` loads; the phase-2
+    # helper forks through `os` alone.
+    loaded = _loaded_by("moddiv")
     assert not loaded & {"multiprocessing", "concurrent", "subprocess", "threading"}
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # Records are plain slotted classes: `dataclasses` and the `inspect`
+    # it pulls in were most of a cold `import moddiv`.
+    assert not _loaded_by("moddiv") & {"dataclasses", "inspect"}
+
+
+def test_importing_the_cli_loads_no_traceback_or_datetime():
+    # Only the internal-error exit and stamped artifacts use them, and
+    # they import them where they do.
+    assert not _loaded_by("moddiv.cli") & {"traceback", "datetime"}
