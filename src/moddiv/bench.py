@@ -8,8 +8,8 @@ rows come out ordered by dataset name, then algorithm.
 
 from __future__ import annotations
 
+import os
 import time
-from pathlib import Path
 
 from .engine import EngineConfig, run_ccr, run_ccr_ebr
 from .graph import GraphLoadError, load_gml
@@ -112,8 +112,8 @@ def run_bench(
     warning instead of a row.
     """
     cfg = cfg or EngineConfig()
-    data_dir = Path(data_dir)
-    if not data_dir.is_dir():
+    data_dir = os.fspath(data_dir)
+    if not os.path.isdir(data_dir):
         raise FileNotFoundError(f"dataset directory not found: {data_dir}")
     for name in datasets or ():
         if name not in DATASETS_BY_NAME:
@@ -128,8 +128,8 @@ def run_bench(
     rows: list[BenchRow] = []
     warnings: list[str] = []
     for spec in sorted(wanted, key=lambda s: s.name):
-        path = data_dir / spec.filename
-        if not path.is_file():
+        path = os.path.join(data_dir, spec.filename)
+        if not os.path.isfile(path):
             warnings.append(f"{spec.name}: missing file {path}, skipped")
             continue
         try:

@@ -22,16 +22,14 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 
 # `_RUNNERS` is the one pipeline table, shared with `bench`; perfbench's
 # tracer wraps the pipelines by patching it in place under this name.
 from .bench import ALGORITHMS, RUNNERS as _RUNNERS, rows_to_json_obj, rows_to_tsv, run_bench
 from .engine import ConfigError, EngineConfig
 from .graph import GraphLoadError, Subgraph, load_edge_list, load_gml
-from .jsontext import dumps_indented
 from .measures import BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4, compute_scores
-from .modularity import partition_to_json_obj, partition_to_tsv
+from .modularity import partition_to_json_text, partition_to_tsv
 from .oracles import DEFAULT_SEED, run_verification_suite
 
 EXIT_OK = 0
@@ -53,7 +51,7 @@ class OutputError(Exception):
 
 
 @contextmanager
-def _writing(out_dir: Path):
+def _writing(out_dir: str):
     """Report an OSError raised while making or filling `out_dir` as an
     OutputError."""
     try:
@@ -62,19 +60,17 @@ def _writing(out_dir: Path):
         raise OutputError(f"cannot write {out_dir}: {exc}") from exc
 
 
-def _make_out_dir(path_str: str) -> Path:
-    out_dir = Path(path_str)
+def _make_out_dir(out_dir: str) -> str:
     with _writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out_dir or os.curdir, exist_ok=True)
     return out_dir
 
 
-def _load_graph(path_str: str, fmt: str | None):
-    path = Path(path_str)
-    if not path.is_file():
+def _load_graph(path: str, fmt: str | None):
+    if not os.path.isfile(path):
         raise GraphLoadError(f"input file not found: {path}")
     if fmt is None:
-        fmt = "gml" if path.suffix.lower() == ".gml" else "edgelist"
+        fmt = "gml" if os.path.splitext(path)[1].lower() == ".gml" else "edgelist"
     if fmt == "gml":
         return load_gml(path)
     return load_edge_list(path)
@@ -86,10 +82,17 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_json(path: Path, obj: dict, stamped: bool) -> None:
+def _write(out_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_json(out_dir: str, name: str, text: str, stamped: bool) -> None:
+    """Write `text`, an object's `json.dumps(obj, indent=2)` text, as
+    artifact `name`; `stamped` adds a `"generated_at"` line as its first key."""
     if stamped:
-        obj = {"generated_at": _timestamp(), **obj}
-    path.write_text(dumps_indented(obj) + "\n", encoding="utf-8")
+        text = f'{{\n  "generated_at": {json.dumps(_timestamp())},{text[1:]}'
+    _write(out_dir, name, text + "\n")
 
 
 def cmd_detect(args) -> int:
@@ -118,17 +121,12 @@ def cmd_detect(args) -> int:
         head, _, rest = tsv.partition("\n")
         tsv = f"{head}\n# generated_at\t{_timestamp()}\n{rest}"
     with _writing(out_dir):
-        (out_dir / "partition.tsv").write_text(tsv, encoding="utf-8")
-        _write_json(
-            out_dir / "partition.json",
-            partition_to_json_obj(result.best_partition),
-            stamped,
-        )
-        _write_json(out_dir / "dendrogram.json", result.dendrogram.to_json_obj(), stamped)
-        (out_dir / "dendrogram.newick").write_text(
-            result.dendrogram.to_newick(), encoding="utf-8"
-        )
-        (out_dir / "trace.jsonl").write_text("".join(result.jsonl), encoding="utf-8")
+        _write(out_dir, "partition.tsv", tsv)
+        _write_json(out_dir, "partition.json",
+                    partition_to_json_text(result.best_partition), stamped)
+        _write_json(out_dir, "dendrogram.json", result.dendrogram.to_json_text(), stamped)
+        _write(out_dir, "dendrogram.newick", result.dendrogram.to_newick())
+        _write(out_dir, "trace.jsonl", "".join(result.jsonl))
 
     print(f"Q={result.best_q:.4f} communities={result.best_partition.n_communities}")
     return EXIT_OK
@@ -166,12 +164,10 @@ def cmd_bench(args) -> int:
     sys.stdout.write(rows_to_tsv(rows))
     if out_dir is not None:
         with _writing(out_dir):
-            (out_dir / "bench.tsv").write_text(rows_to_tsv(rows), encoding="utf-8")
-            _write_json(
-                out_dir / "bench.json",
-                rows_to_json_obj(rows, warnings),
-                not args.no_timestamps,
-            )
+            _write(out_dir, "bench.tsv", rows_to_tsv(rows))
+            _write_json(out_dir, "bench.json",
+                        json.dumps(rows_to_json_obj(rows, warnings), indent=2),
+                        not args.no_timestamps)
     if args.strict:
         if not rows:
             print("error: no datasets were benchmarked", file=sys.stderr)

@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from collections import deque
+from json.encoder import encode_basestring_ascii
 
 from . import measures
 from .graph import Graph, Subgraph, connected_components, reachable_within
@@ -148,6 +149,33 @@ class TraceEntry(Record):
         self.n_communities = n_communities
 
 
+# Newick's reserved characters and blanks, each of which a label loses to "_"
+_NEWICK_CLEAN = str.maketrans(dict.fromkeys(" \t,():;[]'", "_"))
+
+# A value nested d levels deep in `json.dumps(obj, indent=2)` text starts
+# each of its lines with a newline and 2 * d spaces.  Named, because the
+# expressions of an f-string cannot hold a backslash before Python 3.12.
+_NL2, _NL6 = "\n  ", "\n      "
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """The indented JSON text of a list whose items' texts are `items`,
+    written on a line that `pad`, a newline and that line's indent, starts."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _moves_json(moves, labels: list[str], pad: str) -> str:
+    """The indented JSON text of a list of refinement moves; see `_json_list`."""
+    key = pad + "    "
+    return _json_list([
+        f'{{{key}"vertex": {labels[mv.vertex]},{key}"source": {mv.source},'
+        f'{key}"target": {mv.target},{key}"gain": {mv.gain!r}{pad}  }}'
+        for mv in moves], pad)
+
+
 class Dendrogram:
     """Split tree of a run, grown as the run accepts splits.
 
@@ -196,34 +224,27 @@ class Dendrogram:
 
     # -- export -------------------------------------------------------------
 
-    def to_json_obj(self) -> dict:
-        """Flat node list in id order; `members` (labels) on leaves only."""
-        labels = self.graph.labels
-
-        def move_obj(mv: RefinementMove) -> dict:
-            return {"vertex": labels[mv.vertex], "source": mv.source, "target": mv.target,
-                    "gain": mv.gain}
-
+    def to_json_text(self) -> str:
+        """The text of `dendrogram.json`, exactly `json.dumps(obj, indent=2)`
+        of the object with `n_vertices`, `nodes` (flat, in id order, with
+        `members` as labels on leaves only), `final_moves` and `trace`."""
+        labels = self.graph.label_json
         nodes = []
         for node in self.nodes:
-            obj: dict = {
-                "id": node.node_id,
-                "parent": node.parent,
-                "split_q": node.split_q,
-                "moves": [move_obj(mv) for mv in node.moves],
-            }
+            parent = "null" if node.parent is None else node.parent
+            split_q = "null" if node.split_q is None else repr(node.split_q)
+            text = (f'{{\n      "id": {node.node_id},\n      "parent": {parent},'
+                    f'\n      "split_q": {split_q},'
+                    f'\n      "moves": {_moves_json(node.moves, labels, _NL6)}')
             if not node.children:
-                obj["members"] = [labels[v] for v in node.members]
-            nodes.append(obj)
-        return {
-            "n_vertices": self.graph.n,
-            "nodes": nodes,
-            "final_moves": [move_obj(mv) for mv in self.final_moves],
-            "trace": [
-                {"step": t.step, "q": t.q, "n_communities": t.n_communities}
-                for t in self.trace
-            ],
-        }
+                members = _json_list([labels[v] for v in node.members], _NL6)
+                text += f',\n      "members": {members}'
+            nodes.append(text + "\n    }")
+        trace = [f'{{\n      "step": {encode_basestring_ascii(t.step)},\n      "q": {t.q!r},'
+                 f'\n      "n_communities": {t.n_communities}\n    }}' for t in self.trace]
+        return (f'{{\n  "n_vertices": {self.graph.n},\n  "nodes": {_json_list(nodes, _NL2)},'
+                f'\n  "final_moves": {_moves_json(self.final_moves, labels, _NL2)},'
+                f'\n  "trace": {_json_list(trace, _NL2)}\n}}')
 
     def to_newick(self) -> str:
         """Newick text, built with an explicit stack so depth is unbounded.
@@ -237,9 +258,6 @@ class Dendrogram:
             if held[node.node_id] and node.parent is not None:
                 held[node.parent] = True
 
-        def clean(text: str) -> str:
-            return "".join("_" if ch in " \t,():;[]'" else ch for ch in text)
-
         out: list[str] = []
         stack: list = [0]  # node ids still to render, and literal tokens
         while stack:
@@ -249,7 +267,7 @@ class Dendrogram:
                 continue
             node = self.nodes[item]
             if not node.children:
-                names = [clean(labels[v]) for v in node.members]
+                names = [labels[v].translate(_NEWICK_CLEAN) for v in node.members]
                 out.append(names[0] if len(names) == 1 else "(" + ",".join(names) + ")")
                 continue
             shown = [c for c in node.children if held[c]]
@@ -268,10 +286,11 @@ class DetectionResult:
     Splits are kept only when Q strictly rises and refinement applies only
     positive moves, so the final state is the best one along the trace.
 
-    `jsonl` holds the lines of `trace.jsonl`, `json.dumps(event) + "\n"`
-    for every removal, move, accept and reject in run order: the run's one
-    event record.  The dendrogram and its trace were grown beside it as
-    splits were accepted.  `history` is a read-only view that parses every
+    `jsonl` holds the lines of `trace.jsonl`, one for every removal, move,
+    accept and reject in run order: the run's one event record.  Each line
+    is the text of `json.dumps(event) + "\n"`, built as text when the event
+    happened (see `_DivisiveRun`).  The dendrogram and its trace were grown
+    beside it as splits were accepted.  `history` is a read-only view that parses every
     line back into its event on each read (`perfbench/tracer.py` counts
     accepts through it); nothing is kept for it.
     """
@@ -638,6 +657,16 @@ class _BisectionHelper:
 
 
 class _DivisiveRun:
+    """The state of one run: the live partition and its Q, the proven
+    communities, the dendrogram, and `jsonl`, the `trace.jsonl` lines.
+
+    Each line is built as text when its event happens: one f-string over
+    the graph's labels, JSON-encoded once (`Graph.label_json`), with `repr`
+    of each float and `"inf"` for an infinite removal score.  That is the
+    text `json.dumps` writes for the same event, which
+    `oracles.reference_run`'s events check line for line.
+    """
+
     def __init__(self, g: Graph, cfg: EngineConfig):
         if g.n == 0:
             raise ValueError("graph has no vertices")
@@ -650,21 +679,17 @@ class _DivisiveRun:
         self.proven = set(self.partition.communities)
         self.q = modularity_q(g, self.partition)
         self.jsonl: list[str] = []  # one trace.jsonl line per event of any type
-        # with `repr` for floats, lines built from these equal json.dumps(event)
-        self.label_json = [json.dumps(label) for label in g.labels]
         self.dendrogram = Dendrogram(g, TraceEntry("init", self.q, self.partition.n_communities))
 
-    def _log(self, event: dict) -> None:
-        self.jsonl.append(json.dumps(event) + "\n")
-
     def _log_moves(self, mvs, q: float, phase: int, stage: str | None = None) -> None:
-        """One `move` event per applied move, with Q running on from `q`."""
-        labels, log = self.g.labels, self._log
-        staged = {} if stage is None else {"stage": stage}
+        """One `move` line per applied move, with Q running on from `q`."""
+        label_json, write = self.g.label_json, self.jsonl.append
+        staged = "" if stage is None else f'"stage": {encode_basestring_ascii(stage)}, '
+        head = f'{{"type": "move", "phase": {phase}, {staged}"vertex": '
         for mv in mvs:
             q += mv.gain
-            log({"type": "move", "phase": phase, **staged, "vertex": labels[mv.vertex],
-                 "source": mv.source, "target": mv.target, "gain": mv.gain, "q_after": q})
+            write(f'{head}{label_json[mv.vertex]}, "source": {mv.source}, "target": {mv.target},'
+                  f' "gain": {mv.gain!r}, "q_after": {q!r}}}\n')
 
     def _queue_order(self, cids) -> list[int]:
         communities = self.partition.communities
@@ -702,7 +727,7 @@ class _DivisiveRun:
         community still has the members it had at the start.
         """
         g, p, proven, write = self.g, self.partition, self.proven, self.jsonl.append
-        label_json, inf = self.label_json, math.inf
+        label_json, inf = g.label_json, math.inf
         kept: dict[int, tuple[Subgraph, EdgeScoreTable, tuple, set[int]]] = {}
         queue = deque(self._queue_order(p.communities))
         jobs: dict[int, int] = {}  # community id -> its index among the helper's jobs
@@ -759,9 +784,11 @@ class _DivisiveRun:
                     self.q = q_new
                     proven.discard(cid)
                     children = p.communities
-                    sizes = [len(children[c].members) if c in children else 0 for c in (new_a, new_b)]
-                    self._log({"type": "accept", "phase": phase, "community": cid,
-                               "children": [new_a, new_b], "sizes": sizes, "q_after": q_new})
+                    size_a, size_b = (len(children[c].members) if c in children else 0
+                                      for c in (new_a, new_b))
+                    write(f'{{"type": "accept", "phase": {phase}, "community": {cid},'
+                          f' "children": [{new_a}, {new_b}], "sizes": [{size_a}, {size_b}],'
+                          f' "q_after": {q_new!r}}}\n')
                     self.dendrogram.split(cid, (new_a, new_b), q_new, mvs)
                     self.dendrogram.trace.append(TraceEntry("split", q_new, p.n_communities))
                     if table is not None:
@@ -786,8 +813,8 @@ class _DivisiveRun:
                         proven.discard(mv.target)
                     p.unsplit(cid, community, (new_a, new_b))
                     proven.difference_update((new_a, new_b))
-                    self._log({"type": "reject", "phase": phase, "community": cid,
-                               "q_tentative": q_new, "q_after": q})
+                    write(f'{{"type": "reject", "phase": {phase}, "community": {cid},'
+                          f' "q_tentative": {q_new!r}, "q_after": {q!r}}}\n')
         finally:
             if helper is not None:
                 helper.close()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from json.encoder import encode_basestring_ascii
 
 from .record import Record
 
@@ -49,13 +50,14 @@ class Graph:
         labels: per-vertex display label (defaults to the vertex id as text).
             A label that holds a tab or a line break, or starts with `#`,
             raises ValueError (the label rule, `_BAD_LABEL`).
+        label_json: per-vertex label as JSON text, `json.dumps(label)`.
         edges: edge id -> (u, v) with u < v.
         adj: per-vertex list of (neighbor, edge id), sorted by neighbor.
         degrees: per-vertex degree.
         warnings: canonicalization counters from the loader, if any.
     """
 
-    __slots__ = ("n", "m", "labels", "edges", "adj", "degrees", "warnings")
+    __slots__ = ("n", "m", "labels", "edges", "adj", "degrees", "warnings", "_label_json")
 
     def __init__(
         self,
@@ -77,6 +79,7 @@ class Graph:
                     )
         self.n = n
         self.labels = list(labels) if labels is not None else [str(v) for v in range(n)]
+        self._label_json: list[str] | None = None
 
         edges: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
@@ -108,6 +111,14 @@ class Graph:
 
         extra = extra_warnings or LoadWarnings()
         self.warnings = LoadWarnings(duplicates, self_loops, extra.unknown_keys, extra.weights)
+
+    @property
+    def label_json(self) -> list[str]:
+        # encoded on first use and kept: a run's trace lines and its JSON
+        # artifacts all take their labels from here
+        if self._label_json is None:
+            self._label_json = [encode_basestring_ascii(label) for label in self.labels]
+        return self._label_json
 
     def edge_label_pair(self, eid: int) -> tuple[str, str]:
         u, v = self.edges[eid]

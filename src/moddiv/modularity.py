@@ -297,24 +297,24 @@ def partition_to_tsv(p: Partition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def partition_to_json_obj(p: Partition) -> dict:
-    """JSON-ready summary with per-community stats and modularity."""
+def partition_to_json_text(p: Partition) -> str:
+    """The text of `partition.json`, exactly `json.dumps(obj, indent=2)` of
+    the object with Q, the community count and, per community, its id,
+    size, internal edge count, total degree and members (labels)."""
     dense = _dense(p)
     g = dense.graph
-    communities = []
+    labels = g.label_json
+    q = modularity_q(g, dense)
+    texts = []
     for c in sorted(dense.communities):
         st = dense.communities[c]
-        communities.append(
-            {
-                "id": c,
-                "size": len(st.members),
-                "internal_edges": st.internal_twice // 2,
-                "total_degree": st.total_degree,
-                "members": [g.labels[v] for v in dense.members(c)],
-            }
+        members = ",\n        ".join([labels[v] for v in sorted(st.members)])
+        texts.append(
+            f'{{\n      "id": {c},\n      "size": {len(st.members)},'
+            f'\n      "internal_edges": {st.internal_twice // 2},'
+            f'\n      "total_degree": {st.total_degree},'
+            f'\n      "members": [\n        {members}\n      ]\n    }}'
         )
-    return {
-        "q": modularity_q(g, dense),
-        "n_communities": dense.n_communities,
-        "communities": communities,
-    }
+    communities = ",\n    ".join(texts)
+    return (f'{{\n  "q": {q!r},\n  "n_communities": {dense.n_communities},'
+            f'\n  "communities": [\n    {communities}\n  ]\n}}')

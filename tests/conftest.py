@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
 
 from moddiv import Graph, Partition, connected_components, modularity_q
+from moddiv.oracles import gnp_connected
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,6 +27,32 @@ def require_dataset(name: str) -> Path:
     if not path.is_file():
         pytest.skip(f"dataset {name} not present; run scripts/fetch_datasets.py")
     return path
+
+
+# Labels that JSON text has to escape or that could pass for its syntax:
+# quotes, backslashes, event boundaries, non-ASCII, control characters,
+# lone surrogates and the empty string.  Tab, CR and LF break the label
+# rule that `Graph` enforces; backspace is the one short JSON escape of a
+# control character a label may hold.
+AWKWARD_LABELS = [
+    'a"b', "\\", 'x\\"', '}, {"type": ', '"}, {"type": "move"', "\u00e9\u4e2d\U0001f600",
+    "\x00\x01\x1f\x7f", "\x08\x1b", "\ud800", "\udfff", "", "type", ", ",
+]
+
+
+def awkward_graphs():
+    """Small seeded graphs whose labels are `AWKWARD_LABELS` or random strings
+    of JSON-significant characters, repeated as often as the graph needs."""
+    rng = random.Random(1502)
+    pool = '"\\{}[],: type\x08\u00e9\ud83d'
+    for i in range(10):
+        g = gnp_connected(rng, rng.randint(12, 26), rng.choice((0.2, 0.35)))
+        if i < 2:
+            labels = AWKWARD_LABELS
+        else:
+            labels = ["".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+                      for _ in range(5)]
+        yield Graph(g.n, g.edges, [labels[v % len(labels)] for v in range(g.n)])
 
 
 def replayed_tree(g: Graph, lines) -> dict:
@@ -69,8 +97,8 @@ def replayed_tree(g: Graph, lines) -> dict:
 
 def exported_tree(result) -> dict:
     """`nodes` (leaf members left out) and `final_moves` of a run's
-    `dendrogram.to_json_obj()`, to compare with `replayed_tree`."""
-    obj = result.dendrogram.to_json_obj()
+    `dendrogram.json` text, to compare with `replayed_tree`."""
+    obj = json.loads(result.dendrogram.to_json_text())
     nodes = [{key: value for key, value in node.items() if key != "members"}
              for node in obj["nodes"]]
     return {"nodes": nodes, "final_moves": obj["final_moves"]}

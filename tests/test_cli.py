@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from moddiv import cli
+from moddiv.bench import run_bench
 from moddiv.cli import main
 from moddiv.modularity import Partition
 from moddiv.oracles import SUITE_CHECKS
@@ -221,12 +223,23 @@ def test_detect_renumbers_the_partition_once(tmp_path, monkeypatch):
         assert code == 0 and len(calls) == 1
 
 
+def _unstamped(text: str) -> str:
+    """A stamped JSON artifact's text less its stamp, which has to be one
+    line holding the object's first key and nothing else."""
+    lines = text.split("\n")
+    stamp = r'  "generated_at": "\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00",'
+    assert re.fullmatch(stamp, lines[1]), lines[1]
+    assert text.count("generated_at") == 1
+    return "\n".join(lines[:1] + lines[2:])
+
+
 def test_detect_timestamps_on_by_default(tmp_path, barbell_file):
-    out = tmp_path / "out"
-    run_cli("detect", "--input", barbell_file, "--out-dir", out)
-    assert "# generated_at\t" in (out / "partition.tsv").read_text()
+    stamped, plain = tmp_path / "stamped", tmp_path / "plain"
+    run_cli("detect", "--input", barbell_file, "--out-dir", stamped)
+    run_cli("detect", "--input", barbell_file, "--out-dir", plain, "--no-timestamps")
+    assert "# generated_at\t" in (stamped / "partition.tsv").read_text()
     for name in ("partition.json", "dendrogram.json"):
-        assert "generated_at" in json.loads((out / name).read_text())
+        assert _unstamped((stamped / name).read_text()) == (plain / name).read_text()
 
 
 def test_detect_rejects_betweenness_for_the_divisive_phase(
@@ -475,6 +488,19 @@ def test_bench_reports_rows_and_warnings(tmp_path, karate_dir, capsys, monkeypat
     report = json.loads((out / "bench.json").read_text())
     assert report["all_passed"] is True
     assert "generated_at" not in report
+
+
+def test_bench_json_stamp_is_one_line_before_the_rows(tmp_path, karate_dir, monkeypatch):
+    # one set of rows for both runs: each run's wall times differ
+    rows = run_bench(karate_dir, algorithms=("ccr",))
+    monkeypatch.setattr(cli, "run_bench", lambda *args, **kwargs: rows)
+    stamped, plain = tmp_path / "stamped", tmp_path / "plain"
+    assert run_cli("bench", "--data-dir", karate_dir, "--out-dir", stamped) == 0
+    assert run_cli("bench", "--data-dir", karate_dir, "--out-dir", plain,
+                   "--no-timestamps") == 0
+    text = (plain / "bench.json").read_text()
+    assert _unstamped((stamped / "bench.json").read_text()) == text
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_bench_strict_with_no_datasets_exits_4(tmp_path, capsys):

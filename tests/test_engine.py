@@ -34,7 +34,13 @@ from moddiv.oracles import (
     reference_run,
 )
 
-from conftest import exported_tree, replayed_tree, require_dataset
+from conftest import (
+    AWKWARD_LABELS,
+    awkward_graphs,
+    exported_tree,
+    replayed_tree,
+    require_dataset,
+)
 
 
 def _cfg(**kw) -> EngineConfig:
@@ -402,7 +408,7 @@ def test_dendrogram_deeper_than_the_recursion_limit_exports():
     d.finish(p)
     assert len(d.nodes) == 2 * depth + 1
     assert d.nodes[-1].parent == d.nodes[-2].parent == 2 * depth - 2
-    obj = json.loads(json.dumps(d.to_json_obj(), indent=2))
+    obj = json.loads(d.to_json_text())
     assert [node["id"] for node in obj["nodes"]] == list(range(2 * depth + 1))
     expected = "".join(f"({v}," for v in range(depth)) + str(depth) + ")" * depth
     assert d.to_newick() == expected + ";\n"
@@ -455,37 +461,14 @@ def test_trace_lines_are_json_dumps_of_their_events_on_real_runs(gen, name):
         assert r.history == [json.loads(line) for line in r.jsonl]
 
 
-# Tab, CR and LF break the label rule that `Graph` enforces; backspace is
-# the one short JSON escape of a control character a label may hold.
-AWKWARD_LABELS = [
-    'a"b', "\\", 'x\\"', '}, {"type": ', '"}, {"type": "move"', "\u00e9\u4e2d\U0001f600",
-    "\x00\x01\x1f\x7f", "\x08\x1b", "\ud800", "\udfff", "", "type", ", ",
-]
-
-
-def _awkward_graphs():
-    """Small seeded graphs whose labels are `AWKWARD_LABELS` or random strings
-    of JSON-significant characters, repeated as often as the graph needs."""
-    rng = random.Random(1502)
-    pool = '"\\{}[],: type\x08\u00e9\ud83d'
-    for i in range(10):
-        g = gnp_connected(rng, rng.randint(12, 26), rng.choice((0.2, 0.35)))
-        if i < 2:
-            labels = AWKWARD_LABELS
-        else:
-            labels = ["".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
-                      for _ in range(5)]
-        yield Graph(g.n, g.edges, [labels[v % len(labels)] for v in range(g.n)])
-
-
 def test_trace_lines_equal_the_reference_dumps_on_awkward_labels():
-    """`remove` and `move` lines are f-strings; on labels holding quotes,
+    """Every line is an f-string; on labels holding quotes,
     backslashes, event boundaries, non-ASCII, control characters, lone
     surrogates and the empty string they must still be the text of
     `json.dumps` on each event of `reference_run`."""
     removed: set[str] = set()
     kinds: set[str] = set()  # line shapes the runs reached
-    for g in _awkward_graphs():
+    for g in awkward_graphs():
         for algo, runner in (("ccr", run_ccr), ("ccr-ebr", run_ccr_ebr)):
             for measure in (CLUSTERING_G3, CLUSTERING_G4):
                 r = runner(g, _cfg(measure=measure))
@@ -503,9 +486,8 @@ def test_trace_lines_equal_the_reference_dumps_on_awkward_labels():
 
 def test_dendrogram_exports(barbell):
     r = run_ccr(barbell)
-    obj = r.dendrogram.to_json_obj()
+    obj = json.loads(r.dendrogram.to_json_text())
     assert obj["n_vertices"] == 6
-    assert json.loads(json.dumps(obj)) == obj
     newick = r.dendrogram.to_newick()
     assert newick.endswith(";\n")
     assert newick.count("(") == newick.count(")")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from moddiv import (
 )
 from moddiv.graph import reachable_within
 
+from conftest import AWKWARD_LABELS
+
 
 def test_graph_canonicalizes_duplicates_and_self_loops(tmp_path):
     path = tmp_path / "dups.txt"
@@ -25,6 +28,13 @@ def test_graph_canonicalizes_duplicates_and_self_loops(tmp_path):
     assert g.warnings.duplicates == 1
     assert g.warnings.self_loops == 1
     assert g.labels == ["a", "b"]
+
+
+def test_label_json_is_each_label_json_dumps_encoded_once():
+    g = Graph(len(AWKWARD_LABELS), [], AWKWARD_LABELS)
+    assert g.label_json == [json.dumps(label) for label in AWKWARD_LABELS]
+    assert g.label_json is g.label_json
+    assert Graph(3, []).label_json == ['"0"', '"1"', '"2"']
 
 
 def test_edge_list_first_appearance_ids(tmp_path):

@@ -79,7 +79,7 @@ def _force(monkeypatch, forked: bool) -> None:
 def _run_bytes(g: Graph, measure: str) -> tuple:
     result = engine.run_ccr_ebr(g, EngineConfig(measure=measure))
     return (result.jsonl, result.best_q, result.best_partition.assignment,
-            result.dendrogram.to_json_obj(), result.dendrogram.to_newick())
+            result.dendrogram.to_json_text(), result.dendrogram.to_newick())
 
 
 def _both_paths(monkeypatch, g: Graph, measure: str) -> tuple:

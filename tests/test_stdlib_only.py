@@ -61,6 +61,13 @@ def test_importing_the_package_loads_no_dataclasses():
     assert not _loaded_by("moddiv") & {"dataclasses", "inspect"}
 
 
+def test_importing_the_cli_loads_no_pathlib():
+    # `detect` and `bench` reach their files through `os.path` and `open`;
+    # `pathlib` and what only it loads (`urllib.parse`, `ipaddress`,
+    # `fnmatch`, `ntpath`) were about a fifth of a site-free import.
+    assert "pathlib" not in _loaded_by("moddiv.cli")
+
+
 def test_importing_the_cli_loads_no_traceback_or_datetime():
     # Only the internal-error exit and stamped artifacts use them, and
     # they import them where they do.
