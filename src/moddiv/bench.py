@@ -11,14 +11,9 @@ from __future__ import annotations
 import os
 import time
 
-from .engine import EngineConfig, run_ccr, run_ccr_ebr
+from .engine import CCR, CCR_EBR, RUNNERS, EngineConfig
 from .graph import GraphLoadError, load_gml
 from .record import Record
-
-CCR = "ccr"
-CCR_EBR = "ccr-ebr"
-RUNNERS = {CCR: run_ccr, CCR_EBR: run_ccr_ebr}
-ALGORITHMS = tuple(RUNNERS)
 
 
 class DatasetSpec(Record):
@@ -101,7 +96,7 @@ class BenchRow(Record):
 
 def run_bench(
     data_dir,
-    algorithms=ALGORITHMS,
+    algorithms=tuple(RUNNERS),
     datasets=None,
     cfg: EngineConfig | None = None,
 ):

@@ -23,14 +23,13 @@ import os
 import sys
 from contextlib import contextmanager
 
-# `_RUNNERS` is the one pipeline table, shared with `bench`; perfbench's
-# tracer wraps the pipelines by patching it in place under this name.
-from .bench import ALGORITHMS, RUNNERS as _RUNNERS, rows_to_json_obj, rows_to_tsv, run_bench
-from .engine import ConfigError, EngineConfig
+# `_RUNNERS` is `engine.RUNNERS`, the one pipeline table, which `bench` and
+# `oracles` read too; perfbench's tracer wraps the pipelines by patching it
+# in place under this name.
+from .engine import RUNNERS as _RUNNERS, ConfigError, EngineConfig
 from .graph import GraphLoadError, Subgraph, load_edge_list, load_gml
 from .measures import BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4, compute_scores
 from .modularity import partition_to_json_text, partition_to_tsv
-from .oracles import DEFAULT_SEED, run_verification_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -87,19 +86,21 @@ def _write(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(out_dir: str, name: str, text: str, stamped: bool) -> None:
+def _write_json(out_dir: str, name: str, text: str, stamp: str | None) -> None:
     """Write `text`, an object's `json.dumps(obj, indent=2)` text, as
-    artifact `name`; `stamped` adds a `"generated_at"` line as its first key."""
-    if stamped:
-        text = f'{{\n  "generated_at": {json.dumps(_timestamp())},{text[1:]}'
+    artifact `name`; a `stamp` goes in a `"generated_at"` line as its first key."""
+    if stamp is not None:
+        text = f'{{\n  "generated_at": {json.dumps(stamp)},{text[1:]}'
     _write(out_dir, name, text + "\n")
 
 
+def _engine_config(args) -> EngineConfig:
+    return EngineConfig(measure=MEASURE_FLAGS[args.measure],
+                        refine_max_passes=args.refine_max_passes)
+
+
 def cmd_detect(args) -> int:
-    cfg = EngineConfig(
-        measure=MEASURE_FLAGS[args.measure],
-        refine_max_passes=args.refine_max_passes,
-    )
+    cfg = _engine_config(args)
     g = _load_graph(args.input, args.format)
     dropped = g.warnings
     if dropped.duplicates or dropped.self_loops:
@@ -114,17 +115,17 @@ def cmd_detect(args) -> int:
         print(f"warning: ignored GML keys: {', '.join(dropped.unknown_keys)}", file=sys.stderr)
     out_dir = _make_out_dir(args.out_dir)
     result = _RUNNERS[args.algo](g, cfg)
-    stamped = not args.no_timestamps
+    stamp = None if args.no_timestamps else _timestamp()
 
     tsv = partition_to_tsv(result.best_partition)
-    if stamped:
+    if stamp is not None:
         head, _, rest = tsv.partition("\n")
-        tsv = f"{head}\n# generated_at\t{_timestamp()}\n{rest}"
+        tsv = f"{head}\n# generated_at\t{stamp}\n{rest}"
     with _writing(out_dir):
         _write(out_dir, "partition.tsv", tsv)
         _write_json(out_dir, "partition.json",
-                    partition_to_json_text(result.best_partition), stamped)
-        _write_json(out_dir, "dendrogram.json", result.dendrogram.to_json_text(), stamped)
+                    partition_to_json_text(result.best_partition), stamp)
+        _write_json(out_dir, "dendrogram.json", result.dendrogram.to_json_text(), stamp)
         _write(out_dir, "dendrogram.newick", result.dendrogram.to_newick())
         _write(out_dir, "trace.jsonl", "".join(result.jsonl))
 
@@ -140,9 +141,12 @@ def cmd_measures(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_verification_suite(args.seed)
+    from . import oracles  # here, not at the top: `detect` never needs the suite
+
+    seed = oracles.DEFAULT_SEED if args.seed is None else args.seed
+    reports = oracles.run_verification_suite(seed)
     obj = {
-        "seed": args.seed,
+        "seed": seed,
         "passed": all(r.passed for r in reports),
         "checks": [r.to_obj() for r in reports],
     }
@@ -151,23 +155,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench  # here, not at the top: `detect` never needs the harness
+
     data_dir = args.data_dir or os.environ.get("MODDIV_DATA_DIR") or "data"
-    algorithms = ALGORITHMS if args.algo is None else (args.algo,)
-    cfg = EngineConfig(
-        measure=MEASURE_FLAGS[args.measure],
-        refine_max_passes=args.refine_max_passes,
-    )
+    algorithms = tuple(_RUNNERS) if args.algo is None else (args.algo,)
+    cfg = _engine_config(args)
     out_dir = _make_out_dir(args.out_dir) if args.out_dir else None
-    rows, warnings = run_bench(data_dir, algorithms, cfg=cfg)
+    rows, warnings = bench.run_bench(data_dir, algorithms, cfg=cfg)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
-    sys.stdout.write(rows_to_tsv(rows))
+    sys.stdout.write(bench.rows_to_tsv(rows))
     if out_dir is not None:
         with _writing(out_dir):
-            _write(out_dir, "bench.tsv", rows_to_tsv(rows))
+            _write(out_dir, "bench.tsv", bench.rows_to_tsv(rows))
             _write_json(out_dir, "bench.json",
-                        json.dumps(rows_to_json_obj(rows, warnings), indent=2),
-                        not args.no_timestamps)
+                        json.dumps(bench.rows_to_json_obj(rows, warnings), indent=2),
+                        None if args.no_timestamps else _timestamp())
     if args.strict:
         if not rows:
             print("error: no datasets were benchmarked", file=sys.stderr)
@@ -196,9 +199,9 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--refine-max-passes",
         type=int,
-        default=100,
+        default=EngineConfig().refine_max_passes,
         metavar="N",
-        help="cap on refinement sweeps per split (default 100)",
+        help="cap on refinement sweeps per split (default %(default)s)",
     )
 
 
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measures.set_defaults(func=cmd_measures)
 
     p_verify = subs.add_parser("verify", help="run the self-verification suite")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = subs.add_parser("bench", help="benchmark the stock datasets")

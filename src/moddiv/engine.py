@@ -858,3 +858,9 @@ def run_ccr_ebr(g: Graph, cfg: EngineConfig | None = None) -> DetectionResult:
     run.run_phase(2, BETWEENNESS)
     run.global_refine()
     return run.result()
+
+
+CCR = "ccr"
+CCR_EBR = "ccr-ebr"
+# Algorithm name to pipeline: the one table, read by `cli`, `bench` and `oracles`.
+RUNNERS = {CCR: run_ccr, CCR_EBR: run_ccr_ebr}

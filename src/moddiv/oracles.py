@@ -16,12 +16,12 @@ import random
 from collections import deque
 
 from .engine import (
+    CCR_EBR,
     Q_IMPROVEMENT_EPS,
+    RUNNERS,
     EngineConfig,
     RefinementMove,
     _reconcile,
-    run_ccr,
-    run_ccr_ebr,
 )
 from .graph import Graph, Subgraph, connected_components, reachable_within
 from .measures import (
@@ -318,7 +318,7 @@ def _reference_refine(g: Graph, assignment: list, candidates: set, max_passes: i
     return [ids[c] for c in p.assignment], q_before, modularity_q(g, p), moves
 
 
-def reference_run(g: Graph, algo: str, measure: str, max_passes: int = 100):
+def reference_run(g: Graph, algo: str, measure: str):
     """The divisive pipelines without any of the engine's shortcuts.
 
     Every bisection builds a fresh `Subgraph`, recomputes the scores after
@@ -328,7 +328,9 @@ def reference_run(g: Graph, algo: str, measure: str, max_passes: int = 100):
     assignment, as `run_ccr` or `run_ccr_ebr` (`algo` "ccr" or "ccr-ebr")
     would.  The log holds every event as a dict, removals included, and
     `json.dumps` of each is the line the engine writes to `trace.jsonl`.
+    Refinement keeps `EngineConfig`'s default pass cap.
     """
+    max_passes = EngineConfig().refine_max_passes
     assignment = list(connected_components(g).labels)
     next_id = max(assignment) + 1
     q = modularity_q(g, Partition(g, assignment))
@@ -347,7 +349,7 @@ def reference_run(g: Graph, algo: str, measure: str, max_passes: int = 100):
     def members(cid) -> list[int]:
         return [v for v in range(g.n) if assignment[v] == cid]
 
-    phases = [(1, measure)] + ([(2, BETWEENNESS)] if algo == "ccr-ebr" else [])
+    phases = [(1, measure)] + ([(2, BETWEENNESS)] if algo == CCR_EBR else [])
     for phase, kind in phases:
         queue = deque(sorted(set(assignment), key=lambda c: members(c)[0]))
         while queue:
@@ -390,7 +392,7 @@ def reference_run(g: Graph, algo: str, measure: str, max_passes: int = 100):
             else:
                 history.append({"type": "reject", "phase": phase, "community": cid,
                                 "q_tentative": q_new, "q_after": q})
-    if algo == "ccr-ebr":
+    if algo == CCR_EBR:
         candidates = {
             v for v in range(g.n) if any(assignment[w] != assignment[v] for w, _ in g.adj[v])
         }
@@ -796,7 +798,7 @@ def check_engine_vs_exhaustive(seed: int, cases: int = 100) -> OracleReport:
         _, opt_q = exhaustive_best_partition(g)
         digest = f"case={i} n={g.n} m={g.m}"
         best_seen = -math.inf
-        for label, runner in (("ccr", run_ccr), ("ccr-ebr", run_ccr_ebr)):
+        for label, runner in RUNNERS.items():
             got = runner(g).best_q
             best_seen = max(best_seen, got)
             excess = got - opt_q
@@ -815,7 +817,7 @@ def engine_reference_mismatch(g: Graph, algo: str, measure: str):
     `reference_run`'s, as (where, expected, got); None when the trace lines
     (the engine's `jsonl` against `json.dumps` of each reference event), the
     best Q and the assignment are all identical."""
-    runner = run_ccr if algo == "ccr" else run_ccr_ebr
+    runner = RUNNERS[algo]
     try:
         got = runner(g, EngineConfig(measure=measure))
     except Exception as exc:  # a crashing engine fails the check, not the suite
@@ -843,7 +845,7 @@ def check_engine_vs_reference(seed: int, cases: int = 150) -> OracleReport:
     report = OracleReport("engine-vs-reference", cases, 0.0, 0.0)
     for i in range(cases):
         kind, g = reference_corpus_graph(rng)
-        for algo in ("ccr", "ccr-ebr"):
+        for algo in RUNNERS:
             for measure in (CLUSTERING_G3, CLUSTERING_G4):
                 mismatch = engine_reference_mismatch(g, algo, measure)
                 if mismatch is not None:

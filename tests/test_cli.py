@@ -8,11 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from moddiv import cli
-from moddiv.bench import run_bench
+from moddiv import bench, cli, oracles
 from moddiv.cli import main
 from moddiv.modularity import Partition
-from moddiv.oracles import SUITE_CHECKS
 
 from conftest import dataset_path, require_dataset
 
@@ -242,6 +240,19 @@ def test_detect_timestamps_on_by_default(tmp_path, barbell_file):
         assert _unstamped((stamped / name).read_text()) == (plain / name).read_text()
 
 
+def test_detect_stamps_every_artifact_with_one_time(tmp_path, barbell_file, monkeypatch):
+    # a run that crosses a second boundary still stamps one time
+    stamps = iter(f"2026-01-01T00:00:{s:02d}+00:00" for s in range(60))
+    monkeypatch.setattr(cli, "_timestamp", lambda: next(stamps))
+    out = tmp_path / "out"
+    assert run_cli("detect", "--input", barbell_file, "--out-dir", out) == 0
+    tsv_stamp = (out / "partition.tsv").read_text().splitlines()[1]
+    assert tsv_stamp == "# generated_at\t2026-01-01T00:00:00+00:00"
+    for name in ("partition.json", "dendrogram.json"):
+        obj = json.loads((out / name).read_text())
+        assert obj["generated_at"] == "2026-01-01T00:00:00+00:00", name
+
+
 def test_detect_rejects_betweenness_for_the_divisive_phase(
     tmp_path, barbell_file, capsys
 ):
@@ -452,7 +463,8 @@ def test_verify_emits_machine_readable_report(capsys):
     assert run_cli("verify") == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["passed"] is True
-    assert [c["name"] for c in obj["checks"]] == list(SUITE_CHECKS)
+    assert obj["seed"] == oracles.DEFAULT_SEED
+    assert [c["name"] for c in obj["checks"]] == list(oracles.SUITE_CHECKS)
     assert all(c["passed"] for c in obj["checks"])
 
 
@@ -492,8 +504,8 @@ def test_bench_reports_rows_and_warnings(tmp_path, karate_dir, capsys, monkeypat
 
 def test_bench_json_stamp_is_one_line_before_the_rows(tmp_path, karate_dir, monkeypatch):
     # one set of rows for both runs: each run's wall times differ
-    rows = run_bench(karate_dir, algorithms=("ccr",))
-    monkeypatch.setattr(cli, "run_bench", lambda *args, **kwargs: rows)
+    rows = bench.run_bench(karate_dir, algorithms=("ccr",))
+    monkeypatch.setattr(bench, "run_bench", lambda *args, **kwargs: rows)
     stamped, plain = tmp_path / "stamped", tmp_path / "plain"
     assert run_cli("bench", "--data-dir", karate_dir, "--out-dir", stamped) == 0
     assert run_cli("bench", "--data-dir", karate_dir, "--out-dir", plain,

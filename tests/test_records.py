@@ -7,17 +7,17 @@ import pytest
 
 from moddiv import (
     CLUSTERING_G4,
-    BenchRow,
     Bisection,
     ConfigError,
     EngineConfig,
     Graph,
     LoadWarnings,
-    OracleReport,
     RefinementMove,
 )
+from moddiv.bench import BenchRow
 from moddiv.engine import DendrogramNode
 from moddiv.modularity import Community
+from moddiv.oracles import OracleReport
 
 
 def test_engine_config_is_read_only():

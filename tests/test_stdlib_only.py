@@ -36,39 +36,50 @@ def test_package_imports_only_the_standard_library():
 
 
 def _loaded_by(module: str) -> set[str]:
-    """Top-level names of every module a fresh interpreter holds after
+    """Full names of every module a fresh interpreter holds after
     `import <module>`.  `-S`: a site-packages `.pth` file may import
     modules before the probe runs."""
     probe = f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; print(*sys.modules)"
     run = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(PACKAGE.parent)],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    loaded = {name.split(".")[0] for name in run.stdout.split()}
+    loaded = set(run.stdout.split())
     assert "moddiv" in loaded
     return loaded
+
+
+def _top_level(names: set[str]) -> set[str]:
+    return {name.split(".")[0] for name in names}
 
 
 def test_importing_the_package_loads_no_process_or_thread_modules():
     # `setup_s` pays for every module `import moddiv` loads; the phase-2
     # helper forks through `os` alone.
-    loaded = _loaded_by("moddiv")
+    loaded = _top_level(_loaded_by("moddiv"))
     assert not loaded & {"multiprocessing", "concurrent", "subprocess", "threading"}
 
 
 def test_importing_the_package_loads_no_dataclasses():
     # Records are plain slotted classes: `dataclasses` and the `inspect`
     # it pulls in were most of a cold `import moddiv`.
-    assert not _loaded_by("moddiv") & {"dataclasses", "inspect"}
+    assert not _top_level(_loaded_by("moddiv")) & {"dataclasses", "inspect"}
 
 
 def test_importing_the_cli_loads_no_pathlib():
     # `detect` and `bench` reach their files through `os.path` and `open`;
     # `pathlib` and what only it loads (`urllib.parse`, `ipaddress`,
     # `fnmatch`, `ntpath`) were about a fifth of a site-free import.
-    assert "pathlib" not in _loaded_by("moddiv.cli")
+    assert "pathlib" not in _top_level(_loaded_by("moddiv.cli"))
 
 
 def test_importing_the_cli_loads_no_traceback_or_datetime():
     # Only the internal-error exit and stamped artifacts use them, and
     # they import them where they do.
-    assert not _loaded_by("moddiv.cli") & {"traceback", "datetime"}
+    assert not _top_level(_loaded_by("moddiv.cli")) & {"traceback", "datetime"}
+
+
+def test_importing_the_cli_loads_only_the_pipeline():
+    # `detect` needs neither the verification suite nor the dataset
+    # harness; `verify` and `bench` import them where they run.
+    loaded = _loaded_by("moddiv.cli")
+    assert not loaded & {"moddiv.oracles", "moddiv.bench", "random"}
