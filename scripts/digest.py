@@ -33,15 +33,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # leave no cache files in the source tree
 
 from moddiv.cli import main as moddiv_main  # noqa: E402
-from run import WORKLOADS, make_instances  # noqa: E402
+from run import ARTIFACTS, WORKLOADS, make_instances  # noqa: E402
 
-ARTIFACTS = (
-    "partition.tsv",
-    "partition.json",
-    "dendrogram.json",
-    "dendrogram.newick",
-    "trace.jsonl",
-)
 RUNS = tuple((algo, measure) for algo in ("ccr", "ccr-ebr") for measure in ("g3", "g4"))
 
 

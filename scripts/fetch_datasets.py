@@ -25,29 +25,31 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from moddiv.bench import DATASETS_BY_NAME  # noqa: E402
 from moddiv.graph import Graph, load_gml, write_gml  # noqa: E402
 
 SOURCES = {
-    # name: (archive url, member inside the zip, format, expected (n, m))
+    # name: (archive url, member inside the zip, format); the expected size
+    # is the dataset's `n` and `m` in `moddiv.bench.DATASETS_BY_NAME`
     "polbooks": (
         "http://www-personal.umich.edu/~mejn/netdata/polbooks.zip",
-        "polbooks.gml", "gml", (105, 441),
+        "polbooks.gml", "gml",
     ),
     "adjnoun": (
         "http://www-personal.umich.edu/~mejn/netdata/adjnoun.zip",
-        "adjnoun.gml", "gml", (112, 425),
+        "adjnoun.gml", "gml",
     ),
     "football": (
         "http://www-personal.umich.edu/~mejn/netdata/football.zip",
-        "football.gml", "gml", (115, 613),
+        "football.gml", "gml",
     ),
     "jazz": (
         "http://deim.urv.cat/~alexandre.arenas/data/xarxes/jazz.zip",
-        "jazz.net", "pajek", (198, 2742),
+        "jazz.net", "pajek",
     ),
     "email": (
         "http://deim.urv.cat/~alexandre.arenas/data/xarxes/email.zip",
-        "email.net", "pajek", (1133, 5451),
+        "email.net", "pajek",
     ),
 }
 
@@ -103,7 +105,9 @@ def fetch_archive(name: str, url: str, cache: Path) -> bytes:
 
 
 def convert(name: str, data_dir: Path) -> bool:
-    url, member, fmt, (exp_n, exp_m) = SOURCES[name]
+    url, member, fmt = SOURCES[name]
+    spec = DATASETS_BY_NAME[name]
+    exp_n, exp_m = spec.n, spec.m
     out = data_dir / f"{name}.gml"
     if out.is_file():
         g = load_gml(out)

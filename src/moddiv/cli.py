@@ -38,11 +38,8 @@ EXIT_CONFIG = 3
 EXIT_ACCEPTANCE = 4
 EXIT_INTERNAL = 5
 
-MEASURE_FLAGS = {
-    "g3": CLUSTERING_G3,
-    "g4": CLUSTERING_G4,
-    "betweenness": BETWEENNESS,
-}
+# The `--measure` choices: each measure's name in `measures` is its flag.
+_MEASURES = sorted((BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4))
 
 
 class OutputError(Exception):
@@ -66,13 +63,25 @@ def _make_out_dir(out_dir: str) -> str:
 
 
 def _load_graph(path: str, fmt: str | None):
+    """Load the input graph and report on standard error what the loader
+    dropped or ignored."""
     if not os.path.isfile(path):
         raise GraphLoadError(f"input file not found: {path}")
     if fmt is None:
         fmt = "gml" if os.path.splitext(path)[1].lower() == ".gml" else "edgelist"
-    if fmt == "gml":
-        return load_gml(path)
-    return load_edge_list(path)
+    g = load_gml(path) if fmt == "gml" else load_edge_list(path)
+    dropped = g.warnings
+    if dropped.duplicates or dropped.self_loops:
+        print(
+            f"warning: input cleanup: {dropped.duplicates} duplicate edges,"
+            f" {dropped.self_loops} self-loops dropped",
+            file=sys.stderr,
+        )
+    if dropped.weights:
+        print(f"warning: ignored {dropped.weights} edge weights", file=sys.stderr)
+    if dropped.unknown_keys:
+        print(f"warning: ignored GML keys: {', '.join(dropped.unknown_keys)}", file=sys.stderr)
+    return g
 
 
 def _timestamp() -> str:
@@ -95,24 +104,12 @@ def _write_json(out_dir: str, name: str, text: str, stamp: str | None) -> None:
 
 
 def _engine_config(args) -> EngineConfig:
-    return EngineConfig(measure=MEASURE_FLAGS[args.measure],
-                        refine_max_passes=args.refine_max_passes)
+    return EngineConfig(measure=args.measure, refine_max_passes=args.refine_max_passes)
 
 
 def cmd_detect(args) -> int:
     cfg = _engine_config(args)
     g = _load_graph(args.input, args.format)
-    dropped = g.warnings
-    if dropped.duplicates or dropped.self_loops:
-        print(
-            f"warning: input cleanup: {dropped.duplicates} duplicate edges,"
-            f" {dropped.self_loops} self-loops dropped",
-            file=sys.stderr,
-        )
-    if dropped.weights:
-        print(f"warning: ignored {dropped.weights} edge weights", file=sys.stderr)
-    if dropped.unknown_keys:
-        print(f"warning: ignored GML keys: {', '.join(dropped.unknown_keys)}", file=sys.stderr)
     out_dir = _make_out_dir(args.out_dir)
     result = _RUNNERS[args.algo](g, cfg)
     stamp = None if args.no_timestamps else _timestamp()
@@ -135,7 +132,7 @@ def cmd_detect(args) -> int:
 
 def cmd_measures(args) -> int:
     g = _load_graph(args.input, args.format)
-    table = compute_scores(MEASURE_FLAGS[args.measure], g, Subgraph(g, range(g.n)))
+    table = compute_scores(args.measure, g, Subgraph(g, range(g.n)))
     sys.stdout.write(table.to_tsv(g))
     return EXIT_OK
 
@@ -160,7 +157,7 @@ def cmd_bench(args) -> int:
     data_dir = args.data_dir or os.environ.get("MODDIV_DATA_DIR") or "data"
     algorithms = tuple(_RUNNERS) if args.algo is None else (args.algo,)
     cfg = _engine_config(args)
-    out_dir = _make_out_dir(args.out_dir) if args.out_dir else None
+    out_dir = None if args.out_dir is None else _make_out_dir(args.out_dir)
     rows, warnings = bench.run_bench(data_dir, algorithms, cfg=cfg)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
@@ -192,8 +189,8 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--measure",
-        choices=sorted(MEASURE_FLAGS),
-        default="g3",
+        choices=_MEASURES,
+        default=CLUSTERING_G3,
         help="edge measure for the divisive phase (default g3)",
     )
     sub.add_argument(
@@ -229,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measures = subs.add_parser("measures", help="dump per-edge scores as TSV")
     _add_input_flags(p_measures)
     p_measures.add_argument(
-        "--measure", choices=sorted(MEASURE_FLAGS), default="g3", help="score kind"
+        "--measure", choices=_MEASURES, default=CLUSTERING_G3, help="score kind"
     )
     p_measures.set_defaults(func=cmd_measures)
 

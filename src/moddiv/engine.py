@@ -39,7 +39,7 @@ from .measures import (
     rescore_edges,
     shift_cycles,
 )
-from .modularity import Partition, modularity_q, move_q
+from .modularity import _NL2, _NL6, Partition, _json_list, modularity_q, move_q
 from .record import Record
 
 # A split is kept, and a refinement move applied, only when Q rises by more
@@ -151,20 +151,6 @@ class TraceEntry(Record):
 
 # Newick's reserved characters and blanks, each of which a label loses to "_"
 _NEWICK_CLEAN = str.maketrans(dict.fromkeys(" \t,():;[]'", "_"))
-
-# A value nested d levels deep in `json.dumps(obj, indent=2)` text starts
-# each of its lines with a newline and 2 * d spaces.  Named, because the
-# expressions of an f-string cannot hold a backslash before Python 3.12.
-_NL2, _NL6 = "\n  ", "\n      "
-
-
-def _json_list(items: list[str], pad: str) -> str:
-    """The indented JSON text of a list whose items' texts are `items`,
-    written on a line that `pad`, a newline and that line's indent, starts."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def _moves_json(moves, labels: list[str], pad: str) -> str:
@@ -307,10 +293,6 @@ class DetectionResult:
     @property
     def history(self) -> list[dict]:
         return [json.loads(line) for line in self.jsonl]
-
-    @property
-    def trace(self) -> list[TraceEntry]:
-        return self.dendrogram.trace
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +673,6 @@ class _DivisiveRun:
             write(f'{head}{label_json[mv.vertex]}, "source": {mv.source}, "target": {mv.target},'
                   f' "gain": {mv.gain!r}, "q_after": {q!r}}}\n')
 
-    def _queue_order(self, cids) -> list[int]:
-        communities = self.partition.communities
-        return sorted(cids, key=lambda c: min(communities[c].members))
-
     def run_phase(self, phase: int, measure: str) -> None:
         """Bisect queued communities until no split raises Q.
 
@@ -729,7 +707,7 @@ class _DivisiveRun:
         g, p, proven, write = self.g, self.partition, self.proven, self.jsonl.append
         label_json, inf = g.label_json, math.inf
         kept: dict[int, tuple[Subgraph, EdgeScoreTable, tuple, set[int]]] = {}
-        queue = deque(self._queue_order(p.communities))
+        queue = deque(p.by_first_member(p.communities))
         jobs: dict[int, int] = {}  # community id -> its index among the helper's jobs
         helper = None
         if measure == BETWEENNESS:
@@ -804,9 +782,7 @@ class _DivisiveRun:
                         for c in (mv.source, mv.target):
                             if c in kept:
                                 kept[c][3].add(mv.vertex)
-                    live = [c for c in (new_a, new_b) if c in children]
-                    for child in self._queue_order(live):
-                        queue.append(child)
+                    queue.extend(p.by_first_member([c for c in (new_a, new_b) if c in children]))
                 else:
                     for mv in reversed(mvs):
                         p.undo_move(mv.vertex, mv.source)

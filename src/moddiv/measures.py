@@ -16,8 +16,8 @@ from heapq import heapify, heappop, heappush, heapreplace
 from .graph import Graph, Subgraph
 
 BETWEENNESS = "betweenness"
-CLUSTERING_G3 = "clustering_g3"
-CLUSTERING_G4 = "clustering_g4"
+CLUSTERING_G3 = "g3"
+CLUSTERING_G4 = "g4"
 
 CLUSTERING_KINDS = (CLUSTERING_G3, CLUSTERING_G4)
 

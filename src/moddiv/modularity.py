@@ -95,10 +95,14 @@ class Partition:
         clone._touched = set(self._touched)
         return clone
 
+    def by_first_member(self, cids) -> list[int]:
+        """The community ids `cids`, ordered by each community's smallest member."""
+        communities = self.communities
+        return sorted(cids, key=lambda c: min(communities[c].members))
+
     def renumbered(self) -> "Partition":
         """Equivalent partition with dense ids, ordered by smallest member."""
-        order = sorted(self.communities, key=lambda c: min(self.communities[c].members))
-        remap = {c: i for i, c in enumerate(order)}
+        remap = {c: i for i, c in enumerate(self.by_first_member(self.communities))}
         return Partition(self.graph, [remap[c] for c in self.assignment])
 
     # -- engine-facing mutations --------------------------------------------
@@ -244,17 +248,22 @@ def modularity_q_pairwise(g: Graph, p: Partition) -> float:
         raise ValueError("partition was built for a different graph")
     if g.m < 1:
         raise ValueError("modularity requires at least one edge")
+    return _pairwise_q(g, [{w for w, _ in row} for row in g.adj], p.assignment)
+
+
+def _pairwise_q(g: Graph, adjacency: list[set[int]], assignment: list[int]) -> float:
+    """Q of `assignment` summed over ordered vertex pairs, given each
+    vertex's neighbour set."""
+    n, degrees = g.n, g.degrees
     two_m = 2.0 * g.m
-    adjacency = [set(w for w, _ in g.adj[v]) for v in range(g.n)]
     total = 0.0
-    for v in range(g.n):
-        cv = p.assignment[v]
-        dv = g.degrees[v]
-        for w in range(g.n):
-            if p.assignment[w] != cv:
-                continue
-            a = 1.0 if w in adjacency[v] else 0.0
-            total += a - dv * g.degrees[w] / two_m
+    for v in range(n):
+        cv = assignment[v]
+        dv = degrees[v]
+        row = adjacency[v]
+        for w in range(n):
+            if assignment[w] == cv:
+                total += (1.0 if w in row else 0.0) - dv * degrees[w] / two_m
     return total / two_m
 
 
@@ -278,12 +287,25 @@ def move_q(degree: int, to_source: int, to_target: int, source_degree: int,
 # Export
 
 
+# A value nested d levels deep in `json.dumps(obj, indent=2)` text starts
+# each of its lines with a newline and 2 * d spaces.  Named, because the
+# expressions of an f-string cannot hold a backslash before Python 3.12.
+_NL2, _NL6 = "\n  ", "\n      "
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """The indented JSON text of a list whose items' texts are `items`,
+    written on a line that `pad`, a newline and that line's indent, starts."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def _dense(p: Partition) -> Partition:
     """`p` itself when its ids are already dense and ordered by smallest
     member, as a run's best partition is; otherwise `p.renumbered()`."""
-    ids = sorted(p.communities)
-    firsts = [min(p.communities[c].members) for c in ids]
-    if ids == list(range(len(ids))) and firsts == sorted(firsts):
+    if p.by_first_member(p.communities) == list(range(p.n_communities)):
         return p
     return p.renumbered()
 
@@ -308,13 +330,12 @@ def partition_to_json_text(p: Partition) -> str:
     texts = []
     for c in sorted(dense.communities):
         st = dense.communities[c]
-        members = ",\n        ".join([labels[v] for v in sorted(st.members)])
+        members = _json_list([labels[v] for v in sorted(st.members)], _NL6)
         texts.append(
             f'{{\n      "id": {c},\n      "size": {len(st.members)},'
             f'\n      "internal_edges": {st.internal_twice // 2},'
             f'\n      "total_degree": {st.total_degree},'
-            f'\n      "members": [\n        {members}\n      ]\n    }}'
+            f'\n      "members": {members}\n    }}'
         )
-    communities = ",\n    ".join(texts)
     return (f'{{\n  "q": {q!r},\n  "n_communities": {dense.n_communities},'
-            f'\n  "communities": [\n    {communities}\n  ]\n}}')
+            f'\n  "communities": {_json_list(texts, _NL2)}\n}}')

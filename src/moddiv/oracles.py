@@ -33,7 +33,7 @@ from .measures import (
     edge_betweenness,
     rescore_after_removal,
 )
-from .modularity import Partition, modularity_q, modularity_q_pairwise, move_q
+from .modularity import Partition, _pairwise_q, modularity_q, modularity_q_pairwise, move_q
 from .record import Record
 
 DEFAULT_SEED = 4129
@@ -425,7 +425,8 @@ def _set_partitions(n: int):
 
 
 def exhaustive_best_partition(g: Graph):
-    """Globally best partition by scoring every set partition of V.
+    """Globally best partition by scoring every set partition of V with
+    the pairwise sum `modularity_q_pairwise` makes.
 
     Returns (partition, q) where q comes from the pairwise scorer.  Guarded
     at n <= 10 (Bell numbers explode past that)."""
@@ -436,29 +437,11 @@ def exhaustive_best_partition(g: Graph):
         raise ValueError("exhaustive search is capped at 10 vertices")
     if g.m < 1:
         raise ValueError("graph has no edges")
-    adj = [set() for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    degrees = g.degrees
-    two_m = 2.0 * g.m
-
-    def score(assign) -> float:
-        q = 0.0
-        for v in range(n):
-            av = assign[v]
-            dv = degrees[v]
-            row = adj[v]
-            for w in range(n):
-                if assign[w] == av:
-                    a_vw = 1.0 if w in row else 0.0
-                    q += a_vw - dv * degrees[w] / two_m
-        return q / two_m
-
+    adjacency = [{w for w, _ in row} for row in g.adj]
     best_assign = None
     best_score = -math.inf
     for assign in _set_partitions(n):
-        s = score(assign)
+        s = _pairwise_q(g, adjacency, assign)
         if s > best_score:
             best_score = s
             best_assign = list(assign)

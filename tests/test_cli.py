@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from moddiv import bench, cli, oracles
+from moddiv import BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4, bench, cli, oracles
 from moddiv.cli import main
 from moddiv.modularity import Partition
 
@@ -456,6 +457,27 @@ def test_measures_betweenness_allowed(tmp_path, capsys):
     assert [line.split("\t")[2] for line in lines[1:]] == ["2.0", "2.0"]
 
 
+def test_measures_reports_dropped_input_on_stderr(tmp_path, capsys):
+    path = tmp_path / "dirty.txt"
+    path.write_text("a b 1.5\nb c\nc a\na b\nc c\nc d\n", encoding="utf-8")
+    assert run_cli("measures", "--input", path) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: input cleanup: 1 duplicate edges, 1 self-loops dropped",
+        "warning: ignored 1 edge weights",
+    ]
+    assert len(captured.out.splitlines()) == 1 + 4  # header, four edges
+
+
+@pytest.mark.parametrize("command", ["detect", "bench", "measures"])
+def test_measure_choices_are_the_measure_names(command):
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    measure = next(a for a in subs.choices[command]._actions if a.dest == "measure")
+    assert measure.choices == sorted((BETWEENNESS, CLUSTERING_G3, CLUSTERING_G4))
+    assert measure.default == CLUSTERING_G3 == "g3"
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -513,6 +535,16 @@ def test_bench_json_stamp_is_one_line_before_the_rows(tmp_path, karate_dir, monk
     text = (plain / "bench.json").read_text()
     assert _unstamped((stamped / "bench.json").read_text()) == text
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_bench_empty_out_dir_writes_to_the_current_directory(tmp_path, karate_dir,
+                                                             monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run_cli("bench", "--data-dir", karate_dir, "--algo", "ccr", "--out-dir", "",
+                   "--no-timestamps") == 0
+    assert sorted(p.name for p in work.iterdir()) == ["bench.json", "bench.tsv"]
 
 
 def test_bench_strict_with_no_datasets_exits_4(tmp_path, capsys):

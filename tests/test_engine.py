@@ -294,7 +294,7 @@ def test_two_disjoint_triangles(two_triangles):
     assert r.best_partition.n_communities == 2
     assert abs(r.best_q - 0.5) < 1e-12
     # the split was free: both communities exist from the start
-    assert r.trace[0].n_communities == 2
+    assert r.dendrogram.trace[0].n_communities == 2
 
 
 def test_k3_stays_whole(k3):
@@ -333,7 +333,7 @@ def test_trace_is_strictly_increasing_and_deterministic():
             r2 = runner(g)
             assert r1.best_partition.assignment == r2.best_partition.assignment
             assert r1.jsonl == r2.jsonl
-            qs = [t.q for t in r1.trace]
+            qs = [t.q for t in r1.dendrogram.trace]
             assert all(b > a for a, b in zip(qs, qs[1:]))
 
 
@@ -388,8 +388,8 @@ def test_best_partition_is_the_final_state():
     for g in graphs:
         for runner in (run_ccr, run_ccr_ebr):
             r = runner(g)
-            last = r.trace[-1]
-            assert max(t.q for t in r.trace) == last.q
+            last = r.dendrogram.trace[-1]
+            assert max(t.q for t in r.dendrogram.trace) == last.q
             assert abs(r.best_q - last.q) < 1e-12
             assert r.best_partition.n_communities == last.n_communities
 
@@ -498,7 +498,7 @@ def test_detection_result_q_matches_partition(barbell, two_triangles):
         for runner in (run_ccr, run_ccr_ebr):
             r = runner(g)
             assert r.best_q == modularity_q(g, r.best_partition)
-            assert r.best_q >= r.trace[0].q
+            assert r.best_q >= r.dendrogram.trace[0].q
 
 
 def _ring_of_k4s_with_outsider(k: int) -> Graph:

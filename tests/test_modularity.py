@@ -253,6 +253,19 @@ def test_exports_renumber_only_a_partition_that_needs_it():
     assert partition_to_json_text(gapped) == partition_to_json_text(dense)
 
 
+def test_by_first_member_orders_gapped_ids_by_smallest_member():
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    p = Partition(g, [0, 0, 1, 1, 2, 2])
+    p.split_community(0, [1], False)  # {0} takes id 3, {1} id 4
+    assert sorted(p.communities) == [1, 2, 3, 4]
+    assert p.by_first_member(p.communities) == [3, 4, 1, 2]
+    assert p.by_first_member([2, 4]) == [4, 2]
+    dense = _dense(p)
+    assert dense is not p
+    assert dense.assignment == [0, 1, 2, 2, 3, 3]
+    assert _dense(dense) is dense
+
+
 def test_partition_json_reports_q_and_stats(barbell):
     p = Partition(barbell, [0, 0, 0, 1, 1, 1])
     obj = json.loads(partition_to_json_text(p))

@@ -84,7 +84,7 @@ def test_every_final_community_is_connected(g):
 @given(graphs())
 def test_trace_q_strictly_increases(g):
     for r in _runs(g):
-        qs = [t.q for t in r.trace]
+        qs = [t.q for t in r.dendrogram.trace]
         assert all(b > a for a, b in zip(qs, qs[1:]))
 
 

@@ -40,6 +40,8 @@ def test_engine_config_constructs_by_keyword_and_position():
     assert EngineConfig(refine_max_passes=7) != cfg
     with pytest.raises(ConfigError):
         EngineConfig(measure="betweenness")
+    with pytest.raises(ConfigError):  # a measure's name is its CLI flag
+        EngineConfig(measure="clustering_g3")
     with pytest.raises(ConfigError):
         EngineConfig(refine_max_passes=True)
 
