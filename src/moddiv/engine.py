@@ -98,44 +98,35 @@ class Bisection(Record):
     """Outcome of one divisive split: one side plus the removals that caused it.
 
     `side` is the side the split test walked, as sorted vertex ids; the
-    other side is the rest of the community.  `side_is_a` tells whether
-    `side` is side a, the one holding the community's smallest vertex.
-    `removals` holds (edge id, score at removal time) pairs.
+    other side is the rest of the community.  `removals` holds (edge id,
+    score at removal time) pairs.
     """
 
-    __slots__ = ("side", "side_is_a", "removals")
+    __slots__ = ("side", "removals")
 
-    def __init__(self, side: tuple[int, ...], side_is_a: bool,
-                 removals: tuple[tuple[int, float], ...]):
+    def __init__(self, side: tuple[int, ...], removals: tuple[tuple[int, float], ...]):
         self.side = side
-        self.side_is_a = side_is_a
         self.removals = removals
 
 
 class DendrogramNode(Record):
     """One community of the split tree, made internal by its accepted split.
 
-    `moves` holds the refinement moves of the accepted split; `members` is
-    filled for leaves only.
+    A node starts as a leaf: no children, no split Q, no moves and no
+    members.  The run sets the rest: `split_q` and `moves`, the refinement
+    moves of the accepted split, when the node is split; `members` when a
+    leaf is finished.
     """
 
     __slots__ = ("node_id", "parent", "children", "split_q", "moves", "members")
 
-    def __init__(
-        self,
-        node_id: int,
-        parent: int | None = None,
-        children: list[int] | None = None,
-        split_q: float | None = None,
-        moves: tuple[RefinementMove, ...] = (),
-        members: list[int] | None = None,
-    ):
+    def __init__(self, node_id: int, parent: int | None = None):
         self.node_id = node_id
         self.parent = parent
-        self.children = [] if children is None else children
-        self.split_q = split_q
-        self.moves = moves
-        self.members = [] if members is None else members
+        self.children: list[int] = []
+        self.split_q: float | None = None
+        self.moves: tuple[RefinementMove, ...] = ()
+        self.members: list[int] = []
 
 
 class TraceEntry(Record):
@@ -299,19 +290,8 @@ class DetectionResult:
 # Core operations
 
 
-def _bisection(sub: Subgraph, side: set[int], removals) -> Bisection:
-    """Bisection of `sub` into the vertices in `side` and the rest."""
-    walked = sorted(side)
-    return Bisection(tuple(walked), walked[0] == min(sub.nbrs), tuple(removals))
-
-
-def bisect_community(
-    g: Graph,
-    sub: Subgraph,
-    measure: str,
-    table: EdgeScoreTable | None = None,
-    connected: bool = False,
-) -> Bisection:
+def bisect_community(g: Graph, sub: Subgraph, table: EdgeScoreTable,
+                     connected: bool = False) -> Bisection:
     """Split the community `sub` in two.
 
     A disconnected community splits with no removals: the component of its
@@ -327,12 +307,12 @@ def bisect_community(
     whether the edge's endpoints are still connected; a clustering table
     skips the search when the removed edge's kept count of triangles (g3)
     or 4-cycles (g4) is above 0, since any one of them leaves a path
-    between the endpoints.  `table` may hold the scores of `sub` already
-    (a kept clustering table); otherwise they are computed.  The removals
-    are made on `sub` itself, and a clustering table passed in is brought
-    up to date in place, the last removal forgotten: its kept count was 0,
-    so that is all a rescore would do.  The bisection carries the side the
-    split test ran out of, and the other side is never walked.
+    between the endpoints.  `table` holds the scores of `sub`, and its kind
+    is the measure.  The removals are made on `sub` itself, and a
+    clustering table is brought up to date in place, the last removal
+    forgotten: its kept count was 0, so that is all a rescore would do.
+    The bisection carries the side the split test ran out of, and the
+    other side is never walked.
     """
     if len(sub) < 2:
         raise ValueError("community must contain at least two vertices")
@@ -341,10 +321,8 @@ def bisect_community(
         if len(side) < len(sub):
             if 2 * len(side) > len(sub):
                 side = sub.nbrs.keys() - side
-            return _bisection(sub, side, ())
+            return Bisection(tuple(sorted(side)), ())
 
-    if table is None:
-        table = compute_scores(measure, g, sub)
     cycles = table.cycles  # the same dict for every rescore; None for betweenness
     removals: list[tuple[int, float]] = []
     # The table never empties: while u and v stay connected after a
@@ -362,7 +340,7 @@ def bisect_community(
             if u not in side or v not in side:
                 if cycles is not None:
                     table.forget((eid,))
-                return _bisection(sub, side, removals)
+                return Bisection(tuple(sorted(side)), tuple(removals))
         table = rescore_after_removal(table, g, sub, eid)
 
 
@@ -414,7 +392,7 @@ def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed
     rescore_edges(table, touched, rose)
 
 
-def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
+def refine(p: Partition, candidates: set[int], max_passes: int):
     """Move candidate vertices wherever modularity strictly improves.
 
     Passes over the candidates in ascending id order; each vertex is offered
@@ -434,6 +412,7 @@ def refine(g: Graph, p: Partition, candidates: set[int], max_passes: int):
     tallying it again.
     """
     moves: list[RefinementMove] = []
+    g = p.graph
     m = g.m
     assignment = p.assignment
     outside: dict[int, int] = {}
@@ -530,9 +509,9 @@ class _BisectionHelper:
 
     Job i is the i-th of those communities: its members and whether it was
     proven connected when the phase started.  The helper bisects the jobs
-    from the last one down and writes each one's side, `side_is_a` and
-    removals to the results pipe, one `marshal` record (which keeps every
-    float's bits) behind its length each.  The two ends meet at the mark,
+    from the last one down and writes each one's side and removals to the
+    results pipe, one `marshal` record (which keeps every float's bits)
+    behind its length each.  The two ends meet at the mark,
     4 bytes of memory both processes share: `take(i)` sets it to i + 1,
     and the helper reads it before each job and leaves through `os._exit`
     once its next job is below it.  The jobs it never reached are the
@@ -581,8 +560,9 @@ class _BisectionHelper:
                 if i < int.from_bytes(mark, "little"):
                     break
                 members, connected = self.jobs[i]
-                bis = bisect_community(g, Subgraph(g, members), BETWEENNESS, connected=connected)
-                record = marshal.dumps((i, bis.side, bis.side_is_a, bis.removals))
+                sub = Subgraph(g, members)
+                bis = bisect_community(g, sub, compute_scores(BETWEENNESS, g, sub), connected)
+                record = marshal.dumps((i, bis.side, bis.removals))
                 out.write(len(record).to_bytes(4, "little") + record)
                 out.flush()
 
@@ -659,7 +639,7 @@ class _DivisiveRun:
         self.partition = Partition(g, connected_components(g).labels)
         # ids of communities known to be connected; see `run_phase`
         self.proven = set(self.partition.communities)
-        self.q = modularity_q(g, self.partition)
+        self.q = modularity_q(self.partition)
         self.jsonl: list[str] = []  # one trace.jsonl line per event of any type
         self.dendrogram = Dendrogram(g, TraceEntry("init", self.q, self.partition.n_communities))
 
@@ -698,11 +678,13 @@ class _DivisiveRun:
         Betweenness tables are recomputed after every removal anyway, and
         Brandes' float sums follow the subgraph's vertex order, ascending
         ids only in a fresh build, so the betweenness phase builds every
-        subgraph fresh.  That makes a starting community's bisection a
-        function of its members alone, so when `_use_helper` allows, a
-        forked `_BisectionHelper` bisects the starting communities from the
-        far end of the queue, and the phase takes each result whose
-        community still has the members it had at the start.
+        subgraph fresh, and its table before the opening search, as a
+        clustering phase does for its starting communities.  That makes a
+        starting community's bisection a function of its members alone, so
+        when `_use_helper` allows, a forked `_BisectionHelper` bisects the
+        starting communities from the far end of the queue, and the phase
+        takes each result whose community still has the members it had at
+        the start.
         """
         g, p, proven, write = self.g, self.partition, self.proven, self.jsonl.append
         label_json, inf = g.label_json, math.inf
@@ -729,16 +711,14 @@ class _DivisiveRun:
 
                 job = jobs.pop(cid, None)
                 bis = None if job is None else helper.take(job, community.members)
-                table = None  # the clustering table `bis` was picked from
                 if bis is None:
                     if state is not None:
                         _reconcile(g, *state, community.members)
                         sub, table = state[:2]
                     else:
                         sub = Subgraph(g, community.members)
-                        if measure != BETWEENNESS:
-                            table = compute_scores(measure, g, sub)
-                    bis = bisect_community(g, sub, measure, table, connected=cid in proven)
+                        table = compute_scores(measure, g, sub)
+                    bis = bisect_community(g, sub, table, connected=cid in proven)
                 q = self.q
                 head = f'{{"type": "remove", "phase": {phase}, "community": {cid}, "edge_id": '
                 tail = f', "q_after": {q!r}}}\n'
@@ -748,15 +728,16 @@ class _DivisiveRun:
                     write(f'{head}{eid}, "edge": [{label_json[u]}, {label_json[v]}],'
                           f' "score": {score_json}{tail}')
 
-                new_a, new_b = p.split_community(cid, bis.side, bis.side_is_a)
+                new_a, new_b = p.split_community(cid, bis.side)
+                walked = p.assignment[bis.side[0]]  # the walked side's id, before any move
                 proven.update((new_a, new_b) if bis.removals else (new_a,))
                 candidates = {x for eid, _ in bis.removals for x in g.edges[eid]}
 
-                q_split = modularity_q(g, p)
-                _, mvs = refine(g, p, candidates, self.cfg.refine_max_passes)
+                q_split = modularity_q(p)
+                _, mvs = refine(p, candidates, self.cfg.refine_max_passes)
                 proven.difference_update(mv.source for mv in mvs)
                 self._log_moves(mvs, q_split, phase)
-                q_new = modularity_q(g, p)
+                q_new = modularity_q(p)
 
                 if q_new > self.q + Q_IMPROVEMENT_EPS:
                     self.q = q_new
@@ -769,11 +750,11 @@ class _DivisiveRun:
                           f' "q_after": {q_new!r}}}\n')
                     self.dendrogram.split(cid, (new_a, new_b), q_new, mvs)
                     self.dendrogram.trace.append(TraceEntry("split", q_new, p.n_communities))
-                    if table is not None:
+                    if measure != BETWEENNESS:
                         # no live edge crosses the split, so each side's rows,
                         # scores and counts are its own
                         part = sub.split_off(bis.side)
-                        walked, rest = (new_a, new_b) if bis.side_is_a else (new_b, new_a)
+                        rest = new_b if walked == new_a else new_a
                         states = {walked: (part, table.split_off(part.nbrs)), rest: (sub, table)}
                         for child, (child_sub, child_table) in states.items():
                             if child in children:
@@ -802,19 +783,19 @@ class _DivisiveRun:
             v for v in range(self.g.n)
             if any(assignment[w] != assignment[v] for w, _ in self.g.adj[v])
         }
-        _, mvs = refine(self.g, self.partition, candidates, self.cfg.refine_max_passes)
+        _, mvs = refine(self.partition, candidates, self.cfg.refine_max_passes)
         if not mvs:
             return
         self._log_moves(mvs, self.q, 2, "final-refine")
         self.dendrogram.final_moves = mvs
-        self.q = modularity_q(self.g, self.partition)
+        self.q = modularity_q(self.partition)
         self.dendrogram.trace.append(
             TraceEntry("final-refine", self.q, self.partition.n_communities))
 
     def result(self) -> DetectionResult:
         best = self.partition.renumbered()
         self.dendrogram.finish(self.partition)
-        return DetectionResult(best, modularity_q(self.g, best), self.dendrogram, self.jsonl)
+        return DetectionResult(best, modularity_q(best), self.dendrogram, self.jsonl)
 
 
 def run_ccr(g: Graph, cfg: EngineConfig | None = None) -> DetectionResult:

@@ -107,17 +107,16 @@ class Partition:
 
     # -- engine-facing mutations --------------------------------------------
 
-    def split_community(self, cid: int, side, side_is_a: bool) -> tuple[int, int]:
+    def split_community(self, cid: int, side) -> tuple[int, int]:
         """Replace community `cid` by two new communities; returns their ids.
 
         `side` is one side of the split: a nonempty proper subset of the
         community, without duplicates.  The other side is the rest of the
         community.  The first id goes to side a, the side holding the
-        community's smallest vertex, which `side` is when `side_is_a`.
-        Only `side`'s edges are walked: the rest's totals follow from the
-        parent's by integer subtraction, and its members are the parent's
-        less `side`.  The parent's record is left as it was, so `unsplit`
-        can put it back.
+        community's smallest vertex.  Only `side`'s edges are walked: the
+        rest's totals follow from the parent's by integer subtraction, and
+        its members are the parent's less `side`.  The parent's record is
+        left as it was, so `unsplit` can put it back.
         """
         parent = self.communities[cid]
         walked = set(side)
@@ -132,19 +131,19 @@ class Partition:
                     internal_twice += 1
                 elif assignment[w] == cid:
                     cut += 1
+        rest = parent.members - walked
         records = (
             Community(walked, internal_twice, total_degree),
-            Community(
-                parent.members - walked,
-                parent.internal_twice - internal_twice - 2 * cut,
-                parent.total_degree - total_degree,
-            ),
+            Community(rest, parent.internal_twice - internal_twice - 2 * cut,
+                      parent.total_degree - total_degree),
         )
+        if min(rest) < min(walked):
+            records = records[::-1]  # side a first
         id_a = self._next_id
         id_b = self._next_id + 1
         self._next_id += 2
         del self.communities[cid]
-        for new_id, record in zip((id_a, id_b), records if side_is_a else reversed(records)):
+        for new_id, record in zip((id_a, id_b), records):
             for v in record.members:
                 assignment[v] = new_id
             self.communities[new_id] = record
@@ -209,7 +208,7 @@ class Partition:
         self.move(v, source, to_current, to_source)
 
 
-def modularity_q(g: Graph, p: Partition) -> float:
+def modularity_q(p: Partition) -> float:
     """Exact modularity of the partition, from the per-community totals.
 
     The terms are added left to right in ascending community id.  The
@@ -217,8 +216,7 @@ def modularity_q(g: Graph, p: Partition) -> float:
     touched since, so only the terms from there on are added again: the
     result is the same float a full sum gives.
     """
-    if p.graph is not g:
-        raise ValueError("partition was built for a different graph")
+    g = p.graph
     if g.m < 1:
         raise ValueError("modularity requires at least one edge")
     ids, sums, touched = p._q_ids, p._q_sums, p._touched
@@ -238,14 +236,13 @@ def modularity_q(g: Graph, p: Partition) -> float:
     return sums[-1]
 
 
-def modularity_q_pairwise(g: Graph, p: Partition) -> float:
+def modularity_q_pairwise(p: Partition) -> float:
     """Modularity by the ordered-pair definition; slow oracle for `modularity_q`.
 
     Sums (adjacency - expected under the degree-preserving null model) over
     all ordered vertex pairs sharing a community, including the diagonal.
     """
-    if p.graph is not g:
-        raise ValueError("partition was built for a different graph")
+    g = p.graph
     if g.m < 1:
         raise ValueError("modularity requires at least one edge")
     return _pairwise_q(g, [{w for w, _ in row} for row in g.adj], p.assignment)
@@ -324,9 +321,8 @@ def partition_to_json_text(p: Partition) -> str:
     the object with Q, the community count and, per community, its id,
     size, internal edge count, total degree and members (labels)."""
     dense = _dense(p)
-    g = dense.graph
-    labels = g.label_json
-    q = modularity_q(g, dense)
+    labels = dense.graph.label_json
+    q = modularity_q(dense)
     texts = []
     for c in sorted(dense.communities):
         st = dense.communities[c]

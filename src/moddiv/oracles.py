@@ -52,19 +52,19 @@ SUITE_CHECKS = (
 class OracleReport(Record):
     """Outcome of one verification check.
 
-    `failures` holds (input digest, expected, got) triples; it is empty
+    `record` keeps the largest difference seen in `max_abs_diff`, from 0,
+    and `failures` holds (input digest, expected, got) triples; it is empty
     exactly when `max_abs_diff` stayed within `tolerance`.
     """
 
     __slots__ = ("name", "cases", "max_abs_diff", "tolerance", "failures")
 
-    def __init__(self, name: str, cases: int, max_abs_diff: float, tolerance: float,
-                 failures: list | None = None):
+    def __init__(self, name: str, cases: int, tolerance: float):
         self.name = name
         self.cases = cases
-        self.max_abs_diff = max_abs_diff
+        self.max_abs_diff = 0.0
         self.tolerance = tolerance
-        self.failures = [] if failures is None else failures
+        self.failures: list = []
 
     @property
     def passed(self) -> bool:
@@ -268,11 +268,12 @@ def betweenness_naive(g: Graph, within) -> EdgeScoreTable:
     return EdgeScoreTable(BETWEENNESS, scores)
 
 
-def refine_naive(g: Graph, p: Partition, candidates: set, max_passes: int):
+def refine_naive(p: Partition, candidates: set, max_passes: int):
     """`engine.refine` without its kept counts: every sweep tallies every
     candidate's neighbours afresh, interior vertices included.  Mutates `p`
     and `candidates` as `refine` does; returns the partition and the moves.
     """
+    g = p.graph
     moves: list[RefinementMove] = []
     for _ in range(max_passes):
         moved = False
@@ -312,10 +313,10 @@ def _reference_refine(g: Graph, assignment: list, candidates: set, max_passes: i
     ids = sorted(set(assignment))
     dense = {c: i for i, c in enumerate(ids)}
     p = Partition(g, [dense[c] for c in assignment])
-    q_before = modularity_q(g, p)
-    p, moves = refine_naive(g, p, candidates, max_passes)
+    q_before = modularity_q(p)
+    p, moves = refine_naive(p, candidates, max_passes)
     moves = [RefinementMove(mv.vertex, ids[mv.source], ids[mv.target], mv.gain) for mv in moves]
-    return [ids[c] for c in p.assignment], q_before, modularity_q(g, p), moves
+    return [ids[c] for c in p.assignment], q_before, modularity_q(p), moves
 
 
 def reference_run(g: Graph, algo: str, measure: str):
@@ -333,7 +334,7 @@ def reference_run(g: Graph, algo: str, measure: str):
     max_passes = EngineConfig().refine_max_passes
     assignment = list(connected_components(g).labels)
     next_id = max(assignment) + 1
-    q = modularity_q(g, Partition(g, assignment))
+    q = modularity_q(Partition(g, assignment))
     history: list[dict] = []
 
     def log_moves(moves, q_run: float, phase: int, stage=None) -> None:
@@ -403,7 +404,7 @@ def reference_run(g: Graph, algo: str, measure: str):
     order = sorted(set(assignment), key=lambda c: members(c)[0])
     remap = {c: i for i, c in enumerate(order)}
     best = Partition(g, [remap[c] for c in assignment])
-    return history, modularity_q(g, best), best.assignment
+    return history, modularity_q(best), best.assignment
 
 
 def _set_partitions(n: int):
@@ -446,7 +447,7 @@ def exhaustive_best_partition(g: Graph):
             best_score = s
             best_assign = list(assign)
     best = Partition(g, best_assign)
-    return best, modularity_q_pairwise(g, best)
+    return best, modularity_q_pairwise(best)
 
 
 def cycle_count_naive(g: Graph, sub: Subgraph, edge_id: int, order: int) -> int:
@@ -478,15 +479,15 @@ def cycle_count_naive(g: Graph, sub: Subgraph, edge_id: int, order: int) -> int:
 
 def check_q_fast_vs_pairwise(seed: int, cases: int = 1000) -> OracleReport:
     rng = random.Random(seed)
-    report = OracleReport("q-fast-vs-pairwise", cases, 0.0, 1e-12)
+    report = OracleReport("q-fast-vs-pairwise", cases, 1e-12)
     for i in range(cases):
         n = rng.randint(2, 30)
         p = rng.choice((0.1, 0.3, 0.6))
         g = gnp_graph(rng, n, p)
         k = rng.randint(1, n)
         part = Partition(g, random_dense_assignment(rng, n, k))
-        fast = modularity_q(g, part)
-        slow = modularity_q_pairwise(g, part)
+        fast = modularity_q(part)
+        slow = modularity_q_pairwise(part)
         report.record(
             abs(fast - slow), f"case={i} n={n} m={g.m} k={part.n_communities}", slow, fast
         )
@@ -500,7 +501,7 @@ def check_moveq_vs_recompute(seed: int, cases: int = 10000, move_q_fn=move_q) ->
     deliberately corrupted gain function.
     """
     rng = random.Random(seed)
-    report = OracleReport("moveq-vs-recompute", cases, 0.0, 1e-12)
+    report = OracleReport("moveq-vs-recompute", cases, 1e-12)
     done = 0
     while done < cases:
         n = rng.randint(3, 30)
@@ -508,7 +509,7 @@ def check_moveq_vs_recompute(seed: int, cases: int = 10000, move_q_fn=move_q) ->
         g = gnp_graph(rng, n, p)
         k = rng.randint(2, min(n, 8))
         part = Partition(g, random_dense_assignment(rng, n, k))
-        q = modularity_q(g, part)
+        q = modularity_q(part)
         for _ in range(20):
             if done >= cases or part.n_communities < 2:
                 break
@@ -530,7 +531,7 @@ def check_moveq_vs_recompute(seed: int, cases: int = 10000, move_q_fn=move_q) ->
                 part.communities[target].total_degree, g.m,
             )
             part.move(v, target, to_source, to_target)
-            q_after = modularity_q(g, part)
+            q_after = modularity_q(part)
             report.record(
                 abs((q_after - q) - gain),
                 f"case={done} n={n} m={g.m} v={v} {source}->{target}",
@@ -551,7 +552,7 @@ def _betweenness_corpus(seed: int, cases: int):
 
 
 def check_betweenness_vs_naive(seed: int, cases: int = 200, fast_fn=edge_betweenness) -> OracleReport:
-    report = OracleReport("betweenness-vs-naive", cases, 0.0, 1e-9)
+    report = OracleReport("betweenness-vs-naive", cases, 1e-9)
     for i, g in _betweenness_corpus(seed, cases):
         verts = range(g.n)
         fast = fast_fn(g, Subgraph(g, verts))
@@ -570,7 +571,7 @@ def check_betweenness_sum_law(seed: int, cases: int = 200, fast_fn=edge_betweenn
     """Total edge betweenness of a connected graph equals the sum of all
     pairwise shortest-path distances (each pair's unit of flow crosses
     exactly d(s, t) edges, however it splits across routes)."""
-    report = OracleReport("betweenness-sum-law", cases, 0.0, 1e-9)
+    report = OracleReport("betweenness-sum-law", cases, 1e-9)
     for i, g in _betweenness_corpus(seed, cases):
         table = fast_fn(g, Subgraph(g, range(g.n)))
         total = sum(table.scores[eid] for eid in sorted(table.scores))
@@ -722,7 +723,7 @@ def check_rescore_vs_full(seed: int, cases: int = 50) -> OracleReport:
     4-cycle counts are also checked against literal enumeration.  The first
     difference ends the case."""
     rng = random.Random(seed)
-    report = OracleReport("rescore-vs-full", cases, 0.0, 0.0)
+    report = OracleReport("rescore-vs-full", cases, 0.0)
     for i in range(cases):
         kind = CLUSTERING_G3 if i % 2 == 0 else CLUSTERING_G4
         n = rng.randint(5, 40 if kind == CLUSTERING_G3 else 25)
@@ -772,7 +773,7 @@ def check_engine_vs_exhaustive(seed: int, cases: int = 100) -> OracleReport:
     """The divisive engine may never beat the exhaustive optimum, and should
     land within 90% of it on at least 90% of the sample."""
     rng = random.Random(seed)
-    report = OracleReport("engine-vs-exhaustive", cases, 0.0, 1e-12)
+    report = OracleReport("engine-vs-exhaustive", cases, 1e-12)
     in_band = 0
     for i in range(cases):
         n = rng.randint(3, 8)
@@ -825,7 +826,7 @@ def check_engine_vs_reference(seed: int, cases: int = 150) -> OracleReport:
     """Whole runs of both pipelines, with g3 and g4, must equal
     `reference_run` exactly on a seeded `reference_corpus_graph` corpus."""
     rng = random.Random(seed)
-    report = OracleReport("engine-vs-reference", cases, 0.0, 0.0)
+    report = OracleReport("engine-vs-reference", cases, 0.0)
     for i in range(cases):
         kind, g = reference_corpus_graph(rng)
         for algo in RUNNERS:

@@ -74,7 +74,7 @@ def replayed_tree(g: Graph, lines) -> dict:
     if start.n_communities == 1:
         node_of = {0: 0}
     else:
-        nodes[0]["split_q"] = modularity_q(g, start)
+        nodes[0]["split_q"] = modularity_q(start)
         node_of = {c: add(0) for c in range(start.n_communities)}
     pending: list[dict] = []
     final_moves: list[dict] = []

@@ -200,10 +200,10 @@ def test_06_oracle_equivalences(announce):
 
 def test_07_analytic_fixed_points(announce, star5, path3):
     single_edge = Graph(2, [(0, 1)])
-    q_whole = modularity_q(single_edge, Partition(single_edge, [0, 0]))
-    q_split = modularity_q(single_edge, Partition(single_edge, [0, 1]))
+    q_whole = modularity_q(Partition(single_edge, [0, 0]))
+    q_split = modularity_q(Partition(single_edge, [0, 1]))
     whole_graphs = [star5, path3, Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])]
-    q_wholes = [modularity_q(g, Partition(g, [0] * g.n)) for g in whole_graphs]
+    q_wholes = [modularity_q(Partition(g, [0] * g.n)) for g in whole_graphs]
 
     star = edge_clustering_g3(star5, Subgraph(star5, range(5)))
     path = edge_clustering_g3(path3, Subgraph(path3, range(3)))

@@ -58,7 +58,7 @@ def _partition_obj(p) -> dict:
     dense = p.renumbered()
     g = dense.graph
     return {
-        "q": modularity_q(g, dense),
+        "q": modularity_q(dense),
         "n_communities": dense.n_communities,
         "communities": [
             {

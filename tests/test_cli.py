@@ -3,8 +3,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -436,6 +439,31 @@ def test_missing_and_empty_inputs_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_directory_input_exits_2_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("detect", "--input", tmp_path, "--out-dir", out) == 2
+    assert not out.exists()
+    assert run_cli("measures", "--input", tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("cannot read") == 2 and "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_measures_reads_a_graph_piped_to_dev_stdin():
+    # a pipe is readable, but not a regular file
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-m", "moddiv", "measures", "--input", "/dev/stdin"],
+                         input="a b\nb c\nc a\n", capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "# u\tv\tscore"
+    assert [line.split("\t")[2] for line in lines[1:]] == ["2.0"] * 3
+
+
 # -- measures ----------------------------------------------------------------
 
 
@@ -550,8 +578,12 @@ def test_bench_empty_out_dir_writes_to_the_current_directory(tmp_path, karate_di
 def test_bench_strict_with_no_datasets_exits_4(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()
-    assert run_cli("bench", "--data-dir", empty, "--strict") == 4
+    out = tmp_path / "out"
+    assert run_cli("bench", "--data-dir", empty, "--strict", "--out-dir", out) == 4
     assert "no datasets" in capsys.readouterr().err
+    # bench.json gives the verdict --strict gives
+    report = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+    assert report["rows"] == [] and report["all_passed"] is False
 
 
 def test_bench_data_dir_flag_beats_environment(tmp_path, karate_dir, capsys, monkeypatch):

@@ -78,7 +78,7 @@ def test_modularity_q_matches_networkx():
         for v, c in enumerate(assignment):
             groups.setdefault(c, set()).add(v)
         want = nx.community.modularity(h, list(groups.values()))
-        got = modularity_q(g, Partition(g, assignment))
+        got = modularity_q(Partition(g, assignment))
         assert abs(got - want) < 1e-12, (got, want)
 
 

@@ -18,8 +18,9 @@ def test_digest_prints_one_stable_sha256_per_artifact():
     plain, each = _digest(), _digest("--each")
     digests = [line.split("  ") for line in plain.splitlines()]
     assert [name for _, name in digests] == ["partition.tsv", "partition.json",
-                                             "dendrogram.json", "dendrogram.newick", "trace.jsonl"]
+                                             "dendrogram.json", "dendrogram.newick", "trace.jsonl",
+                                             "measures.tsv"]
     assert all(len(digest) == 64 for digest, _ in digests)
     # the two calls agree, and `--each` puts one line per input in front
     assert each.endswith(plain)
-    assert [line.split()[0] for line in each.splitlines()[:-5]] == ["karate", "lesmis"]
+    assert [line.split()[0] for line in each.splitlines()[:-6]] == ["karate", "lesmis"]

@@ -76,8 +76,8 @@ def test_config_rejects_betweenness_for_phase_one():
 
 def test_bisect_barbell_cuts_the_bridge(barbell):
     sub = Subgraph(barbell, range(6))
-    bis = bisect_community(barbell, sub, CLUSTERING_G3)
-    assert (bis.side, bis.side_is_a) == ((0, 1, 2), True)  # the rest is side b
+    bis = bisect_community(barbell, sub, compute_scores(CLUSTERING_G3, barbell, sub))
+    assert bis.side == (0, 1, 2)
     assert [eid for eid, _ in bis.removals] == [3]
     assert bis.removals[0][1] == 0.5
     # the removals are made on the subgraph, not on the graph
@@ -85,34 +85,42 @@ def test_bisect_barbell_cuts_the_bridge(barbell):
     assert (2, 3) in barbell.edges
 
 
+def _bisect(g: Graph, members, measure: str) -> engine.Bisection:
+    """`bisect_community` of a fresh subgraph of `members`, with a fresh table."""
+    sub = Subgraph(g, members)
+    return bisect_community(g, sub, compute_scores(measure, g, sub))
+
+
 def test_bisect_path_betweenness_tie_breaks_low_edge_id(path3):
-    bis = bisect_community(path3, Subgraph(path3, range(3)), BETWEENNESS)
+    bis = _bisect(path3, range(3), BETWEENNESS)
     assert [eid for eid, _ in bis.removals] == [0]
-    assert (bis.side, bis.side_is_a) == ((0,), True)  # the side that ran out
+    assert bis.side == (0,)  # the side that ran out
 
 
 def test_bisect_k3_walks_through_infinities(k3):
-    bis = bisect_community(k3, Subgraph(k3, range(3)), CLUSTERING_G3)
+    bis = _bisect(k3, range(3), CLUSTERING_G3)
     assert [eid for eid, _ in bis.removals] == [0, 1]
     assert bis.removals[0][1] == 2.0
     assert math.isinf(bis.removals[1][1])
-    assert (bis.side, bis.side_is_a) == ((0,), True)
+    assert bis.side == (0,)
 
 
 def test_bisect_preconditions(barbell, two_triangles):
+    lone_vertex = Subgraph(barbell, [0])
+    table = compute_scores(CLUSTERING_G3, barbell, lone_vertex)
     with pytest.raises(ValueError):
-        bisect_community(barbell, Subgraph(barbell, [0]), CLUSTERING_G3)
+        bisect_community(barbell, lone_vertex, table)
     # a disconnected community splits off the smallest vertex's component
     # without removing an edge, and carries the smaller of it and the rest
-    bis = bisect_community(two_triangles, Subgraph(two_triangles, range(6)), CLUSTERING_G3)
-    assert (bis.side, bis.side_is_a, bis.removals) == ((0, 1, 2), True, ())
-    bis = bisect_community(two_triangles, Subgraph(two_triangles, [0, 1, 2, 4]), CLUSTERING_G3)
-    assert (bis.side, bis.side_is_a, bis.removals) == ((4,), False, ())
-    bis = bisect_community(two_triangles, Subgraph(two_triangles, [0, 3, 4, 5]), CLUSTERING_G3)
-    assert (bis.side, bis.side_is_a, bis.removals) == ((0,), True, ())
+    bis = _bisect(two_triangles, range(6), CLUSTERING_G3)
+    assert (bis.side, bis.removals) == ((0, 1, 2), ())
+    bis = _bisect(two_triangles, [0, 1, 2, 4], CLUSTERING_G3)
+    assert (bis.side, bis.removals) == ((4,), ())
+    bis = _bisect(two_triangles, [0, 3, 4, 5], CLUSTERING_G3)
+    assert (bis.side, bis.removals) == ((0,), ())
     lone = Graph(3, [(0, 1)])
-    bis = bisect_community(lone, Subgraph(lone, [0, 2]), CLUSTERING_G3)
-    assert (bis.side, bis.side_is_a, bis.removals) == ((0,), True, ())
+    bis = _bisect(lone, [0, 2], CLUSTERING_G3)
+    assert (bis.side, bis.removals) == ((0,), ())
 
 
 def _keeps_a_cycle(kind: str, sub: Subgraph, u: int, v: int) -> bool:
@@ -140,9 +148,9 @@ def test_split_test_runs_one_search_per_bisection_and_removal(monkeypatch, gen):
         calls.append(args)
         return real_reach(*args, **kwargs)
 
-    def bisect(g, sub, measure, table=None, connected=False):
+    def bisect(g, sub, table, connected=False):
         proven.append(connected)
-        return real_bisect(g, sub, measure, table, connected)
+        return real_bisect(g, sub, table, connected)
 
     def rescore(prev, g, sub, eid):
         if prev.kind != BETWEENNESS:
@@ -209,17 +217,17 @@ def test_a_removal_with_a_kept_cycle_leaves_its_ends_connected(monkeypatch, gen,
 
 def test_refine_pulls_misassigned_bridge_endpoint_back(barbell):
     p = Partition(barbell, [0, 0, 0, 0, 1, 1])  # vertex 3 on the wrong side
-    q_before = modularity_q(barbell, p)
-    p, moves = refine(barbell, p, {3}, 100)
+    q_before = modularity_q(p)
+    p, moves = refine(p, {3}, 100)
     assert [(m.vertex, m.source, m.target) for m in moves] == [(3, 0, 1)]
-    q_after = modularity_q(barbell, p)
+    q_after = modularity_q(p)
     assert abs((q_after - q_before) - moves[0].gain) < 1e-12
     assert abs(q_after - 5.0 / 14.0) < 1e-12
 
 
 def test_refine_is_a_fixed_point_on_good_partitions(barbell):
     p = Partition(barbell, [0, 0, 0, 1, 1, 1])
-    p, moves = refine(barbell, p, {2, 3}, 100)
+    p, moves = refine(p, {2, 3}, 100)
     assert moves == []
     assert p.assignment == [0, 0, 0, 1, 1, 1]
 
@@ -236,9 +244,9 @@ def test_refine_never_lowers_q():
             seen.setdefault(c, len(seen))
             dense.append(seen[c])
         p = Partition(g, dense)
-        q_before = modularity_q(g, p)
-        p, _ = refine(g, p, set(range(g.n)), 100)
-        assert modularity_q(g, p) >= q_before - 1e-12
+        q_before = modularity_q(p)
+        p, _ = refine(p, set(range(g.n)), 100)
+        assert modularity_q(p) >= q_before - 1e-12
 
 
 def test_refine_offers_abandoned_neighbors_on_the_next_pass():
@@ -248,7 +256,7 @@ def test_refine_offers_abandoned_neighbors_on_the_next_pass():
               + [(3, 4)])
     p = Partition(g, [0, 0, 1, 1, 1, 1, 1, 1])
     candidates = {2}
-    p, moves = refine(g, p, candidates, 100)
+    p, moves = refine(p, candidates, 100)
     assert [(m.vertex, m.source, m.target) for m in moves] == [(2, 1, 0), (3, 1, 0)]
     assert p.assignment == [0, 0, 0, 0, 1, 1, 1, 1]
     assert candidates == {2, 3, 4}
@@ -274,7 +282,7 @@ def test_refine_skips_interior_candidates_until_they_return_to_the_boundary():
     p = Partition(g, [0, 1, 1, 1, 1, 1, 2, 2])
     g.adj = _CountedRows(g.adj)
     candidates = {0, 2, 3, 5, 6}
-    p, moves = refine(g, p, candidates, 100)
+    p, moves = refine(p, candidates, 100)
     # pass 1: 0 joins 1, making 3 interior; 5 joins 2, making 4 a candidate;
     # 6 has 4 outside.  Pass 2: 4 joins 2, making 5 and 6 interior and
     # putting 3 back on the boundary.  Pass 3 moves nothing.
@@ -402,7 +410,7 @@ def test_dendrogram_deeper_than_the_recursion_limit_exports():
     d = Dendrogram(g, TraceEntry("init", 0.0, 1))
     cid = 0
     for v in range(depth):
-        a, b = p.split_community(cid, [v], True)
+        a, b = p.split_community(cid, [v])
         d.split(cid, (a, b), 0.0, ())
         cid = b
     d.finish(p)
@@ -497,7 +505,7 @@ def test_detection_result_q_matches_partition(barbell, two_triangles):
     for g in (barbell, two_triangles):
         for runner in (run_ccr, run_ccr_ebr):
             r = runner(g)
-            assert r.best_q == modularity_q(g, r.best_partition)
+            assert r.best_q == modularity_q(r.best_partition)
             assert r.best_q >= r.dendrogram.trace[0].q
 
 
@@ -520,9 +528,9 @@ def test_reconcile_equals_a_fresh_build(measure, case):
     g = _ring_of_k4s_with_outsider(8)
     sub = Subgraph(g, range(32))  # the ring, without the outsider 32
     table = compute_scores(measure, g, sub)
-    bis = bisect_community(g, sub, measure, table)
+    bis = bisect_community(g, sub, table)
     # the two lowest ring edges go: clique 1 is peeled off the ring
-    assert (bis.side, bis.side_is_a) == ((4, 5, 6, 7), False)
+    assert bis.side == (4, 5, 6, 7)
     assert [e for e, _ in bis.removals] == [48, 49]
     assert 49 not in table.scores  # the last removal is forgotten, as a rescore would
     part = sub.split_off(bis.side)

@@ -83,20 +83,19 @@ def test_inherited_state_equals_a_fresh_build_at_every_dequeue(
             unhanded.append(table)
         return table
 
-    def checked(g, sub, measure, table=None, connected=False):
+    def checked(g, sub, table, connected=False):
         if connected:
             assert _connected(g, sub)
             proven.append(len(sub))
-        if measure != BETWEENNESS:
+        if table.kind != BETWEENNESS:
             # every clustering bisection is handed its table, kept or built
             # fresh for it, and a kept one equals a fresh build
-            assert table is not None
             assert fresh_mismatch(g, table, Subgraph(g, sub)) is None
             if unhanded and table is unhanded[-1]:
                 unhanded.pop()
             else:
                 inherited.append(len(sub))
-        return real(g, sub, measure, table, connected)
+        return real(g, sub, table, connected)
 
     monkeypatch.setattr(engine, "bisect_community", checked)
     monkeypatch.setattr(engine, "compute_scores", scores)

@@ -30,7 +30,7 @@ from moddiv.oracles import (
 
 
 def test_report_tracks_failures_iff_over_tolerance():
-    r = OracleReport("demo", 3, 0.0, 1e-9)
+    r = OracleReport("demo", 3, 1e-9)
     r.record(1e-12, "a", 1.0, 1.0)
     assert r.passed and r.max_abs_diff == 1e-12
     r.record(1e-6, "b", 1.0, 1.000001)

@@ -163,6 +163,12 @@ def test_a_result_for_members_that_changed_is_not_taken(monkeypatch, helpers):
     assert all(taken for i, members, taken in helper.seen if members == helper.jobs[i][0])
 
 
+def _bisect(g, members, connected=False):
+    """The betweenness bisection of a fresh subgraph of `members`, with its table."""
+    sub = engine.Subgraph(g, members)
+    return engine.bisect_community(g, sub, engine.compute_scores(BETWEENNESS, g, sub), connected)
+
+
 def _take_in_order(helper, jobs, want) -> tuple[set[int], set[int]]:
     """Take every job in order, as the phase does, bisecting in-process the
     ones the helper does not hand over; every result must equal `want`.
@@ -173,8 +179,7 @@ def _take_in_order(helper, jobs, want) -> tuple[set[int], set[int]]:
         bis = helper.take(i, set(members))
         if bis is None:
             made.add(i)
-            bis = engine.bisect_community(g, engine.Subgraph(g, members), BETWEENNESS,
-                                          connected=connected)
+            bis = _bisect(g, members, connected)
         else:
             taken.add(i)
         assert bis == want, i
@@ -186,8 +191,8 @@ def test_many_jobs_taken_in_order_equal_in_process_bisections():
     # until the phase reads it, and neither process blocks for good
     g = Graph(3, [(0, 1), (1, 2)])
     jobs = [(frozenset((0, 1, 2)), True)] * 4000
-    want = engine.bisect_community(g, engine.Subgraph(g, (0, 1, 2)), BETWEENNESS)
-    record = marshal.dumps((len(jobs), want.side, want.side_is_a, want.removals))
+    want = _bisect(g, (0, 1, 2))
+    record = marshal.dumps((len(jobs), want.side, want.removals))
     assert len(jobs) * (4 + len(record)) > 2 * 65536
     helper = HELPER(g, jobs)
     try:
@@ -207,7 +212,7 @@ def test_the_helper_stops_where_the_phase_is():
     n = 40
     g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
     jobs = [(frozenset(range(n)), True)] * 200
-    want = engine.bisect_community(g, engine.Subgraph(g, range(n)), BETWEENNESS)
+    want = _bisect(g, range(n))
     helper = HELPER(g, jobs)
     try:
         taken, made = _take_in_order(helper, jobs, want)

@@ -52,13 +52,13 @@ def test_default_lists_are_fresh_per_instance():
     a.members.append(2)
     assert b.children == [] and b.members == []
     assert (b.parent, b.split_q, b.moves) == (None, None, ())
-    r, s = OracleReport("a", 1, 0.0, 0.0), OracleReport("b", 1, 0.0, 0.0)
+    r, s = OracleReport("a", 1, 0.0), OracleReport("b", 1, 0.0)
     r.record(1.0, "x", 0.0, 1.0)
     assert len(r.failures) == 1 and s.failures == []
 
 
 @pytest.mark.parametrize("make, other", [
-    (lambda: Bisection((0, 1), True, ((3, 0.5),)), lambda: Bisection((0, 1), False, ((3, 0.5),))),
+    (lambda: Bisection((0, 1), ((3, 0.5),)), lambda: Bisection((0, 1), ((3, 0.25),))),
     (lambda: RefinementMove(4, 0, 1, 0.25), lambda: RefinementMove(4, 0, 2, 0.25)),
     (lambda: Community({1, 2}, 2, 3), lambda: Community({1, 2}, 2, 4)),
     (lambda: LoadWarnings(1, 0, ("x",), 2), lambda: LoadWarnings(1, 0, ("y",), 2)),

@@ -30,9 +30,9 @@ def test_traced_detect_counts_one_search_per_bisection_and_removal(tmp_path, mon
     skipped = []  # clustering removals whose kept cycle count skips the search
     real, real_rescore = engine.bisect_community, engine.rescore_after_removal
 
-    def bisect(g, sub, measure, table=None, connected=False):
+    def bisect(g, sub, table, connected=False):
         proven.append(connected)
-        return real(g, sub, measure, table, connected)
+        return real(g, sub, table, connected)
 
     def rescore(prev, g, sub, eid):
         skipped.append(prev.cycles is not None and prev.cycles[eid] > 0)
