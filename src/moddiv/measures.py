@@ -32,13 +32,15 @@ class EdgeScoreTable:
     or removed edges that the pick discards lazily, at most as many as the
     live ones.  Clustering tables also keep `cycles`, the count of every
     edge's triangles (g3, its common neighbours) or 4-cycles (g4), which
-    `shift_cycles` keeps exact through every edge added or removed, and
-    references to the subgraph's rows (`nbrs`) and the graph's `edges`,
-    from which `score` computes the exact score of an edge.
+    `rescore_after_removal` and `shift_cycles` keep exact through every
+    edge added or removed, and references to the subgraph's rows (`nbrs`)
+    and the graph's `edges`, from which `score` computes the exact score of
+    an edge.
 
     Betweenness scores are exact.  A clustering score can only fall when
     its edge loses a cycle or an endpoint gains a degree, and
-    `rescore_edges` rescores exactly those edges.  When x loses the
+    `rescore_after_removal` (a removal) or `rescore_edges` (the edits of
+    `_reconcile`) rescores exactly those edges.  When x loses the
     neighbour z, an edge x-y that keeps its count can only score higher:
     the g3 denominator `min(k_x, k_y) - 1` cannot grow, and the g4 one,
     `(k_x - 1)(k_y - 1) - |N(x) & N(y)|`, changes by
@@ -83,7 +85,8 @@ class EdgeScoreTable:
         key, the entry goes back with the exact score and the next top is
         tried.  A top entry whose key is exact is the true minimum, since
         every other key is at most its edge's score, so the picked edge's
-        `scores[eid]` is exact when this returns.
+        `scores[eid]` is exact when this returns.  A g3 score is computed
+        inline, with `_g3_score`'s expression; g4 calls `_g4_score`.
         """
         scores = self.scores
         if not scores:
@@ -93,7 +96,7 @@ class EdgeScoreTable:
             best = max(scores.values())
             return min(eid for eid, s in scores.items() if s == best)
         nbrs, edges, cycles = self.nbrs, self.edges, self.cycles
-        score = _g3_score if self.kind == CLUSTERING_G3 else _g4_score
+        g3 = self.kind == CLUSTERING_G3
         # Tuple order is the tie-break: lowest score, then smallest edge id.
         while True:
             key, eid = heap[0]
@@ -101,7 +104,12 @@ class EdgeScoreTable:
                 heappop(heap)  # the edge is gone, or has a newer key
                 continue
             u, v = edges[eid]
-            s = score(nbrs, u, v, cycles[eid])
+            if g3:  # _g3_score, inline
+                du, dv = len(nbrs[u]), len(nbrs[v])
+                d = du if du < dv else dv
+                s = (cycles[eid] + 1) / (d - 1) if d > 1 else math.inf
+            else:
+                s = _g4_score(nbrs, u, v, cycles[eid])
             if s == key:
                 return eid
             scores[eid] = s
@@ -206,7 +214,13 @@ def edge_betweenness(g: Graph, sub: Subgraph) -> EdgeScoreTable:
 
 def _g3_score(nbrs: dict[int, dict[int, int]], u: int, v: int, triangles: int) -> float:
     """(triangles + 1) over the most triangles the edge u-v could close:
-    the smaller endpoint degree less the edge itself."""
+    the smaller endpoint degree less the edge itself.
+
+    This is the one definition, which `EdgeScoreTable.score` calls.  The
+    hot paths compute the same expression inline, on the same integers:
+    `edge_clustering_g3`, `EdgeScoreTable.removal_candidate`,
+    `rescore_after_removal` and `rescore_edges`.
+    """
     denom = min(len(nbrs[u]), len(nbrs[v])) - 1
     return (triangles + 1) / denom if denom > 0 else math.inf
 
@@ -295,14 +309,18 @@ def rescore_after_removal(
     """Score table after `removed_edge` was deleted from `sub`.
 
     Betweenness is recomputed outright into a new table.  A clustering
-    table is updated in place and returned: `shift_cycles` takes one from
-    the kept count of every edge that shared a triangle (g3) or 4-cycle
-    (g4) with the removed edge, and `rescore_edges` rescores those edges.
-    The other edges at the removed edge's ends lost a degree and kept
-    their counts, so their scores can only rise and their keys stay lower
-    bounds that the pick raises when it meets them.  When the removed
-    edge closed no cycle (its kept count is 0), no count shifts and no
-    edge is rescored.
+    table is updated in place and returned, and every edge that shared a
+    triangle (g3) or 4-cycle (g4) with the removed edge u-v loses one from
+    its kept count and is rescored.  g3 does both in one pass over the
+    common neighbours x of u and v, on (u, x) and (v, x), with
+    `_g3_score`'s expression inline.  g4 goes through `shift_cycles` and
+    then `rescore_edges`: a 4-cycle shifts the edge (u, a) once per cycle
+    through it, so its score waits for every shift.  A changed score is
+    pushed on the heap.  The other edges at the removed edge's ends lost a
+    degree and kept their counts, so their scores can only rise and their
+    keys stay lower bounds that the pick raises when it meets them.  When
+    the removed edge closed no cycle (its kept count is 0), no count
+    shifts and no edge is rescored.
     """
     if prev.kind == BETWEENNESS:
         return edge_betweenness(g, sub)
@@ -312,9 +330,34 @@ def rescore_after_removal(
     if not closed:
         _compact(prev)
         return prev
-    touched: dict[int, tuple[int, int]] = {}
-    shift_cycles(prev, u, v, -1, touched)
-    rescore_edges(prev, touched, ())
+    if prev.kind == CLUSTERING_G4:
+        touched: dict[int, tuple[int, int]] = {}
+        shift_cycles(prev, u, v, -1, touched)
+        rescore_edges(prev, touched, ())
+        return prev
+    nbrs, scores, heap, cycles = prev.nbrs, prev.scores, prev.heap, prev.cycles
+    inf = math.inf
+    nu, nv = nbrs[u], nbrs[v]
+    du, dv = len(nu), len(nv)
+    # the triangle u-v-x is gone: (u, x) and (v, x) each lose it, and are
+    # rescored with _g3_score's expression
+    for x in nu.keys() & nv.keys():
+        dx = len(nbrs[x])
+        eid = nu[x]
+        t = cycles[eid] = cycles[eid] - 1
+        d = du if du < dx else dx
+        s = (t + 1) / (d - 1) if d > 1 else inf
+        if s != scores[eid]:
+            scores[eid] = s
+            heappush(heap, (s, eid))
+        eid = nv[x]
+        t = cycles[eid] = cycles[eid] - 1
+        d = dv if dv < dx else dx
+        s = (t + 1) / (d - 1) if d > 1 else inf
+        if s != scores[eid]:
+            scores[eid] = s
+            heappush(heap, (s, eid))
+    _compact(prev)
     return prev
 
 
@@ -325,6 +368,8 @@ def shift_cycles(table: EdgeScoreTable, u: int, v: int, step: int,
     subgraph does not hold: call it after removing the edge, or before
     adding it.  Each shifted edge goes into `touched` as `eid: (x, y)`, its
     ends.  Returns the number of those cycles, the count of u-v itself.
+    It serves a g4 removal and the edits of `_reconcile`; a g3 removal
+    shifts its counts in `rescore_after_removal`.
 
     A triangle u-v-x shifts (u, x) and (v, x); a 4-cycle u-v-b-a (a in
     N(u), b in N(v), a ~ b) shifts (u, a), (v, b) and (a, b).
@@ -369,21 +414,35 @@ def rescore_edges(table: EdgeScoreTable, touched: dict[int, tuple[int, int]],
     first key.  Any other key is still a lower bound: its edge kept its
     count, and a fall in an endpoint's degree can only raise its score.
     Every changed key is pushed on the heap; the entry it replaces goes
-    stale.
+    stale.  A g3 score is computed inline, with `_g3_score`'s expression;
+    g4 calls `_g4_score`.  Every vertex of `rose` is live.
     """
     nbrs, scores, heap, cycles = table.nbrs, table.scores, table.heap, table.cycles
-    score = _g3_score if table.kind == CLUSTERING_G3 else _g4_score
+    inf = math.inf
+    g3 = table.kind == CLUSTERING_G3
     for eid, (x, y) in touched.items():
         count = cycles.get(eid)  # None once the edge went
         if count is not None:
-            s = score(nbrs, x, y, count)
+            if g3:  # _g3_score, inline
+                dx, dy = len(nbrs[x]), len(nbrs[y])
+                d = dx if dx < dy else dy
+                s = (count + 1) / (d - 1) if d > 1 else inf
+            else:
+                s = _g4_score(nbrs, x, y, count)
             if s != scores.get(eid):
                 scores[eid] = s
                 heappush(heap, (s, eid))
     for x in rose:
-        for y, eid in nbrs.get(x, {}).items():
+        row = nbrs[x]
+        dx = len(row)
+        for y, eid in row.items():
             if eid not in touched:
-                s = score(nbrs, x, y, cycles[eid])
+                if g3:
+                    dy = len(nbrs[y])
+                    d = dx if dx < dy else dy
+                    s = (cycles[eid] + 1) / (d - 1) if d > 1 else inf
+                else:
+                    s = _g4_score(nbrs, x, y, cycles[eid])
                 key = scores.get(eid)
                 if key is None or s < key:
                     scores[eid] = s

@@ -25,6 +25,7 @@ from moddiv import (
     rescore_after_removal,
 )
 from moddiv.cli import main
+from moddiv.measures import _compact, rescore_edges, shift_cycles
 from moddiv.oracles import (
     betweenness_naive,
     clustering_pick_naive,
@@ -267,6 +268,54 @@ def test_rescore_matches_full_recompute_g3_and_g4():
                 eid = pick if rng.random() < 0.5 else rng.choice(sorted(table.scores))
                 sub.remove_edge(*g.edges[eid])
                 table = rescore_after_removal(table, g, sub, eid)
+
+
+def _shift_then_rescore(table, g, eid):
+    """A removal through the two-step rule `_reconcile` keeps: shift the
+    counts with `shift_cycles`, then rescore with `rescore_edges`."""
+    u, v = g.edges[eid]
+    closed = table.cycles[eid]
+    table.forget((eid,))
+    if closed:
+        touched = {}
+        shift_cycles(table, u, v, -1, touched)
+        rescore_edges(table, touched, ())
+    else:
+        _compact(table)
+
+
+def test_g3_one_pass_removal_matches_shift_then_rescore():
+    # `rescore_after_removal` shifts and rescores a g3 removal's edges in one
+    # pass.  After every removal its table must equal one updated by
+    # `shift_cycles` and `rescore_edges`, key for key and heap entry for heap
+    # entry: a fresh build would still accept a key that is too low.  The
+    # triangle 0-1-2 with the pendant 3 on corner 2 loses (0, 1) first,
+    # leaving 0 and 1 with degree 1 and (0, 2), (1, 2) at +inf.
+    rng = random.Random(47)
+    pendant = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    cases = [(pendant, [0], range(4))]
+    for _ in range(12):
+        g = gnp_connected(rng, rng.randint(5, 24), rng.choice((0.2, 0.4, 0.6)))
+        cases.append((g, [], rng.sample(range(g.n), rng.randint(3, g.n))))
+    for g, forced, members in cases:
+        sub, ref_sub = Subgraph(g, members), Subgraph(g, members)
+        table, ref = edge_clustering_g3(g, sub), edge_clustering_g3(g, ref_sub)
+        while table.scores:
+            pick = table.removal_candidate()
+            assert ref.removal_candidate() == pick
+            if forced:
+                eid = forced.pop()
+            else:
+                eid = pick if rng.random() < 0.5 else rng.choice(sorted(table.scores))
+            sub.remove_edge(*g.edges[eid])
+            ref_sub.remove_edge(*g.edges[eid])
+            table = rescore_after_removal(table, g, sub, eid)
+            _shift_then_rescore(ref, g, eid)
+            assert table.cycles == ref.cycles
+            assert table.scores == ref.scores
+            assert sorted(table.heap) == sorted(ref.heap)
+            if g is pendant and eid == 0:
+                assert (table.scores[1], table.scores[2]) == (math.inf, math.inf)
 
 
 def test_g3_rescore_leaves_scores_that_can_only_rise_as_lower_bounds():

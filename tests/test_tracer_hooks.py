@@ -27,12 +27,15 @@ def test_traced_detect_counts_one_search_per_bisection_and_removal(tmp_path, mon
     # wrapped before the tracer installs, so its uninstall leaves these
     # for monkeypatch to undo
     proven = []
+    removed = []  # whether each bisection made a removal
     skipped = []  # clustering removals whose kept cycle count skips the search
     real, real_rescore = engine.bisect_community, engine.rescore_after_removal
 
     def bisect(g, sub, table, connected=False):
         proven.append(connected)
-        return real(g, sub, table, connected)
+        result = real(g, sub, table, connected)
+        removed.append(bool(result.removals))
+        return result
 
     def rescore(prev, g, sub, eid):
         skipped.append(prev.cycles is not None and prev.cycles[eid] > 0)
@@ -59,6 +62,10 @@ def test_traced_detect_counts_one_search_per_bisection_and_removal(tmp_path, mon
     assert sum(skipped) > 0
     assert sum(proven) > 0
     assert (metrics["engine.removals"], metrics["engine.bisections"]) == (66, 11)
+    # every removal is one pick, and every removal but a bisection's last is
+    # one rescore: the g3 scoring done inline stays inside the hooked names
+    assert metrics["measures.pick_calls"] == metrics["engine.removals"]
+    assert metrics["measures.rescore_calls"] == metrics["engine.removals"] - sum(removed)
     # the tracer counts accepts through `DetectionResult.history`, the lines parsed
     lines = (tmp_path / "trace.jsonl").read_text(encoding="utf-8").splitlines()
     accepts = sum(json.loads(line)["type"] == "accept" for line in lines)
