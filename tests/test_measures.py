@@ -25,7 +25,7 @@ from moddiv import (
     rescore_after_removal,
 )
 from moddiv.cli import main
-from moddiv.measures import _compact, rescore_edges, shift_cycles
+from moddiv.measures import add_cycles, lower_keys
 from moddiv.oracles import (
     betweenness_naive,
     clustering_pick_naive,
@@ -270,52 +270,96 @@ def test_rescore_matches_full_recompute_g3_and_g4():
                 table = rescore_after_removal(table, g, sub, eid)
 
 
-def _shift_then_rescore(table, g, eid):
-    """A removal through the two-step rule `_reconcile` keeps: shift the
-    counts with `shift_cycles`, then rescore with `rescore_edges`."""
-    u, v = g.edges[eid]
-    closed = table.cycles[eid]
-    table.forget((eid,))
-    if closed:
-        touched = {}
-        shift_cycles(table, u, v, -1, touched)
-        rescore_edges(table, touched, ())
-    else:
-        _compact(table)
-
-
-def test_g3_one_pass_removal_matches_shift_then_rescore():
-    # `rescore_after_removal` shifts and rescores a g3 removal's edges in one
-    # pass.  After every removal its table must equal one updated by
-    # `shift_cycles` and `rescore_edges`, key for key and heap entry for heap
-    # entry: a fresh build would still accept a key that is too low.  The
-    # triangle 0-1-2 with the pendant 3 on corner 2 loses (0, 1) first,
-    # leaving 0 and 1 with degree 1 and (0, 2), (1, 2) at +inf.
+@pytest.mark.parametrize("kind", [CLUSTERING_G3, CLUSTERING_G4])
+def test_removal_rescores_exactly_the_edges_whose_count_fell(kind):
+    # After every removal the kept counts are exact, every edge whose count
+    # changed has its exact score as key with that key on the heap, and no
+    # other key moved: a fresh build would still accept a key that is too
+    # low, or one left behind.  The triangle 0-1-2 with the pendant 3 on
+    # corner 2 loses (0, 1) first, leaving 0 and 1 with degree 1 and, under
+    # g3, (0, 2) and (1, 2) at +inf.
     rng = random.Random(47)
+    order = 3 if kind == CLUSTERING_G3 else 4
     pendant = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     cases = [(pendant, [0], range(4))]
     for _ in range(12):
         g = gnp_connected(rng, rng.randint(5, 24), rng.choice((0.2, 0.4, 0.6)))
         cases.append((g, [], rng.sample(range(g.n), rng.randint(3, g.n))))
     for g, forced, members in cases:
-        sub, ref_sub = Subgraph(g, members), Subgraph(g, members)
-        table, ref = edge_clustering_g3(g, sub), edge_clustering_g3(g, ref_sub)
+        sub = Subgraph(g, members)
+        table = compute_scores(kind, g, sub)
         while table.scores:
             pick = table.removal_candidate()
-            assert ref.removal_candidate() == pick
             if forced:
                 eid = forced.pop()
             else:
                 eid = pick if rng.random() < 0.5 else rng.choice(sorted(table.scores))
+            keys, counts = dict(table.scores), dict(table.cycles)
             sub.remove_edge(*g.edges[eid])
-            ref_sub.remove_edge(*g.edges[eid])
             table = rescore_after_removal(table, g, sub, eid)
-            _shift_then_rescore(ref, g, eid)
-            assert table.cycles == ref.cycles
-            assert table.scores == ref.scores
-            assert sorted(table.heap) == sorted(ref.heap)
-            if g is pendant and eid == 0:
+            assert table.cycles == {e: cycle_count_naive(g, sub, e, order) for e in table.scores}
+            held = set(table.heap)
+            for e, key in table.scores.items():
+                if table.cycles[e] != counts[e]:
+                    assert key == table.score(e)
+                    assert (key, e) in held
+                else:
+                    assert key == keys[e]
+            if g is pendant and eid == 0 and kind == CLUSTERING_G3:
                 assert (table.scores[1], table.scores[2]) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("kind", [CLUSTERING_G3, CLUSTERING_G4])
+def test_additions_lower_keys_and_do_nothing_else(kind):
+    # A kept state loses random edges, then gets a batch of them back and
+    # one vertex inserted, as `_reconcile` adds them.  `add_cycles` only
+    # counts: it changes no key and pushes nothing.  `lower_keys` then
+    # lowers each key at a vertex whose degree rose to the smaller of the
+    # key and the exact score, gives each new edge its exact score, and
+    # leaves every other key alone.  A fresh build accepts any key at most
+    # the exact score, so it cannot tell a key lowered too far.
+    rng = random.Random(53)
+    for _ in range(12):
+        g = gnp_connected(rng, rng.randint(6, 24), rng.choice((0.2, 0.4, 0.6)))
+        inserted = rng.randrange(g.n)
+        members = [v for v in range(g.n) if v != inserted]
+        sub = Subgraph(g, members)
+        table = compute_scores(kind, g, sub)
+        removed = rng.sample(sorted(table.scores), len(table.scores) // 3)
+        for eid in removed:
+            sub.remove_edge(*g.edges[eid])
+            rescore_after_removal(table, g, sub, eid)
+        readd = rng.sample(removed, rng.randint(1, len(removed)))
+        keys, heap = dict(table.scores), list(table.heap)
+        rose, added = set(), set()
+        for eid in readd:
+            add_cycles(table, eid)
+            sub.add_edge(*g.edges[eid], eid)
+            rose.update(g.edges[eid])
+            added.add(eid)
+        sub.add_vertex(inserted)
+        for w, eid in g.adj[inserted]:
+            if w in sub.nbrs:
+                add_cycles(table, eid)
+                sub.add_edge(inserted, w, eid)
+                rose.add(w)
+                added.add(eid)
+        rose.add(inserted)
+        assert table.scores == keys
+        assert table.heap == heap
+        lower_keys(table, rose)
+        at_rose = {e for x in rose for e in sub.nbrs[x].values()}
+        for e, key in table.scores.items():
+            if e in added:
+                assert key == table.score(e)
+            elif e in at_rose:
+                assert key == min(keys[e], table.score(e))
+            else:
+                assert key == keys[e]
+        fresh = Subgraph(g, range(g.n))
+        for eid in set(removed) - set(readd):
+            fresh.remove_edge(*g.edges[eid])
+        assert fresh_mismatch(g, table, fresh) is None
 
 
 def test_g3_rescore_leaves_scores_that_can_only_rise_as_lower_bounds():

@@ -19,6 +19,7 @@ from moddiv.oracles import (
     check_q_fast_vs_pairwise,
     check_rescore_vs_full,
     cycle_count_naive,
+    engine_reference_mismatch,
     exhaustive_best_partition,
     gnp_connected,
     gnp_graph,
@@ -140,6 +141,26 @@ def test_engine_vs_reference_reaches_the_rare_engine_states(monkeypatch):
     report = check_engine_vs_reference(DEFAULT_SEED + 5)
     assert report.cases == 150 and report.passed
     assert min(reached.values()) > 0, reached
+
+
+@pytest.mark.parametrize("algo", ["ccr", "ccr-ebr"])
+@pytest.mark.parametrize("measure", ["g3", "g4"])
+def test_engine_equals_the_reference_on_a_ring_of_300_k4(gen, monkeypatch, algo, measure):
+    """A mid-size case beyond the corpus: the ring's splits carve and
+    reconcile kept states hundreds of times, with vertices both leaving
+    and arriving, and the whole run must still equal `reference_run`."""
+    n, edges, _ = gen.ring_of_cliques(300, 4)
+    reconciled = {"leaving": 0, "arriving": 0}
+    real_reconcile = engine._reconcile
+
+    def reconcile(g, sub, table, removals, changed, members):
+        reconciled["leaving"] += sum(v in sub.nbrs and v not in members for v in changed)
+        reconciled["arriving"] += sum(v in members and v not in sub.nbrs for v in changed)
+        real_reconcile(g, sub, table, removals, changed, members)
+
+    monkeypatch.setattr(engine, "_reconcile", reconcile)
+    assert engine_reference_mismatch(Graph(n, edges), algo, measure) is None
+    assert min(reconciled.values()) > 0, reconciled
 
 
 # -- exhaustive reference ----------------------------------------------------
